@@ -114,12 +114,12 @@ def noncentral_cdf(
         raise ValueError("noncentrality must be nonnegative")
     if dof < 1:
         raise ValueError("dof must be at least 1")
-    if lam == 0.0:
+    half = lam / 2.0
+    if half == 0.0:  # lam is 0, or so small that lam / 2 underflows
         return central_cdf(x, dof)
     if x <= 0.0:
         return 0.0
 
-    half = lam / 2.0
     x_half = x / 2.0
     i0 = int(half)
     log_w0 = -half + i0 * math.log(half) - math.lgamma(i0 + 1)

@@ -203,11 +203,14 @@ def cmd_replay(args, mapper=None) -> int:
         with open(args.manifest) as fh:
             doc = json.load(fh)
         command = doc.pop("command")
-        doc.pop("version", None)
+        version = doc.pop("version", "unknown")
         replay_args = argparse.Namespace(**doc)
         handler = _COMMANDS[command]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(2, f"malformed manifest: {exc}") from exc
+    if version != __version__:
+        print(f"warning: manifest written by gridrisk {version}, replaying "
+              f"with {__version__}; output may differ", file=sys.stderr)
     return handler(replay_args, mapper)
 
 

@@ -1,66 +1,51 @@
-"""Exact solver for small mixed-integer linear programs.
+"""Small mixed-integer linear programs, solved by scipy's HiGHS.
 
-LP relaxations are solved with a dense two-phase simplex supporting
-variable upper bounds, Dantzig pricing, and Bland's rule as the
-anti-cycling safeguard.  Integer optima are found by best-first branch
-and bound over binary variables with most-fractional branching and
-deterministic tie-breaking.
+`solve_milp` runs `scipy.optimize.milp` to a zero relative gap with
+presolve off, then checks the answer itself: the point must meet every
+constraint at HiGHS's own tolerances, and the incumbent must sit within
+HiGHS's absolute gap of its dual bound.
 
-Problem builders may attach a node oracle that supplies admissible extra
-lower bounds, exact subtree optima, or branching scores for a node's
-bound box.  Oracles can only tighten the search; every incumbent they
-produce is re-verified against the original constraints, so exactness
-never rests on the oracle alone.
+HiGHS prints some MIP diagnostics straight to file descriptor 1, whatever
+its logging options say, so solves run with fd 1 on the null device.  The
+first solve in flight redirects and the last one restores, so concurrent
+solves from several threads leave stdout intact.  Output written to fd 1
+by other threads during a solve is discarded with the chatter.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+import contextlib
+import ctypes
+import os
+import sys
+import threading
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-_PIVOT_TOL = 1e-9
-_RATIO_TOL = 1e-12
-_FEAS_TOL = 1e-7
-_INT_TOL = 1e-6
-_BLAND_TRIGGER = 40
-_MAX_PIVOTS = 200_000
+# HiGHS defaults of mip_feasibility_tolerance and mip_abs_gap
+_FEAS_TOL = 1e-6
+_ABS_GAP = 1e-6
+# With presolve on, HiGHS 1.12 proved a wrong optimum on a seeded 40-row
+# ieee14 plan: 8 where a stealth-verified 7-row support exists.
+_OPTIONS = {"mip_rel_gap": 0.0, "presolve": False}
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 class MilpError(Exception):
-    """Raised for malformed problems or internal solver failures."""
-
-
-class _Unbounded(Exception):
-    pass
-
-
-@dataclass
-class NodeHint:
-    """Oracle output for one branch-and-bound node.
-
-    lower_bound must be a proven lower bound on every integer-feasible
-    completion within the node's box.  If exact is True, objective and
-    solution describe the true subtree optimum (or objective = inf for an
-    empty subtree) and the node is closed without further branching.
-    branch_scores, when given, lets the solver branch without an LP solve.
-    """
-
-    lower_bound: float = -math.inf
-    solution: Optional[np.ndarray] = None
-    objective: float = math.inf
-    exact: bool = False
-    branch_scores: Optional[np.ndarray] = None
+    """Raised for malformed problems, solver failures, and answers that
+    fail the feasibility or gap check."""
 
 
 @dataclass
 class MilpProblem:
     """min objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq,
-    lb <= x <= ub, x[binary] in {0, 1}."""
+    lb <= x <= ub, x[binary] in {0, 1}.
+
+    node_hook must stay None: HiGHS takes no per-node callbacks.
+    """
 
     objective: np.ndarray
     a_ub: np.ndarray
@@ -70,37 +55,22 @@ class MilpProblem:
     binary: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    branch_priority: Optional[np.ndarray] = None
-    node_hook: Optional[Callable[[np.ndarray, np.ndarray], Optional[NodeHint]]] = None
-    warm_solution: Optional[np.ndarray] = None  # incumbent seed, verified before use
-
-
-@dataclass
-class LpResult:
-    status: str  # optimal | infeasible | unbounded
-    x: Optional[np.ndarray]
-    objective: float
-    iterations: int
+    node_hook: Optional[Callable] = None
 
 
 @dataclass
 class MilpSolution:
+    """Solver outcome.  x has its binaries rounded to exactly 0 or 1 and
+    objective is evaluated there.  node_count is HiGHS's branch-and-bound
+    node count; HiGHS reports no LP solve or simplex pivot count for a MIP
+    through scipy, so lp_count and simplex_iterations are always 0."""
+
     status: str  # optimal | infeasible | unbounded
     objective: Optional[float]
     x: Optional[np.ndarray]
     node_count: int
     lp_count: int
     simplex_iterations: int
-
-
-def _leaving_row(ratios, basis, bland):
-    """Row index of the smallest ratio; under Bland's rule ties are broken by
-    the smallest basic-variable index instead of the smallest row index."""
-    r = int(np.argmin(ratios))
-    if not bland or not np.isfinite(ratios[r]):
-        return r
-    tied = np.where(ratios <= ratios[r] + _RATIO_TOL)[0]
-    return int(tied[np.argmin(basis[tied])])
 
 
 def _as_matrix(a, ncols):
@@ -112,422 +82,88 @@ def _as_matrix(a, ncols):
     return a
 
 
-def solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub) -> LpResult:
-    """Two-phase simplex for  min c @ x  with row constraints and box bounds.
+try:
+    _c_fflush = ctypes.CDLL(None).fflush
+except (AttributeError, OSError, TypeError):  # no C runtime to flush
+    _c_fflush = None
+_fd_lock = threading.Lock()
+_fd_users = 0
+_fd_saved = -1
 
-    Free variables (lb = -inf) are split; finite lower bounds are shifted
-    to zero; upper bounds are handled implicitly by the bounded-variable
-    rules.  A variable may not combine lb = -inf with a finite ub.
-    """
-    c = np.asarray(c, dtype=float)
-    nv = c.shape[0]
-    a_ub = _as_matrix(a_ub, nv)
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-    a_eq = _as_matrix(a_eq, nv)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    if np.any(lb > ub + 1e-12):
-        return LpResult("infeasible", None, math.inf, 0)
-    if np.any(np.isinf(lb) & np.isfinite(ub)):
-        raise MilpError("variables with lb = -inf must have ub = +inf")
 
-    # Substitute out fixed variables.
-    fixed = (ub - lb) <= 1e-12
-    fixed_vals = np.where(fixed, lb, 0.0)
-    live = ~fixed
-    b_ub_r = b_ub - a_ub[:, fixed] @ fixed_vals[fixed] if a_ub.shape[0] else b_ub
-    b_eq_r = b_eq - a_eq[:, fixed] @ fixed_vals[fixed] if a_eq.shape[0] else b_eq
-    a_ub_r = a_ub[:, live]
-    a_eq_r = a_eq[:, live]
-    c_r = c[live]
-    lb_r = lb[live]
-    ub_r = ub[live]
-    nlive = int(live.sum())
+def _flush_stdout():
+    # Python's and C's buffers both go out before fd 1 moves, so nothing
+    # written before a solve is lost and no chatter lands after it.
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    if _c_fflush is not None:
+        _c_fflush(None)
 
-    # Column expansion: shifted variable per finite-lb column, split pair
-    # per free column.  col_map holds (orig_index, sign) per simplex column.
-    cols = []
-    col_c = []
-    col_u = []
-    shift = np.where(np.isfinite(lb_r), lb_r, 0.0)
-    for k in range(nlive):
-        if np.isfinite(lb_r[k]):
-            cols.append((k, 1.0))
-            col_c.append(c_r[k])
-            col_u.append(ub_r[k] - lb_r[k])
-        else:
-            cols.append((k, 1.0))
-            col_c.append(c_r[k])
-            col_u.append(math.inf)
-            cols.append((k, -1.0))
-            col_c.append(-c_r[k])
-            col_u.append(math.inf)
-    ns = len(cols)
-    n_ub = a_ub_r.shape[0]
-    n_eq = a_eq_r.shape[0]
-    nrows = n_ub + n_eq
 
-    a_cols = np.zeros((nrows, ns))
-    for j, (k, sgn) in enumerate(cols):
-        if n_ub:
-            a_cols[:n_ub, j] = sgn * a_ub_r[:, k]
-        if n_eq:
-            a_cols[n_ub:, j] = sgn * a_eq_r[:, k]
-    rhs = np.concatenate([b_ub_r, b_eq_r])
-    if n_ub:
-        rhs[:n_ub] = rhs[:n_ub] - a_ub_r @ shift
-    if n_eq:
-        rhs[n_ub:] = rhs[n_ub:] - a_eq_r @ shift
-
-    # Row equilibration keeps pivot tolerances meaningful across scales.
-    row_scale = np.maximum(np.abs(a_cols).max(axis=1, initial=0.0), np.abs(rhs))
-    row_scale[row_scale < 1e-30] = 1.0
-    a_cols /= row_scale[:, None]
-    rhs /= row_scale
-
-    neg = rhs < 0
-    a_cols[neg] *= -1.0
-    rhs[neg] *= -1.0
-    is_eq_row = np.zeros(nrows, dtype=bool)
-    is_eq_row[n_ub:] = True
-    # <= rows keep a +slack; negated <= rows need surplus + artificial.
-    needs_art = is_eq_row | neg
-
-    slack_rows = [i for i in range(nrows) if not is_eq_row[i]]
-    n_slack = len(slack_rows)
-    art_rows = [i for i in range(nrows) if needs_art[i]]
-    n_art = len(art_rows)
-
-    total = ns + n_slack + n_art
-    tab = np.zeros((nrows, total + 1))
-    tab[:, :ns] = a_cols
-    tab[:, -1] = rhs
-    upper = np.full(total, math.inf)
-    upper[:ns] = col_u
-    cost = np.zeros(total)
-    cost[:ns] = col_c
-    is_art = np.zeros(total, dtype=bool)
-
-    basis = np.full(nrows, -1, dtype=int)
-    for idx, i in enumerate(slack_rows):
-        j = ns + idx
-        tab[i, j] = -1.0 if neg[i] else 1.0
-        if not neg[i]:
-            basis[i] = j
-    for idx, i in enumerate(art_rows):
-        j = ns + n_slack + idx
-        tab[i, j] = 1.0
-        basis[i] = j
-        is_art[j] = True
-
-    flipped = np.zeros(total, dtype=bool)
-    iters = 0
-
-    def run_phase(zrow, allow):
-        nonlocal iters
-        degen = 0
-        while True:
-            if iters > _MAX_PIVOTS:
-                raise MilpError("simplex iteration limit exceeded")
-            eligible = allow & (zrow[:total] < -_PIVOT_TOL)
-            if not eligible.any():
-                return
-            if degen > _BLAND_TRIGGER:
-                k = int(np.argmax(eligible))  # first True: Bland's rule
-            else:
-                masked = np.where(eligible, zrow[:total], np.inf)
-                k = int(np.argmin(masked))
-            col = tab[:, k]
-            b = tab[:, -1]
-            theta = upper[k]
-            rule = "flip"
-            row = -1
-            pos = col > _PIVOT_TOL
-            if pos.any():
-                ratios = np.where(pos, b / np.where(pos, col, 1.0), np.inf)
-                r = _leaving_row(ratios, basis, degen > _BLAND_TRIGGER)
-                if ratios[r] < theta - _RATIO_TOL:
-                    theta, rule, row = ratios[r], "lower", r
-            bu = upper[basis]
-            negc = (col < -_PIVOT_TOL) & np.isfinite(bu)
-            if negc.any():
-                ratios = np.where(negc, (b - bu) / np.where(negc, col, 1.0), np.inf)
-                r = _leaving_row(ratios, basis, degen > _BLAND_TRIGGER)
-                if ratios[r] < theta - _RATIO_TOL:
-                    theta, rule, row = ratios[r], "upper", r
-            if not np.isfinite(theta):
-                raise _Unbounded
-            degen = degen + 1 if theta <= _RATIO_TOL else 0
-            iters += 1
-            if rule == "flip":
-                tab[:, -1] -= theta * col
-                tab[:, k] *= -1.0
-                flipped[k] = ~flipped[k]
-                zrow[k] = -zrow[k]
-                cost[k] = -cost[k]
-                continue
-            if rule == "upper":
-                lv = basis[row]
-                tab[:, lv] *= -1.0
-                tab[row, -1] -= upper[lv]
-                flipped[lv] = ~flipped[lv]
-                cost[lv] = -cost[lv]
-            piv = tab[row, k]
-            tab[row] /= piv
-            colv = tab[:, k].copy()
-            colv[row] = 0.0
-            tab[:, :] -= np.outer(colv, tab[row])
-            zk = zrow[k]
-            if zk != 0.0:
-                zrow[: total + 1] -= zk * tab[row]
-            zrow[k] = 0.0
-            basis[row] = k
-
+@contextlib.contextmanager
+def _quiet_fd1():
+    global _fd_users, _fd_saved
+    with _fd_lock:
+        if _fd_users == 0:
+            _flush_stdout()
+            _fd_saved = os.dup(1)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.close(null)
+        _fd_users += 1
     try:
-        if n_art:
-            zrow1 = np.zeros(total + 1)
-            for i in art_rows:
-                zrow1[: total + 1] -= tab[i]
-            zrow1[:total][is_art] = 0.0
-            allow = ~is_art
-            run_phase(zrow1, allow)
-            art_val = sum(tab[i, -1] for i in range(nrows) if is_art[basis[i]])
-            if art_val > _FEAS_TOL:
-                return LpResult("infeasible", None, math.inf, iters)
-            # Drive surviving artificials out of the basis or drop their rows.
-            for i in range(nrows):
-                if is_art[basis[i]]:
-                    candidates = np.where(~is_art[:total] & (np.abs(tab[i, :total]) > _PIVOT_TOL))[0]
-                    if candidates.size:
-                        k = int(candidates[0])
-                        piv = tab[i, k]
-                        tab[i] /= piv
-                        colv = tab[:, k].copy()
-                        colv[i] = 0.0
-                        tab -= np.outer(colv, tab[i])
-                        basis[i] = k
-                    else:
-                        tab[i] = 0.0
-                        basis[i] = -2  # redundant row
-        zrow2 = np.zeros(total + 1)
-        zrow2[:total] = cost
-        for i in range(nrows):
-            if basis[i] >= 0:
-                zrow2[: total + 1] -= cost[basis[i]] * tab[i]
-        allow = ~is_art
-        run_phase(zrow2, allow)
-    except _Unbounded:
-        return LpResult("unbounded", None, -math.inf, iters)
-
-    xt = np.zeros(total)
-    xt[flipped & np.isfinite(upper)] = upper[flipped & np.isfinite(upper)]
-    for i in range(nrows):
-        if basis[i] >= 0:
-            v = tab[i, -1]
-            xt[basis[i]] = upper[basis[i]] - v if flipped[basis[i]] else v
-    x_live = shift.copy()
-    for j, (k, sgn) in enumerate(cols):
-        x_live[k] += sgn * xt[j]
-    x = fixed_vals.copy()
-    x[live] = x_live
-    return LpResult("optimal", x, float(c @ x), iters)
+        yield
+    finally:
+        with _fd_lock:
+            _fd_users -= 1
+            if _fd_users == 0:
+                _flush_stdout()
+                os.dup2(_fd_saved, 1)
+                os.close(_fd_saved)
 
 
-def _objective_granularity(problem: MilpProblem):
-    """gcd of binary objective coefficients when continuous ones are zero.
+def solve_milp(problem: MilpProblem) -> MilpSolution:
+    """Solve the program to optimality with HiGHS.
 
-    Lets bounds be rounded up to the coarsest step any integer solution's
-    objective can take.  Returns None when no such step exists.
+    Returns the optimum, or status infeasible/unbounded.  Raises MilpError
+    for malformed input, any other HiGHS outcome, or an optimum that fails
+    the feasibility or gap check.
     """
-    cont = problem.objective[~problem.binary]
-    if cont.size and np.any(cont != 0.0):
-        return None
-    coeffs = [v for v in problem.objective[problem.binary] if v != 0.0]
-    if not coeffs:
-        return None
-    g = None
-    for v in coeffs:
-        f = Fraction(abs(float(v))).limit_denominator(10**9)
-        if abs(float(f) - abs(v)) > 1e-12:
-            return None
-        g = f if g is None else Fraction(
-            math.gcd(g.numerator * f.denominator, f.numerator * g.denominator),
-            g.denominator * f.denominator,
-        )
-    g = float(g)
-    return g if g > 1e-9 else None
-
-
-def _verify(problem: MilpProblem, x, scale) -> bool:
-    tol = _FEAS_TOL * scale
-    if np.any(x < problem.lb - tol) or np.any(x > problem.ub + tol):
-        return False
-    y = x[problem.binary]
-    if np.any(np.abs(y - np.round(y)) > _INT_TOL):
-        return False
-    if problem.a_ub.shape[0] and np.any(problem.a_ub @ x > problem.b_ub + tol):
-        return False
-    if problem.a_eq.shape[0] and np.any(np.abs(problem.a_eq @ x - problem.b_eq) > tol):
-        return False
-    return True
-
-
-def solve_milp(
-    problem: MilpProblem,
-    binary_limit: int = 128,
-    bound_tol: float = 1e-9,
-    node_limit: Optional[int] = None,
-) -> MilpSolution:
-    """Exact best-first branch and bound over the problem's binary variables.
-
-    Branches on the most fractional binary (ties to the lowest index),
-    restricted to the highest branch_priority tier containing a fractional
-    binary.  Returns the verified optimum; raises MilpError if the final
-    incumbent fails re-substitution into the original constraints.
-    """
+    if problem.node_hook is not None:
+        raise MilpError("node hooks are not supported by the HiGHS backend")
     c = np.asarray(problem.objective, dtype=float)
-    nv = c.shape[0]
     binary = np.asarray(problem.binary, dtype=bool)
-    nbin = int(binary.sum())
-    if nbin > binary_limit:
-        raise MilpError(f"{nbin} binaries exceed the limit of {binary_limit}")
-    problem.a_ub = _as_matrix(problem.a_ub, nv)
-    problem.a_eq = _as_matrix(problem.a_eq, nv)
-    problem.b_ub = np.asarray(problem.b_ub, dtype=float).reshape(-1)
-    problem.b_eq = np.asarray(problem.b_eq, dtype=float).reshape(-1)
-    lb = np.asarray(problem.lb, dtype=float).copy()
-    ub = np.asarray(problem.ub, dtype=float).copy()
+    a_ub, a_eq = _as_matrix(problem.a_ub, c.size), _as_matrix(problem.a_eq, c.size)
+    b_ub = np.asarray(problem.b_ub, dtype=float).reshape(-1)
+    b_eq = np.asarray(problem.b_eq, dtype=float).reshape(-1)
+    lb = np.asarray(problem.lb, dtype=float)
+    ub = np.asarray(problem.ub, dtype=float)
     if np.any(lb[binary] < -1e-12) or np.any(ub[binary] > 1.0 + 1e-12):
         raise MilpError("binary variables must have bounds within [0, 1]")
-    priority = (
-        np.zeros(nv) if problem.branch_priority is None
-        else np.asarray(problem.branch_priority, dtype=float)
+
+    constraints = [LinearConstraint(a_ub, -np.inf, b_ub),
+                   LinearConstraint(a_eq, b_eq, b_eq)]
+    with _quiet_fd1():
+        res = milp(c, integrality=binary, bounds=Bounds(lb, ub),
+                   constraints=constraints, options=_OPTIONS)
+    nodes = int(res.mip_node_count or 0)
+    status = _STATUS.get(res.status)
+    if status is None:
+        raise MilpError(f"HiGHS failed: {res.message}")
+    if status != "optimal":
+        return MilpSolution(status, None, None, nodes, 0, 0)
+
+    x = np.asarray(res.x, dtype=float)
+    violation = max(
+        np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0),
+        np.max(np.abs(x[binary] - np.round(x[binary])), initial=0.0),
+        np.max(a_ub @ x - b_ub, initial=0.0),
+        np.max(np.abs(a_eq @ x - b_eq), initial=0.0),
     )
-    gran = _objective_granularity(problem)
-    scale = max(
-        1.0,
-        float(np.abs(problem.b_ub).max(initial=0.0)),
-        float(np.abs(problem.b_eq).max(initial=0.0)),
-    )
-
-    def round_bound(v):
-        if gran is None or not np.isfinite(v):
-            return v
-        return math.ceil(v / gran - 1e-9) * gran
-
-    best_val = math.inf
-    best_x = None
-    stats = {"nodes": 0, "lps": 0, "iters": 0}
-
-    def offer(x, val=None):
-        nonlocal best_val, best_x
-        if x is None:
-            return False
-        x = np.asarray(x, dtype=float).copy()
-        x[binary] = np.round(x[binary])
-        if not _verify(problem, x, scale):
-            return False
-        v = float(c @ x)
-        if v < best_val - bound_tol:
-            best_val = v
-            best_x = x
-        return True
-
-    def node_lp(lo, hi):
-        stats["lps"] += 1
-        res = solve_lp(c, problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq, lo, hi)
-        stats["iters"] += res.iterations
-        return res
-
-    if problem.warm_solution is not None:
-        offer(problem.warm_solution)
-    heap = []
-    seq = 0
-    root_lo, root_hi = lb.copy(), ub.copy()
-    heapq.heappush(heap, (-math.inf, seq, root_lo, root_hi))
-    unbounded = False
-
-    while heap:
-        if node_limit is not None and stats["nodes"] >= node_limit:
-            return MilpSolution(
-                "iteration-limit",
-                best_val if best_x is not None else None,
-                best_x,
-                stats["nodes"], stats["lps"], stats["iters"],
-            )
-        carried, _, lo, hi, = heapq.heappop(heap)
-        if round_bound(carried) >= best_val - bound_tol:
-            continue
-        stats["nodes"] += 1
-        hint = problem.node_hook(lo, hi) if problem.node_hook else None
-        bound = carried
-        scores = None
-        if hint is not None:
-            ok = offer(hint.solution)
-            if hint.exact:
-                # A finite exact claim must come with a checkable witness.
-                if hint.objective < math.inf and (hint.solution is None or not ok):
-                    raise MilpError("exact node hint failed verification")
-                continue
-            bound = max(bound, hint.lower_bound)
-            scores = hint.branch_scores
-            if round_bound(bound) >= best_val - bound_tol:
-                continue
-        free_bin = binary & (hi - lo > 0.5)
-        lp_x = None
-        if scores is None or not free_bin.any():
-            res = node_lp(lo, hi)
-            if res.status == "infeasible":
-                continue
-            if res.status == "unbounded":
-                unbounded = True
-                break
-            bound = max(bound, res.objective)
-            if round_bound(bound) >= best_val - bound_tol:
-                continue
-            lp_x = res.x
-            y = lp_x[binary]
-            if np.all(np.abs(y - np.round(y)) <= _INT_TOL):
-                offer(lp_x, res.objective)
-                continue
-            offer(lp_x)  # nearest rounding
-            up = lp_x.copy()
-            yv = up[binary]
-            up[binary] = np.where(yv > _INT_TOL, np.ceil(yv - _INT_TOL), 0.0)
-            offer(up)  # support rounding
-        if not free_bin.any():
-            continue
-        if lp_x is not None:
-            frac = np.where(free_bin, np.minimum(lp_x - lo, hi - lp_x), -1.0)
-            frac[~free_bin] = -1.0
-        else:
-            frac = np.where(free_bin, scores, -1.0)
-        cand = frac > (_INT_TOL if lp_x is not None else -np.inf)
-        cand &= free_bin
-        if not cand.any():
-            cand = free_bin
-        top = priority[cand].max()
-        cand &= priority >= top
-        masked = np.where(cand, frac, -np.inf)
-        k = int(np.argmax(masked))
-        for v in (0.0, 1.0):
-            lo2 = lo.copy()
-            hi2 = hi.copy()
-            if v == 0.0:
-                hi2[k] = 0.0
-            else:
-                lo2[k] = 1.0
-            if round_bound(bound) < best_val - bound_tol:
-                seq += 1
-                heapq.heappush(heap, (bound, seq, lo2, hi2))
-
-    if unbounded:
-        return MilpSolution("unbounded", None, None, stats["nodes"], stats["lps"], stats["iters"])
-    if best_x is None:
-        return MilpSolution("infeasible", None, None, stats["nodes"], stats["lps"], stats["iters"])
-    if not _verify(problem, best_x, scale):
-        raise MilpError("final incumbent failed re-substitution verification")
-    return MilpSolution(
-        "optimal", best_val, best_x, stats["nodes"], stats["lps"], stats["iters"]
-    )
+    scale = max(1.0, np.max(np.abs(b_ub), initial=0.0), np.max(np.abs(b_eq), initial=0.0))
+    if violation > _FEAS_TOL * scale:
+        raise MilpError("optimum failed re-substitution into the constraints")
+    if res.fun - res.mip_dual_bound > _ABS_GAP:
+        raise MilpError(f"optimum {res.fun} not closed by dual bound {res.mip_dual_bound}")
+    x[binary] = np.round(x[binary])
+    return MilpSolution("optimal", float(c @ x), x, nodes, 0, 0)

@@ -180,6 +180,9 @@ def risk_sweep(
     within such a family the attack likelihood is normalized to one and
     risk reduces to (1-delta)*impact.  runs > 0 adds an empirical alarm
     rate per point, seeded per (seed, attack index, point index, run).
+    The mapper fans out over grid points only; each point's Monte Carlo
+    runs serially, since workers waiting on inner tasks queued behind
+    them in the same pool would deadlock.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -204,7 +207,7 @@ def risk_sweep(
             if runs > 0:
                 cfg = make_bdd_config(alpha, gains.dof)
                 report = empirical_detection(
-                    model, scaled, cfg, runs, seed=(seed, ai, pi), mapper=mapper
+                    model, scaled, cfg, runs, seed=(seed, ai, pi)
                 )
                 emp = report.empirical_delta
             return RiskPoint(
@@ -271,7 +274,6 @@ def tuple_attack_variants(
     perturbed: PerturbedModel,
     target_j: int,
     mu: float = 0.1,
-    fathom_dim: int = 3,
 ) -> list:
     """FDI and combined attacks on the target's critical tuple, as the
     attacker would build them from their own (perturbed) model.
@@ -281,9 +283,7 @@ def tuple_attack_variants(
     one or two rows corrupted and withdraw the rest.  Returned as
     (attack_id, AttackVector) pairs in increasing k_a order.
     """
-    res = combined_index(
-        IndexQuery(h=perturbed.H, target_j=target_j, mu=mu), fathom_dim=fathom_dim
-    )
+    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j, mu=mu))
     support = list(res.support)
     beta = len(support)
     others = [i for i in support if i != target_j]

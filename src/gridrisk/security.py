@@ -5,38 +5,33 @@ A stealth attack adds a = Hc to the measurements, so its footprint is the
 support of Hc under the constraint H[j]c = mu.  alpha counts integrity
 corruptions alone, beta lets availability withdrawal stand in for
 integrity corruption, gamma prices the two actions separately.  All three
-are sparsest-support programs solved exactly as big-M MILPs.
+are sparsest-support programs solved exactly as big-M MILPs by HiGHS.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary.
-A node oracle attached to the branch-and-bound derives admissible bounds
-from the rank structure of the node's certificate space, and closes
-subtrees exactly once that space has small dimension by enumerating every
-reachable zero pattern.  A brute-force critical-tuple search over
-measurement subsets provides an independent oracle for small systems.
+Every support the solver reports is refit with exact zeros off the
+support and checked for stealth before it is returned.  Among equally
+cheap supports, the one reported is the one HiGHS finds first.  A
+brute-force critical-tuple search over measurement subsets provides an
+independent oracle for small systems.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .milp import MilpProblem, NodeHint, solve_milp
+from .milp import MilpProblem, solve_milp
 
 PARALLEL_ATOL = 1e-8
-SUPPORT_FRACTION = 1e-6  # of big M: rows above it count as attacked
 BIG_M_FACTOR = 1e4       # default M = BIG_M_FACTOR * |mu|
 _M_GUARD = 0.99
-_RANK_TOL = 1e-10        # singular value cutoff, relative to the largest
-_CONSIST_TOL = 1e-7      # certificate-system residual, scaled by |mu|
+_MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
+_MAX_CUTS = 64           # refuted candidate supports before giving up
 _VAL_TOL = 1e-7          # row-value nonzero threshold, scaled by |mu|
-_RAY_TOL = 1e-9          # identically-zero direction test, scaled by row norm
-_FATHOM_CAP = 200_000    # largest subset enumeration a single node may run
 
 
 class SecurityIndexError(Exception):
@@ -80,7 +75,7 @@ class SecurityIndexResult:
     integrity_set: tuple  # 1-based, sorted
     availability_set: tuple
     certificate_c: np.ndarray
-    verified_stealth: bool
+    verified_stealth: bool  # always True: a support that fails the check raises
 
     @property
     def support(self) -> tuple:
@@ -145,208 +140,8 @@ def parallel_classes(h):
     return classes, row_class
 
 
-@lru_cache(maxsize=None)
-def _combos(f: int, s: int) -> np.ndarray:
-    out = np.array(list(itertools.combinations(range(f), s)), dtype=np.intp)
-    return out.reshape(-1, s)
-
-
-def _subset_count(f: int, d: int) -> int:
-    return sum(math.comb(f, s) for s in range(min(f, d) + 1))
-
-
-class _ClassOracle:
-    """Node oracle for the class-collapsed support programs.
-
-    At each node the fixed-to-zero classes plus the target equality define
-    an affine certificate space c = c0 + N t.  Classes whose rows vanish
-    on no point of that space are forced into the support, giving an
-    admissible lower bound.  When dim(t) is small the subtree optimum is
-    computed exactly: every zero pattern reachable inside the space is the
-    solution set of a full-rank subset of at most dim(t) class rows, so
-    enumerating those subsets and scoring their min-norm points covers the
-    optimum.  Larger nodes get branch scores from a weighted-L1 point of
-    the space, which concentrates certificate mass the way the optimal
-    support does.
-    """
-
-    def __init__(self, h_rep, target_row, mu, wt_on, jc, layout, fathom_dim,
-                 d_pattern):
-        self.h_rep = h_rep
-        self.row_norm = np.linalg.norm(h_rep, axis=1)
-        self.target_row = target_row
-        self.mu = mu
-        self.wt_on = wt_on
-        self.jc = jc
-        self.layout = layout  # (n, ncls, nv, classes, row_class, j0)
-        self.fathom_dim = fathom_dim
-        self.d_pattern = d_pattern  # None, or True when d=1 on support rows
-        self.vtol = _VAL_TOL * abs(mu)
-        self.ctol = _CONSIST_TOL * max(1.0, abs(mu))
-
-    def __call__(self, lo, hi):
-        n, ncls, nv, classes, row_class, j0 = self.layout
-        y_lo = lo[n : n + ncls]
-        y_hi = hi[n : n + ncls]
-        if self.d_pattern is not None:
-            # Bounds on d variables are the builder's; if branching ever
-            # touches them the cost model here no longer applies.
-            if np.any(lo[n + ncls :] != 0.0) or np.any(hi[n + ncls :] != self._root_d_hi):
-                return None
-        fix0 = y_hi <= 0.5
-        fix1 = y_lo >= 0.5
-        free = ~fix0 & ~fix1
-
-        rows = [self.h_rep[fix0]] if fix0.any() else []
-        rows.append(self.target_row[None, :])
-        a = np.vstack(rows)
-        b = np.zeros(a.shape[0])
-        b[-1] = self.mu
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-        rank = int(np.sum(s > _RANK_TOL * s[0])) if s.size else 0
-        c0 = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-        if np.max(np.abs(a @ c0 - b)) > self.ctol:
-            return NodeHint(exact=True, objective=math.inf)
-        nullsp = vt[rank:].T
-        dim = nullsp.shape[1]
-
-        vals0 = self.h_rep @ c0
-        ray = self.h_rep @ nullsp
-        movable = (
-            np.abs(ray).max(axis=1) > _RAY_TOL * self.row_norm
-            if dim
-            else np.zeros(ncls, dtype=bool)
-        )
-        nonzero0 = np.abs(vals0) > self.vtol
-        forced = free & ~movable & nonzero0
-        idzero = free & ~movable & ~nonzero0
-        undecided = free & movable
-        paid = float(self.wt_on[fix1].sum() + self.wt_on[forced].sum())
-
-        cand = np.where(free & ~idzero)[0]
-        mov = np.where(undecided)[0]
-        if dim <= self.fathom_dim and _subset_count(mov.size, dim) <= _FATHOM_CAP:
-            value, point, on_mask = self._fathom(c0, nullsp, vals0, ray, cand, mov)
-            x = self._assemble(point, set(np.where(fix1)[0]) | set(cand[on_mask]))
-            return NodeHint(exact=True,
-                            objective=float(self.wt_on[fix1].sum()) + value,
-                            solution=x)
-        if not undecided.any():
-            x = self._assemble(c0, set(np.where(fix1 | forced)[0]))
-            return NodeHint(exact=True, objective=paid, solution=x)
-
-        vstar = self._weighted_l1_point(vals0, ray, undecided)
-        scores = np.full(nv, -1.0)
-        scores[n : n + ncls] = np.where(
-            undecided, np.abs(vstar), np.where(forced, -0.5, -1.0)
-        )
-        guess = fix1 | forced | (undecided & (np.abs(vstar) > self.vtol))
-        x = self._refit(~guess, fix1, free)
-        return NodeHint(lower_bound=paid, branch_scores=scores, solution=x)
-
-    def _weighted_l1_point(self, vals0, ray, undecided):
-        """Approximate min of sum wt |v| over the node space by iteratively
-        reweighted least squares; the annealed weights drive most classes
-        toward genuine zeros, so surviving magnitudes rank support
-        candidates far better than the min-norm point does."""
-        r = ray[undecided]
-        v0 = vals0[undecided]
-        wt = self.wt_on[undecided]
-        t = np.zeros(r.shape[1])
-        step = r.shape[1] + 1
-        eps = 0.1 * abs(self.mu)
-        for _ in range(8):
-            w = wt / np.maximum(np.abs(v0 + r @ t), eps)
-            g = (r * w[:, None]).T @ r
-            g.flat[::step] += 1e-12 * (1.0 + g.trace())
-            t = np.linalg.solve(g, -(r * w[:, None]).T @ v0)
-            eps = max(eps * 0.2, 1e-10)
-        return vals0 + ray @ t
-
-    def _refit(self, zero_cls, fix1, free):
-        """Exact certificate for a guessed support: zero the complement,
-        keep the target equality, read the support back off the values."""
-        a = np.vstack([self.h_rep[zero_cls], self.target_row[None, :]])
-        b = np.zeros(a.shape[0])
-        b[-1] = self.mu
-        c, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.max(np.abs(a @ c - b)) > self.ctol:
-            return None
-        vals = self.h_rep @ c
-        on = fix1 | (free & (np.abs(vals) > self.vtol))
-        return self._assemble(c, set(np.where(on)[0]))
-
-    def _fathom(self, c0, nullsp, vals0, ray, cand, mov):
-        """Exact subtree optimum by flat enumeration.
-
-        Any point of the node space zeroes some class set Z; the flat
-        {v_Z = 0} equals the solution set of a full-rank subset S of Z
-        with |S| <= dim(t), and the min-norm point of S zeroes all of Z.
-        Scoring min-norm points of every full-rank subset of movable rows
-        therefore visits a point at least as cheap as the optimum, while
-        every visited point is itself feasible.
-        """
-        dim = nullsp.shape[1]
-        r_cand = ray[cand]
-        v_cand = vals0[cand]
-        wt_cand = self.wt_on[cand]
-        r_mov, v_mov = self._merge_flats(ray[mov], vals0[mov])
-        floor_w = float(wt_cand.sum() - self.wt_on[mov].sum())
-        best_w = float(wt_cand[np.abs(v_cand) > self.vtol].sum())
-        best_t = np.zeros(dim)
-        for size in range(1, min(dim, len(r_mov)) + 1):
-            if best_w <= floor_w + 1e-12:
-                break
-            picks = _combos(len(r_mov), size)
-            a = r_mov[picks]
-            u, sv, vt = np.linalg.svd(a, full_matrices=False)
-            ok = sv[:, -1] > 1e-10 * sv[:, 0]
-            if not ok.any():
-                continue
-            rhs = -v_mov[picks][ok]
-            coef = np.einsum("cij,ci->cj", u[ok], rhs) / sv[ok]
-            ts = np.einsum("cjd,cj->cd", vt[ok], coef)
-            vv = v_cand[None, :] + ts @ r_cand.T
-            w = (np.abs(vv) > self.vtol) @ wt_cand
-            k = int(np.argmin(w))
-            if w[k] < best_w - 1e-12:
-                best_w = float(w[k])
-                best_t = ts[k]
-        point = c0 + nullsp @ best_t
-        on_mask = np.abs(v_cand + r_cand @ best_t) > self.vtol
-        return best_w, point, on_mask
-
-    @staticmethod
-    def _merge_flats(r, v):
-        """Collapse rows whose augmented directions (ray, value) coincide:
-        such rows vanish on exactly the same flat, and a subset mixing two
-        of them is never full rank, so one representative suffices."""
-        aug = np.hstack([r, v[:, None]])
-        aug = aug / np.linalg.norm(aug, axis=1)[:, None]
-        sign = np.sign(aug[np.arange(len(aug)), np.argmax(np.abs(aug), axis=1)])
-        aug = aug * sign[:, None]
-        keep = []
-        for i in range(len(aug)):
-            if all(np.max(np.abs(aug[i] - aug[k])) > PARALLEL_ATOL for k in keep):
-                keep.append(i)
-        return r[keep], v[keep]
-
-    def _assemble(self, c, on_ids):
-        n, ncls, nv, classes, row_class, j0 = self.layout
-        x = np.zeros(nv)
-        x[:n] = c
-        for k in on_ids:
-            x[n + k] = 1.0
-        if self.d_pattern:
-            for k in on_ids:
-                for i in classes[k]:
-                    if i != j0:
-                        x[n + ncls + i] = 1.0
-        return x
-
-
 def _build_problem(h, classes, row_class, j0, mu, big_m, y_weights, with_d,
-                   d_delta, wt_on, fathom_dim):
+                   d_delta, cuts):
     m, n = h.shape
     ncls = len(classes)
     jc = int(row_class[j0])
@@ -355,19 +150,20 @@ def _build_problem(h, classes, row_class, j0, mu, big_m, y_weights, with_d,
     h_rep = h[rep_rows]
 
     nv = n + ncls + (m if with_d else 0)
-    n_ub = 2 * ncls + (m if with_d else 0)
+    n_ub = 2 * ncls + (m if with_d else 0) + len(cuts)
     a_ub = np.zeros((n_ub, nv))
     b_ub = np.zeros(n_ub)
-    for k in range(ncls):
-        a_ub[2 * k, :n] = h_rep[k]
-        a_ub[2 * k, n + k] = -big_m
-        a_ub[2 * k + 1, :n] = -h_rep[k]
-        a_ub[2 * k + 1, n + k] = -big_m
+    a_ub[0 : 2 * ncls : 2, :n] = h_rep
+    a_ub[1 : 2 * ncls : 2, :n] = -h_rep
+    a_ub[np.arange(2 * ncls), n + np.repeat(np.arange(ncls), 2)] = -big_m
     if with_d:
-        for i in range(m):
-            row = 2 * ncls + i
-            a_ub[row, n + ncls + i] = 1.0
-            a_ub[row, n + row_class[i]] = -1.0
+        d_rows = 2 * ncls + np.arange(m)
+        a_ub[d_rows, n + ncls + np.arange(m)] = 1.0
+        a_ub[d_rows, n + row_class] = -1.0
+    if cuts:
+        # at least one class outside each refuted support must be attacked
+        a_ub[n_ub - len(cuts) :, n : n + ncls] = -np.array(cuts)
+        b_ub[n_ub - len(cuts) :] = -1.0
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = h[j0]
     b_eq = np.array([mu])
@@ -381,24 +177,12 @@ def _build_problem(h, classes, row_class, j0, mu, big_m, y_weights, with_d,
     lb[n + jc] = 1.0  # target row is corrupted by definition
     if with_d:
         ub[n + ncls + j0] = 0.0  # the target value must be written, not withdrawn
-    priority = np.zeros(nv)
-    priority[n : n + ncls] = 1.0
 
     objective = np.zeros(nv)
     objective[n : n + ncls] = y_weights
     if with_d:
         objective[n + ncls :] = d_delta
-
-    d_pattern = None
-    if with_d:
-        d_pattern = d_delta < 0  # cheaper to withdraw than to corrupt
-    oracle = _ClassOracle(h_rep, h[j0], mu, wt_on, jc,
-                          (n, ncls, nv, classes, row_class, j0), fathom_dim,
-                          d_pattern)
-    if with_d:
-        oracle._root_d_hi = ub[n + ncls :].copy()
-    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub,
-                       branch_priority=priority, node_hook=oracle), h_rep
+    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub), h_rep
 
 
 def _canonical_sets(support_rows, j0, with_d, ci, ca):
@@ -411,162 +195,112 @@ def _canonical_sets(support_rows, j0, with_d, ci, ca):
     return integrity, availability
 
 
-def _warm_solution(h, classes, row_class, j0, mu, nv, with_d, d_delta,
-                   warm_rows):
-    """Feasible start from a known stealth support (0-based rows).  The
-    certificate is refit from the support's complement; a bad support just
-    fails verification inside the solver and is ignored."""
-    m, n = h.shape
-    rows = np.asarray(sorted(set(warm_rows) | {j0}), dtype=int)
-    comp = np.setdiff1d(np.arange(m), rows)
+def _refit(h, j0, mu, support_rows):
+    """Least-squares certificate that zeroes every row off the support and
+    moves the target by mu, and whether it does both to rounding error."""
+    comp = np.setdiff1d(np.arange(h.shape[0]), support_rows)
     a = np.vstack([h[comp], h[j0][None, :]])
     b = np.zeros(a.shape[0])
     b[-1] = mu
     c, *_ = np.linalg.lstsq(a, b, rcond=None)
-    x = np.zeros(nv)
-    x[:n] = c
-    for i in rows:
-        x[n + row_class[i]] = 1.0
-    if with_d and d_delta < 0:
-        for i in rows:
-            if i != j0:
-                x[n + len(classes) + i] = 1.0
-    return x
+    stealth = (
+        abs(h[j0] @ c - mu) <= 1e-7 * max(1.0, abs(mu))
+        and (comp.size == 0 or np.max(np.abs(h[comp] @ c)) <= 1e-9 * max(1.0, abs(mu)))
+    )
+    return c, stealth
 
 
-def _solve_support(h, j0, mu, big_m, y_weights, with_d, d_delta, wt_on,
-                   fathom_dim, warm_rows=None):
+def _rows_of(classes, on):
+    return np.sort(np.concatenate([classes[k] for k in np.flatnonzero(on)]))
+
+
+def _solve_index(query: IndexQuery, with_d: bool, ci: float,
+                 ca: float) -> SecurityIndexResult:
+    """Cheapest stealth support through the target, with its certificate.
+
+    HiGHS accepts a binary within its integrality tolerance of 0 while the
+    big-M row still carries up to M times that tolerance, so its support
+    is only a candidate.  The candidate is refit with exact zeros off the
+    support and tested for stealth.  A candidate that fails cannot contain
+    a stealthy subset, so a cut forcing some class outside it into the
+    support is added and the program solved again.  Cuts remove no
+    stealthy support, so the first candidate that passes is optimal.
+    """
+    h, j0, mu = query.h, query.target_j - 1, query.mu
+    n = h.shape[1]
     classes, row_class = parallel_classes(h)
-    m, n = h.shape
-    big = big_m
-    for _ in range(3):
+    sizes = np.array([len(c) for c in classes], dtype=float)
+    wts = ci * sizes  # what attacking each class costs at the optimum
+    if with_d:
+        wts = sizes * min(ci, ca)
+        wts[row_class[j0]] += ci - min(ci, ca)  # target row cannot be withdrawn
+    big = query.resolved_big_m
+    enlargements = 0
+    cuts = []
+    while True:
         problem, h_rep = _build_problem(h, classes, row_class, j0, mu, big,
-                                        y_weights(classes, row_class),
-                                        with_d, d_delta,
-                                        wt_on(classes, row_class), fathom_dim)
-        if warm_rows is not None:
-            problem.warm_solution = _warm_solution(
-                h, classes, row_class, j0, mu, len(problem.objective),
-                with_d, d_delta, warm_rows)
+                                        ci * sizes, with_d, ca - ci, cuts)
         sol = solve_milp(problem)
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
-        cvec = sol.x[:n]
-        if np.max(np.abs(h @ cvec)) <= _M_GUARD * big:
+        on = sol.x[n : n + len(classes)] > 0.5
+        cert, stealth = _refit(h, j0, mu, _rows_of(classes, on))
+        if not stealth:
+            if len(cuts) == _MAX_CUTS:
+                raise SecurityIndexError(
+                    f"no stealthy support after {_MAX_CUTS} refuted candidates")
+            cuts.append((~on).astype(float))
+        elif np.max(np.abs(h @ cert)) > _M_GUARD * big:
+            # big-M validity guard: even the least-norm certificate of the
+            # support nearly fills the box, so the box may cut off others
+            if enlargements == _MAX_ENLARGEMENTS:
+                raise SecurityIndexError("big-M guard failed after repeated enlargement")
+            big *= 10.0
+            enlargements += 1
+        else:
             break
-        big *= 10.0  # big-M validity guard: certificate saturated the box
-    else:
-        raise SecurityIndexError("big-M guard failed after repeated enlargement")
 
-    # Support = paid classes with clearly nonzero certificate values.  At a
-    # verified optimum a paid class is never zeroable (dropping it would
-    # strictly improve the objective), so the intersection only removes
-    # zero-cost padding that ties can legitimately leave behind.
-    rep_vals = np.abs(h_rep @ cvec)
-    y = sol.x[n : n + len(classes)]
-    on_classes = np.where((y > 0.5) & (rep_vals > _VAL_TOL * abs(mu)))[0]
-    support_rows = np.sort(np.concatenate([classes[k] for k in on_classes]))
-    expect = float(wt_on(classes, row_class)[on_classes].sum())
-    if abs(sol.objective - expect) > 1e-6 * max(1.0, abs(expect)):
+    # Drop classes the verified certificate leaves at zero.  Only zero-cost
+    # classes can be such padding at an optimum; dropping a paid one fails
+    # the objective check below.
+    idle = on & (np.abs(h_rep @ cert) <= _VAL_TOL * abs(mu))
+    if idle.any():
+        on &= ~idle
+        cert, stealth = _refit(h, j0, mu, _rows_of(classes, on))
+        if not stealth:
+            raise SecurityIndexError("support lost stealth after dropping idle classes")
+    value = float(wts[on].sum())
+    if abs(sol.objective - value) > 1e-6 * max(1.0, abs(value)):
         raise SecurityIndexError("objective inconsistent with reported support")
-
-    # Re-derive the certificate from the support alone: the exact system
-    # puts genuine zeros outside the support instead of big-M slack.
-    comp = np.setdiff1d(np.arange(m), support_rows)
-    a = np.vstack([h[comp], h[j0][None, :]])
-    b = np.zeros(a.shape[0])
-    b[-1] = mu
-    c_ref, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if comp.size and np.max(np.abs(h[comp] @ c_ref)) > SUPPORT_FRACTION * big:
-        raise SecurityIndexError("rows outside the support are not negligible")
-    stealth = (
-        abs(h[j0] @ c_ref - mu) <= 1e-7 * max(1.0, abs(mu))
-        and (comp.size == 0 or np.max(np.abs(h[comp] @ c_ref)) <= 1e-9 * max(1.0, abs(mu)))
-    )
-    return expect, support_rows, c_ref if stealth else cvec, stealth
+    integ, avail = _canonical_sets(_rows_of(classes, on), j0, with_d, ci, ca)
+    return SecurityIndexResult(value, integ, avail, cert, True)
 
 
-def _sizes(classes):
-    return np.array([len(c) for c in classes], dtype=float)
+def _cardinality(res: SecurityIndexResult) -> SecurityIndexResult:
+    if abs(res.objective - round(res.objective)) > 1e-6:
+        raise SecurityIndexError("non-integer cardinality objective")
+    return replace(res, objective=float(round(res.objective)))
 
 
-def fdi_index(query: IndexQuery, fathom_dim: int = 3) -> SecurityIndexResult:
+def fdi_index(query: IndexQuery) -> SecurityIndexResult:
     """alpha: fewest integrity corruptions for a stealth attack on j."""
-    h = query.h
-    j0 = query.target_j - 1
-    value, rows, cert, stealth = _solve_support(
-        h, j0, query.mu, query.resolved_big_m,
-        lambda cls, rc: _sizes(cls),
-        with_d=False, d_delta=0.0,
-        wt_on=lambda cls, rc: _sizes(cls),
-        fathom_dim=fathom_dim,
-    )
-    if abs(value - round(value)) > 1e-6:
-        raise SecurityIndexError("non-integer cardinality objective")
-    integ, avail = _canonical_sets(rows, j0, False, 1.0, 1.0)
-    return SecurityIndexResult(float(round(value)), integ, avail, cert, stealth)
+    return _cardinality(_solve_index(query, False, 1.0, 1.0))
 
 
-def combined_index(query: IndexQuery, fathom_dim: int = 3,
-                   warm_support: Optional[tuple] = None) -> SecurityIndexResult:
-    """beta: fewest corruptions when availability attacks may substitute.
-
-    warm_support (1-based rows of any known stealth support, e.g. an alpha
-    result) seeds the search with a verified incumbent.
-    """
-    h = query.h
-    j0 = query.target_j - 1
-    warm = None if warm_support is None else [i - 1 for i in warm_support]
-    value, rows, cert, stealth = _solve_support(
-        h, j0, query.mu, query.resolved_big_m,
-        lambda cls, rc: _sizes(cls),
-        with_d=True, d_delta=0.0,
-        wt_on=lambda cls, rc: _sizes(cls), fathom_dim=fathom_dim,
-        warm_rows=warm,
-    )
-    if abs(value - round(value)) > 1e-6:
-        raise SecurityIndexError("non-integer cardinality objective")
-    integ, avail = _canonical_sets(rows, j0, True, 1.0, 1.0)
-    return SecurityIndexResult(float(round(value)), integ, avail, cert, stealth)
+def combined_index(query: IndexQuery) -> SecurityIndexResult:
+    """beta: fewest corruptions when availability attacks may substitute."""
+    return _cardinality(_solve_index(query, True, 1.0, 1.0))
 
 
-def cost_weighted_index(query: IndexQuery, availability: bool = True,
-                        fathom_dim: int = 3,
-                        warm_support: Optional[tuple] = None) -> SecurityIndexResult:
+def cost_weighted_index(query: IndexQuery,
+                        availability: bool = True) -> SecurityIndexResult:
     """gamma: cheapest stealth attack under per-action costs.
 
     With availability=False the availability action is forbidden and the
     program reduces to the integrity-only index at cost C_I per row.
-    warm_support seeds the search with a known stealth support.
     """
-    h = query.h
-    j0 = query.target_j - 1
-    ci, ca = query.cost_integrity, query.cost_availability
-    warm = None if warm_support is None else [i - 1 for i in warm_support]
-    if not availability:
-        value, rows, cert, stealth = _solve_support(
-            h, j0, query.mu, query.resolved_big_m,
-            lambda cls, rc: ci * _sizes(cls),
-            with_d=False, d_delta=0.0,
-            wt_on=lambda cls, rc: ci * _sizes(cls),
-            fathom_dim=fathom_dim, warm_rows=warm,
-        )
-        integ, avail = _canonical_sets(rows, j0, False, ci, ca)
-        return SecurityIndexResult(value, integ, avail, cert, stealth)
-
-    def wt(cls, rc):
-        w = _sizes(cls) * min(ci, ca)
-        w[rc[j0]] += ci - min(ci, ca)  # target row cannot be withdrawn
-        return w
-
-    value, rows, cert, stealth = _solve_support(
-        h, j0, query.mu, query.resolved_big_m,
-        lambda cls, rc: ci * _sizes(cls),
-        with_d=True, d_delta=ca - ci, wt_on=wt, fathom_dim=fathom_dim,
-        warm_rows=warm,
-    )
-    integ, avail = _canonical_sets(rows, j0, True, ci, ca)
-    return SecurityIndexResult(value, integ, avail, cert, stealth)
+    return _solve_index(query, availability, query.cost_integrity,
+                        query.cost_availability)
 
 
 def brute_force_index(model_or_h, target_j: int, max_rows: int = 25,
@@ -630,8 +364,7 @@ def verify_theorem2(h, h_perturbed, target_j: int, mu: float = 0.1,
 
 
 def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
-                cost_availability: float = 0.5, fathom_dim: int = 3,
-                mapper=None):
+                cost_availability: float = 0.5, mapper=None):
     """Per-measurement index table for j = 1..m.
 
     Parallel rows share their index and support family, so each class is
@@ -646,12 +379,7 @@ def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
     def solve_class(cls):
         lead = int(cls.min())
         query = IndexQuery(h, lead + 1, mu, ci, ca)
-        alpha = fdi_index(query, fathom_dim=fathom_dim)
-        beta = combined_index(query, fathom_dim=fathom_dim,
-                              warm_support=alpha.support)
-        gamma = cost_weighted_index(query, fathom_dim=fathom_dim,
-                                    warm_support=beta.support)
-        return alpha, beta, gamma
+        return fdi_index(query), combined_index(query), cost_weighted_index(query)
 
     rows = [None] * h.shape[0]
     for cls, (alpha, beta, gamma) in zip(classes,

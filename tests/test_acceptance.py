@@ -85,12 +85,9 @@ def test_criterion_03_single_injection_structure(sweep14, ieee14):
         for cls in classes:
             lead = int(cls.min())
             lead_row = rows[lead]
-            warm = tuple(sorted(set(lead_row["integrity_set"])
-                                | set(lead_row["availability_set"])))
             res = cost_weighted_index(
                 IndexQuery(ieee14.H, lead + 1, cost_integrity=1.0,
                            cost_availability=ca),
-                warm_support=warm,
             )
             beta = lead_row["beta"]
             assert len(res.integrity_set) == 1
@@ -119,12 +116,11 @@ def test_criterion_05_indices_survive_model_error(sweep14, ieee14, chain3):
     rows, _ = sweep14
     row = rows[8]
     assert row["alpha"] == row["beta"] == 11
-    warm = tuple(sorted(set(row["integrity_set"]) | set(row["availability_set"])))
     for seed in range(10):
         perturbed = perturb_model(ieee14, 0.2, seed=seed)
         query = IndexQuery(perturbed.H, 9)
         assert int(fdi_index(query).objective) == 11
-        assert int(combined_index(query, warm_support=warm).objective) == 11
+        assert int(combined_index(query).objective) == 11
     # minimal tuple families are identical on the enumerable case
     report = verify_theorem2(chain3.H, perturb_model(chain3, 0.2, seed=5).H,
                              target_j=1)

@@ -3,7 +3,7 @@ oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ncx2 as scipy_ncx2
@@ -132,6 +132,7 @@ def test_threshold_round_trip_property(dof, alpha):
     x=st.floats(min_value=0.01, max_value=200.0),
 )
 @settings(max_examples=40, deadline=None)
+@example(dof=1, lam=5e-324, x=1.0)  # lam / 2 underflows to zero
 def test_noncentral_cdf_bounds_property(dof, lam, x):
     value = noncentral_cdf(x, dof, lam)
     assert 0.0 <= value <= 1.0

@@ -1,15 +1,22 @@
 """End-to-end checks of the gridrisk command line."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import gridrisk
 from gridrisk.cli import main
 from gridrisk.network import build_model, load_bundled_case
 from gridrisk.security import format_index_csv, index_sweep
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
+RING4 = str(resources.files("gridrisk") / "cases" / "ring4.json")
+SRC = str(Path(gridrisk.__file__).resolve().parents[1])
 
 
 def _read(path):
@@ -218,3 +225,43 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_replay_warns_on_version_mismatch(tmp_path, capsys):
+    out = tmp_path / "index.csv"
+    assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 0
+    manifest = tmp_path / "index.csv.manifest.json"
+    assert main(["replay", str(manifest)]) == 0
+    assert capsys.readouterr().err == ""
+
+    doc = json.loads(_read(manifest))
+    doc["version"] = "0.0.0-old"
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest)]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "0.0.0-old" in err and gridrisk.__version__ in err
+
+
+def _run_cli(args, threads, cwd):
+    env = dict(os.environ, GRIDRISK_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gridrisk.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("args", [
+    ["index", "--case", RING4],
+    ["risk", "--case", RING4, "--target", "5", "--empirical", "--runs", "20",
+     "--mu-points", "4"],
+], ids=["index", "risk-empirical"])
+def test_two_threads_finish_with_serial_bytes(tmp_path, args):
+    # a nested pool.map once deadlocked risk --empirical; the timeout turns
+    # a hang into a failure instead of a stuck suite
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        proc = _run_cli([*args, "--out", str(out)], threads, tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b""
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,12 +1,17 @@
 """Security indices against enumeration oracles and their paper-level
 structure."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridrisk.attack import perturb_model
+from gridrisk.network import build_model, load_bundled_case, load_case
 from gridrisk.security import (
     IndexQuery,
     SecurityIndexError,
@@ -20,7 +25,13 @@ from gridrisk.security import (
     verify_theorem2,
 )
 
-from oracles import certificate_for_set, enumeration_alpha, enumeration_family, random_observable_matrix
+from oracles import (
+    certificate_for_set,
+    enumeration_alpha,
+    enumeration_family,
+    random_observable_matrix,
+    rank_of,
+)
 
 # independently derived by rank enumeration over all subsets
 CHAIN3_ALPHA = 4
@@ -137,6 +148,17 @@ def test_cost_weighted_without_availability_is_scaled_alpha(ring4):
     assert res.availability_set == ()
 
 
+def test_free_action_costs(ring4):
+    # a free action leaves a whole tuple of zero-cost rows; the answer must
+    # still be a verified stealth support, priced at the one paid row
+    for ci, ca, expected in ((1.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
+        res = cost_weighted_index(IndexQuery(ring4.H, 1, cost_integrity=ci,
+                                             cost_availability=ca))
+        assert res.objective == pytest.approx(expected)
+        _assert_result_shape(res, ring4.H, 1, 0.1)
+        assert len(res.support) >= RING4_ALPHA
+
+
 def test_magnitude_homogeneity(ring4):
     small = combined_index(IndexQuery(ring4.H, 5, mu=0.1))
     large = combined_index(IndexQuery(ring4.H, 5, mu=1.0))
@@ -154,14 +176,6 @@ def test_big_m_insensitivity(chain3, ring4):
         a, b = fdi_index(base), fdi_index(forced)
         assert a.objective == b.objective
         assert a.support == b.support
-
-
-def test_warm_start_equivalence(ring4):
-    q = IndexQuery(ring4.H, 1)
-    cold = combined_index(q)
-    warm = combined_index(q, warm_support=fdi_index(q).support)
-    assert cold.objective == warm.objective
-    assert cold.support == warm.support
 
 
 def test_theorem2_on_chain3(chain3):
@@ -198,8 +212,6 @@ def test_index_sweep_consistent_with_single_solves(chain3):
 
 
 def test_index_sweep_mapper_matches_serial(chain3):
-    from concurrent.futures import ThreadPoolExecutor
-
     serial = index_sweep(chain3)
     with ThreadPoolExecutor(max_workers=3) as pool:
         threaded = index_sweep(chain3, mapper=pool.map)
@@ -252,3 +264,76 @@ def test_row_scaling_leaves_index_unchanged(seed, scale):
     other = (j % 7)  # scale some row, possibly the target itself
     h2[other] *= scale
     assert fdi_index(IndexQuery(h2, j)).objective == base
+
+
+def test_solver_chatter_stays_off_stdout(capfd):
+    # HiGHS prints MIP diagnostics to fd 1 while solving this matrix's
+    # programs; none may reach stdout, serially or from two threads at once
+    h = random_observable_matrix(np.random.default_rng(7), 8, 3)
+    serial = index_sweep(h)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = index_sweep(h, mapper=pool.map)
+    assert threaded == serial
+    os.write(1, b"fd 1 restored\n")
+    assert capfd.readouterr().out == "fd 1 restored\n"
+
+
+def _ring(buses):
+    doc = {
+        "base_mva": 100.0,
+        "buses": [dict({"id": i}, **({"reference": True} if i == 1 else {}))
+                  for i in range(1, buses + 1)],
+        "lines": [{"id": i, "from": i, "to": i % buses + 1,
+                   "reactance": 0.1 + 0.01 * (i % 7)} for i in range(1, buses + 1)],
+        "measurements": [{"kind": kind, "element": i, "sigma": 0.02}
+                         for kind in ("flow_from", "flow_to", "injection")
+                         for i in range(1, buses + 1)],
+    }
+    return build_model(load_case(doc))
+
+
+def _stealthy(h, support, j0):
+    comp = [i for i in range(h.shape[0]) if i not in support]
+    return rank_of(np.vstack([h[comp], h[j0][None, :]])) == rank_of(h[comp]) + 1
+
+
+def test_program_beyond_128_binaries():
+    # 45-bus ring, every flow and injection metered: 90 row classes plus
+    # 135 withdrawal binaries.  Moving one bus angle touches two lines (4
+    # flows) and three injections, the fewest any attack on a flow can.
+    model = _ring(45)
+    res = combined_index(IndexQuery(model.H, 1))
+    assert res.objective == 7
+    _assert_result_shape(res, model.H, 1, 0.1)
+    support0 = [i - 1 for i in res.support]
+    assert _stealthy(model.H, support0, 0)
+    for drop in set(support0) - {0}:
+        assert not _stealthy(model.H, [i for i in support0 if i != drop], 0)
+
+
+# A 40-row ieee14 plan (measurement numbers in the bundled case, in plan
+# order) with retuned reactances, on which HiGHS with presolve on proves
+# alpha_4 = 8.  The hand-written branch and bound this package used
+# before found the 7-row support below.
+PLAN40_ROWS = [47, 32, 36, 25, 14, 16, 11, 20, 19, 40, 24, 51, 30, 39, 38, 41, 54,
+               33, 4, 21, 27, 29, 13, 22, 26, 48, 50, 37, 9, 12, 43, 49, 1, 3, 5,
+               17, 18, 28, 7, 8]
+PLAN40_REACTANCES = [0.058, 0.214, 0.191, 0.171, 0.164, 0.155, 0.041, 0.223, 0.563,
+                     0.241, 0.217, 0.261, 0.119, 0.164, 0.108, 0.08, 0.262, 0.189,
+                     0.197, 0.358]
+
+
+def test_plan_where_presolve_overshoots():
+    base = load_bundled_case("ieee14")
+    case = replace(
+        base,
+        lines=tuple(replace(ln, reactance=x)
+                    for ln, x in zip(base.lines, PLAN40_REACTANCES)),
+        measurements=tuple(base.measurements[i - 1] for i in PLAN40_ROWS),
+    )
+    h = build_model(case).H
+    assert _stealthy(h, [3, 12, 15, 20, 23, 34, 38], 3)
+    for index in (fdi_index, combined_index):
+        res = index(IndexQuery(h, 4))
+        assert res.objective == 7
+        assert _stealthy(h, [i - 1 for i in res.support], 3)
