@@ -7,6 +7,7 @@ CDF through a Poisson mixture of central CDFs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy.optimize import brentq
@@ -81,10 +82,13 @@ def central_cdf(x: float, dof: int) -> float:
     return regularized_gamma_p(dof / 2.0, x / 2.0)
 
 
+@functools.lru_cache(maxsize=1024)
 def threshold(alpha: float, dof: int) -> float:
     """Detection threshold tau with central_cdf(tau, dof) = 1 - alpha.
 
     alpha is the false-alarm probability under the no-attack hypothesis.
+    The root depends on the two scalars alone, so each (alpha, dof) pair
+    is solved once per process.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -110,6 +111,23 @@ def _require_target(args, m: int) -> int:
     return args.target
 
 
+def _check_sweep_args(args):
+    """Reject bad detect/risk values as usage errors (exit 2), before
+    any work; replay runs its manifest through the same check."""
+    if args.seed < 0:
+        raise CliError(2, "--seed must be nonnegative")
+    if args.mu_points < 1:
+        raise CliError(2, "--mu-points must be >= 1")
+    if not math.isfinite(args.mu_max):
+        raise CliError(2, "--mu-max must be finite")
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError(2, "--alpha must lie strictly between 0 and 1")
+    if not 0.0 <= args.perturb < 1.0:
+        raise CliError(2, "--perturb must lie in [0, 1)")
+    if args.empirical and args.runs < 1:
+        raise CliError(2, "--runs must be >= 1 with --empirical")
+
+
 def _num(x: float) -> str:
     return f"{x:.12g}"
 
@@ -131,6 +149,7 @@ def cmd_index(args, mapper=None) -> int:
 
 
 def cmd_detect(args, mapper=None) -> int:
+    _check_sweep_args(args)
     model = _load(args.case)
     target = _require_target(args, model.m)
     perturbed = perturb_model(model, args.perturb, args.seed)
@@ -174,6 +193,7 @@ def cmd_risk(args, mapper=None) -> int:
             2,
             "risk comparison requires equal integrity and availability costs",
         )
+    _check_sweep_args(args)
     model = _load(args.case)
     target = _require_target(args, model.m)
     perturbed = perturb_model(model, args.perturb, args.seed)

@@ -35,6 +35,22 @@ class BddOutcome:
     bad: bool
 
 
+def residual_statistic(gains, z):
+    """Weighted residual statistic ||R^-1/2 S z||^2 over the kept rows.
+
+    z is one measurement vector of shape (m,), or a batch with one vector
+    per row, shape (runs, m); the result is a scalar or one statistic per
+    row.  For reduced gains the masked rows are excluded.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] != gains.m:
+        raise ValueError(f"z must have shape ({gains.m},) or (runs, {gains.m})")
+    r = z @ gains.S.T
+    d = getattr(gains, "d", None)
+    keep = np.ones(gains.m, dtype=bool) if d is None else d == 0.0
+    return np.sum((r[..., keep] / gains.sigma[keep]) ** 2, axis=-1)
+
+
 def j_test(gains, z, config: BddConfig) -> BddOutcome:
     """Chi-squared bad-data test on the residual of z.
 
@@ -46,13 +62,7 @@ def j_test(gains, z, config: BddConfig) -> BddOutcome:
         raise ValueError(
             f"config dof {config.dof} does not match gains dof {gains.dof}"
         )
-    z = np.asarray(z, dtype=float)
-    r = gains.S @ z
-    keep = np.ones(gains.m, dtype=bool)
-    d = getattr(gains, "d", None)
-    if d is not None:
-        keep = d == 0.0
-    statistic = float(np.sum((r[keep] / gains.sigma[keep]) ** 2))
+    statistic = float(residual_statistic(gains, z))
     return BddOutcome(statistic=statistic, tau=config.tau, bad=statistic > config.tau)
 
 

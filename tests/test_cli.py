@@ -162,6 +162,38 @@ def test_target_out_of_range(tmp_path, capsys):
     assert "1..7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "risk"])
+@pytest.mark.parametrize("bad, flag", [
+    (["--seed", "-1"], "--seed"),
+    (["--empirical", "--runs", "0"], "--runs"),
+    (["--mu-points", "0"], "--mu-points"),
+    (["--mu-max", "nan"], "--mu-max"),
+    (["--alpha", "1.5"], "--alpha"),
+    (["--alpha", "0"], "--alpha"),
+    (["--perturb", "1.0"], "--perturb"),
+    (["--perturb", "-0.1"], "--perturb"),
+])
+def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
+    out = tmp_path / "o.csv"
+    rc = main([command, "--case", CHAIN3, "--target", "1", *bad, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
+def test_replay_rejects_bad_manifest_values(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc["alpha"] = 1.5
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest)]) == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_negative_costs_rejected(tmp_path):
     rc = main(["index", "--case", CHAIN3, "--cost-integrity", "-1",
                "--out", str(tmp_path / "o.csv")])
@@ -253,7 +285,9 @@ def _run_cli(args, threads, cwd):
     ["index", "--case", RING4],
     ["risk", "--case", RING4, "--target", "5", "--empirical", "--runs", "20",
      "--mu-points", "4"],
-], ids=["index", "risk-empirical"])
+    ["detect", "--case", RING4, "--target", "5", "--empirical", "--runs", "20",
+     "--mu-points", "4"],
+], ids=["index", "risk-empirical", "detect-empirical"])
 def test_two_threads_finish_with_serial_bytes(tmp_path, args):
     # a nested pool.map once deadlocked risk --empirical; the timeout turns
     # a hang into a failure instead of a stuck suite

@@ -9,6 +9,7 @@ from gridrisk.detector import (
     j_test,
     make_bdd_config,
     noncentrality,
+    residual_statistic,
 )
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.network import synthesize_measurements
@@ -67,6 +68,23 @@ def test_masked_rows_do_not_enter_statistic(ieee14):
     assert j_test(g, z, cfg).statistic == pytest.approx(
         j_test(g, garbled, cfg).statistic, rel=1e-12
     )
+
+
+def test_batch_statistic_matches_single_vectors(ieee14):
+    d = np.zeros(ieee14.m)
+    d[[2, 30, 44]] = 1.0
+    for g in (compute_gains(ieee14), compute_reduced_gains(ieee14, d)):
+        cfg = make_bdd_config(0.05, g.dof)
+        z = np.stack([synthesize_measurements(ieee14, np.zeros(ieee14.n), seed=s).z
+                      for s in range(6)])
+        batch = residual_statistic(g, z)
+        assert batch.shape == (6,)
+        single = [j_test(g, row, cfg).statistic for row in z]
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
+    with pytest.raises(ValueError):
+        residual_statistic(g, np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        residual_statistic(g, np.zeros((2, 2, ieee14.m)))
 
 
 def test_noncentrality_zero_in_column_space(ieee14):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from gridrisk.attack import build_full_knowledge_attack, perturb_model, scale_attack
-from gridrisk.detector import detection_probability, make_bdd_config
+from gridrisk.detector import detection_probability, j_test, make_bdd_config
 from gridrisk.estimator import compute_gains, compute_reduced_gains
+from gridrisk.network import synthesize_measurements
 from gridrisk.risk import (
+    MC_BLOCK,
+    _draw_noise,
     compare_attacks,
     default_mu_grid,
     empirical_detection,
@@ -137,6 +140,53 @@ def test_empirical_deterministic_and_mapper_invariant(ieee14, stealth_attack):
     assert serial == repeat == threaded
     other = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=9)
     assert other.alarms != serial.alarms or other.seed != serial.seed
+
+
+def _per_run_alarms(model, attack, cfg, runs, seed):
+    """Reference: one synthesized draw and one j_test per run."""
+    gains = (compute_reduced_gains(model, attack.d) if attack.k_d
+             else compute_gains(model))
+    x0 = np.zeros(model.n)
+    return sum(
+        j_test(gains, synthesize_measurements(model, x0, seed=(seed, i)).z
+               + attack.a, cfg).bad
+        for i in range(runs)
+    )
+
+
+@pytest.fixture(scope="module")
+def mc_attacks(ieee14, stealth_attack, ieee_variants):
+    fdi = scale_attack(dict(ieee_variants)["fdi_11"], 0.25)
+    quiet = build_full_knowledge_attack(ieee14, np.zeros(ieee14.n))
+    return {"stealth": stealth_attack, "fdi": fdi, "none": quiet}
+
+
+def test_batched_noise_rows_are_the_per_run_draws(ieee14):
+    base = (4, 1, 7)
+    start = MC_BLOCK - 2
+    rows = _draw_noise(ieee14, base, start, np.empty((5, ieee14.m)))
+    x0 = np.zeros(ieee14.n)
+    for k, row in enumerate(rows):
+        snap = synthesize_measurements(ieee14, x0, seed=base + (start + k,))
+        np.testing.assert_array_equal(row, snap.z)
+
+
+@pytest.mark.parametrize("kind", ["stealth", "fdi", "none"])
+def test_batched_alarms_equal_per_run_j_test(ieee14, mc_attacks, kind):
+    attack = mc_attacks[kind]
+    dof = ieee14.m - ieee14.n - attack.k_d
+    cfg = make_bdd_config(0.05, dof)
+    report = empirical_detection(ieee14, attack, cfg, runs=500, seed=11)
+    assert report.alarms == _per_run_alarms(ieee14, attack, cfg, 500, 11)
+
+
+def test_batched_alarms_across_block_boundary(ieee14, mc_attacks):
+    attack = mc_attacks["fdi"]
+    cfg = make_bdd_config(0.05, ieee14.m - ieee14.n)
+    runs = MC_BLOCK + 3
+    report = empirical_detection(ieee14, attack, cfg, runs=runs, seed=12)
+    assert report.runs == runs
+    assert report.alarms == _per_run_alarms(ieee14, attack, cfg, runs, 12)
 
 
 def test_empirical_validation(ieee14, stealth_attack):
