@@ -18,9 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import __version__
-from .attack import perturb_model, scale_attack
-from .detector import detection_probability, make_bdd_config
-from .estimator import compute_gains, compute_reduced_gains
+from .attack import perturb_model
 from .milp import MilpError
 from .network import (
     CaseValidationError,
@@ -30,12 +28,19 @@ from .network import (
 )
 from .risk import (
     default_mu_grid,
-    empirical_detection,
+    format_detect_csv,
     format_risk_csv,
     risk_sweep,
     tuple_attack_variants,
 )
 from .security import SecurityIndexError, format_index_csv, index_sweep
+
+# Unused here since detect runs through risk_sweep, kept importable
+# because perfbench/tracer.py patches these names on this module.
+from .attack import scale_attack  # noqa: F401
+from .detector import detection_probability, make_bdd_config  # noqa: F401
+from .estimator import compute_gains, compute_reduced_gains  # noqa: F401
+from .risk import empirical_detection  # noqa: F401
 
 
 class CliError(Exception):
@@ -111,9 +116,15 @@ def _require_target(args, m: int) -> int:
     return args.target
 
 
+def _check_mu(args):
+    if args.mu == 0.0 or not math.isfinite(args.mu):
+        raise CliError(2, "--mu must be nonzero and finite")
+
+
 def _check_sweep_args(args):
     """Reject bad detect/risk values as usage errors (exit 2), before
     any work; replay runs its manifest through the same check."""
+    _check_mu(args)
     if args.seed < 0:
         raise CliError(2, "--seed must be nonnegative")
     if args.mu_points < 1:
@@ -128,11 +139,8 @@ def _check_sweep_args(args):
         raise CliError(2, "--runs must be >= 1 with --empirical")
 
 
-def _num(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def cmd_index(args, mapper=None) -> int:
+    _check_mu(args)
     if args.cost_integrity < 0 or args.cost_availability < 0:
         raise CliError(2, "costs must be nonnegative")
     model = _load(args.case)
@@ -148,41 +156,21 @@ def cmd_index(args, mapper=None) -> int:
     return 0
 
 
-def cmd_detect(args, mapper=None) -> int:
+def _sweep(args, mapper) -> list:
+    """Curves of the variants on the target's tuple, shared by detect and risk."""
     _check_sweep_args(args)
     model = _load(args.case)
     target = _require_target(args, model.m)
     perturbed = perturb_model(model, args.perturb, args.seed)
     variants = tuple_attack_variants(perturbed, target, mu=args.mu)
     grid = default_mu_grid(args.mu_max, args.mu_points)
-    header = "attack_id,mu,k_a,k_d,lambda,delta_theory"
-    if args.empirical:
-        header += ",delta_empirical,ci_low,ci_high"
-    lines = [header]
-    for ai, (attack_id, attack) in enumerate(variants):
-        if attack.k_d > 0:
-            gains = compute_reduced_gains(model, attack.d)
-        else:
-            gains = compute_gains(model)
-        config = make_bdd_config(args.alpha, gains.dof)
-        for pi, mu in enumerate(grid):
-            scaled = scale_attack(attack, float(mu))
-            det = detection_probability(gains, scaled.a, args.alpha)
-            row = (
-                f"{attack_id},{_num(float(mu))},{scaled.k_a},{scaled.k_d},"
-                f"{_num(det.lam)},{_num(det.delta)}"
-            )
-            if args.empirical:
-                report = empirical_detection(
-                    model, scaled, config, args.runs,
-                    seed=(args.seed, ai, pi), mapper=mapper,
-                )
-                row += (
-                    f",{_num(report.empirical_delta)},"
-                    f"{_num(report.ci_low)},{_num(report.ci_high)}"
-                )
-            lines.append(row)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    runs = args.runs if args.empirical else 0
+    return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
+                      seed=args.seed, mapper=mapper)
+
+
+def cmd_detect(args, mapper=None) -> int:
+    _write_text(args.out, format_detect_csv(_sweep(args, mapper)))
     _write_manifest(_manifest_from_args("detect", args))
     return 0
 
@@ -193,22 +181,7 @@ def cmd_risk(args, mapper=None) -> int:
             2,
             "risk comparison requires equal integrity and availability costs",
         )
-    _check_sweep_args(args)
-    model = _load(args.case)
-    target = _require_target(args, model.m)
-    perturbed = perturb_model(model, args.perturb, args.seed)
-    variants = tuple_attack_variants(perturbed, target, mu=args.mu)
-    grid = default_mu_grid(args.mu_max, args.mu_points)
-    curves = risk_sweep(
-        model,
-        variants,
-        grid,
-        alpha=args.alpha,
-        runs=args.runs if args.empirical else 0,
-        seed=args.seed,
-        mapper=mapper,
-    )
-    _write_text(args.out, format_risk_csv(curves))
+    _write_text(args.out, format_risk_csv(_sweep(args, mapper)))
     _write_manifest(_manifest_from_args("risk", args))
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2 import central_cdf, detection_delta, noncentral_cdf, threshold
+from .chi2 import detection_delta, threshold
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ import numpy as np
 
 from .attack import AttackVector, PerturbedModel, scale_attack
 from .attack import build_limited_knowledge_attack
+from .chi2 import noncentral_cdf
 from .detector import (
     BddConfig,
     detection_probability,
     make_bdd_config,
     residual_statistic,
 )
-from .estimator import EstimatorGains, ReducedGains, compute_gains, compute_reduced_gains
+from .estimator import compute_gains, compute_reduced_gains
 from .network import GridModel
 from .security import IndexQuery, combined_index
 
@@ -54,22 +55,29 @@ class ImpactAnalysis:
     impact: float
 
 
-@dataclass(frozen=True)
-class RiskPoint:
-    mu: float
-    k_a: int
-    k_d: int
-    lam: float
-    delta: float
-    impact: float
-    risk: float
-    delta_empirical: Optional[float] = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskCurve:
+    """One attack variant over the magnitude grid, one array per column
+    (k_d, the withdrawn count, is the same at every magnitude).
+
+    alarms holds each point's Monte Carlo alarm count out of runs, or is
+    None when no runs were requested.
+    """
+
     attack_id: str
-    points: tuple
+    mu: np.ndarray
+    k_a: np.ndarray
+    k_d: int
+    lam: np.ndarray
+    delta: np.ndarray
+    impact: np.ndarray
+    risk: np.ndarray
+    runs: int = 0
+    alarms: Optional[np.ndarray] = None
+
+    @property
+    def delta_empirical(self) -> Optional[np.ndarray]:
+        return None if self.alarms is None else self.alarms / self.runs
 
 
 @dataclass(frozen=True)
@@ -131,20 +139,16 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _draw_noise(model: GridModel, base: tuple, start: int, out: np.ndarray,
-                mapper: Optional[Callable] = None) -> np.ndarray:
+def _draw_noise(model: GridModel, base: tuple, start: int,
+                out: np.ndarray) -> np.ndarray:
     """Fill row k of out with the noise of run start + k, scaled by sigma.
 
     Run i draws from its own stream seeded by base + (i,), the same
     stream and values synthesize_measurements(model, 0, seed=base + (i,))
-    draws, so the rows do not depend on block size or execution order.
+    draws, so the rows do not depend on block size.
     """
-
-    def draw(k: int):
-        np.random.default_rng(base + (start + k,)).standard_normal(out=out[k])
-
-    for _ in (mapper or map)(draw, range(len(out))):
-        pass
+    for k, row in enumerate(out):
+        np.random.default_rng(base + (start + k,)).standard_normal(out=row)
     out *= model.sigma
     return out
 
@@ -155,17 +159,14 @@ def empirical_detection(
     config: BddConfig,
     runs: int,
     seed,
-    mapper: Optional[Callable] = None,
 ) -> MonteCarloReport:
     """Alarm rate of the residual test over seeded Monte Carlo noise draws.
 
     Run i draws its own stream from (seed, i), so the report does not
-    depend on execution order and a parallel mapper gives identical
-    results.  The statistic's distribution does not depend on the
-    operating state, so runs synthesize around the zero state.  Runs are
-    tested in blocks of MC_BLOCK: the mapper fans out the per-run draws
-    of a block, each writing its own row, and one residual product and
-    one vectorised statistic then test the whole block.
+    depend on how the runs are grouped.  The statistic's distribution
+    does not depend on the operating state, so runs synthesize around
+    the zero state.  Runs are tested in blocks of MC_BLOCK: one residual
+    product and one vectorised statistic test the whole block.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -178,7 +179,7 @@ def empirical_detection(
     buf = np.empty((min(runs, MC_BLOCK), model.m))
     alarms = 0
     for start in range(0, runs, MC_BLOCK):
-        z = _draw_noise(model, base, start, buf[: runs - start], mapper)
+        z = _draw_noise(model, base, start, buf[: runs - start])
         z += attack.a
         alarms += int(np.count_nonzero(residual_statistic(gains, z) > config.tau))
     low, high = _wilson_interval(alarms, runs)
@@ -206,21 +207,27 @@ def risk_sweep(
     seed: int = 0,
     mapper: Optional[Callable] = None,
 ) -> list:
-    """Risk curves over an attack-magnitude grid.
+    """Detection and risk curves over an attack-magnitude grid.
 
     base_attacks are (attack_id, AttackVector) pairs.  All attacks must
     act on the same critical tuple with the same resource count k_a+k_d;
     within such a family the attack likelihood is normalized to one and
-    risk reduces to (1-delta)*impact.  runs > 0 adds an empirical alarm
-    rate per point, seeded per (seed, attack index, point index, run).
-    The mapper fans out over grid points only.  Each point draws its
-    Monte Carlo runs serially and tests them in batches (see
-    empirical_detection); workers waiting on inner tasks queued behind
-    them in the same pool would deadlock.
+    risk reduces to (1-delta)*impact.
+
+    A rescaled attack is mu/mu0 times the base one, so each variant's
+    noncentrality and impact are computed once and the grid follows in
+    closed form: lambda = (mu/mu0)^2 lambda0, impact = |mu/mu0| impact0,
+    and one vectorised noncentral CDF gives delta.  At mu = 0 nothing is
+    corrupted, so k_a is 0 there.
+
+    runs > 0 adds a Monte Carlo alarm count per point, seeded per (seed,
+    attack index, point index, run).  The mapper fans out over those
+    grid points; each point draws and tests its runs serially (see
+    empirical_detection).
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
-    mu_grid = [float(v) for v in mu_grid]
+    mu = np.array(mu_grid, dtype=float)
     tuples = {_tuple_rows(atk) for _, atk in base_attacks}
     budgets = {atk.k_a + atk.k_d for _, atk in base_attacks}
     if len(tuples) != 1 or len(budgets) != 1:
@@ -230,33 +237,41 @@ def risk_sweep(
         )
     curves = []
     for ai, (attack_id, attack) in enumerate(base_attacks):
+        if not attack.mu:
+            raise ValueError("attack has no nonzero magnitude to scale from")
         gains = _gains_for(model, attack)
+        det = detection_probability(gains, attack.a, alpha)
+        scale = mu / attack.mu
+        lam = scale * scale * det.lam
+        # 1 - delta straight from the CDF keeps risk accurate where delta
+        # rounds to 1
+        missed = noncentral_cdf(det.tau, det.dof, lam)
+        impact = np.abs(scale) * impact_metric(model, gains, attack).impact
+        alarms = None
+        if runs > 0:
+            config = make_bdd_config(alpha, gains.dof)
 
-        def one_point(item) -> RiskPoint:
-            pi, mu = item
-            scaled = attack if mu == attack.mu else scale_attack(attack, mu)
-            det = detection_probability(gains, scaled.a, alpha)
-            ana = impact_metric(model, gains, scaled)
-            emp = None
-            if runs > 0:
-                cfg = make_bdd_config(alpha, gains.dof)
-                report = empirical_detection(
-                    model, scaled, cfg, runs, seed=(seed, ai, pi)
-                )
-                emp = report.empirical_delta
-            return RiskPoint(
-                mu=mu,
-                k_a=scaled.k_a,
-                k_d=scaled.k_d,
-                lam=det.lam,
-                delta=det.delta,
-                impact=ana.impact,
-                risk=(1.0 - det.delta) * ana.impact,
-                delta_empirical=emp,
-            )
+            def alarm_count(item) -> int:
+                pi, mu_i = item
+                return empirical_detection(
+                    model, scale_attack(attack, mu_i), config, runs,
+                    seed=(seed, ai, pi),
+                ).alarms
 
-        points = list((mapper or map)(one_point, list(enumerate(mu_grid))))
-        curves.append(RiskCurve(attack_id=attack_id, points=tuple(points)))
+            alarms = np.array(list((mapper or map)(alarm_count,
+                                                   list(enumerate(mu.tolist())))))
+        curves.append(RiskCurve(
+            attack_id=attack_id,
+            mu=mu,
+            k_a=np.where(mu == 0.0, 0, attack.k_a),
+            k_d=attack.k_d,
+            lam=lam,
+            delta=1.0 - missed,
+            impact=impact,
+            risk=missed * impact,
+            runs=runs,
+            alarms=alarms,
+        ))
     return curves
 
 
@@ -275,25 +290,24 @@ def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = Non
     """
     if not curves:
         raise ValueError("no risk curves to compare")
-    grids = {tuple(p.mu for p in c.points) for c in curves}
-    if len(grids) != 1:
+    grid = curves[0].mu
+    if any(not np.array_equal(c.mu, grid) for c in curves):
         raise ValueError("risk curves must share one mu grid")
-    grid = list(grids.pop())
     if fixed_mu is None:
         fixed_mu = grid[len(grid) // 2]
-    at = min(range(len(grid)), key=lambda i: abs(grid[i] - fixed_mu))
+    at = int(np.argmin(np.abs(grid - fixed_mu)))
     rows = []
     for c in curves:
-        peak = max(range(len(grid)), key=lambda i: c.points[i].risk)
+        peak = int(np.argmax(c.risk))
         rows.append(
             {
                 "attack_id": c.attack_id,
-                "k_a": c.points[0].k_a,
-                "k_d": c.points[0].k_d,
-                "peak_risk": c.points[peak].risk,
-                "peak_mu": c.points[peak].mu,
-                "fixed_mu": grid[at],
-                "risk_at_fixed_mu": c.points[at].risk,
+                "k_a": int(c.k_a[0]),
+                "k_d": c.k_d,
+                "peak_risk": float(c.risk[peak]),
+                "peak_mu": float(grid[peak]),
+                "fixed_mu": float(grid[at]),
+                "risk_at_fixed_mu": float(c.risk[at]),
             }
         )
     rows.sort(
@@ -355,6 +369,15 @@ def tuple_attack_variants(
     return variants
 
 
+def _theory_fields(c: RiskCurve) -> list:
+    """attack_id,mu,k_a,k_d,lambda,delta_theory of each point of a curve."""
+    return [
+        f"{c.attack_id},{mu:.12g},{k_a},{c.k_d},{lam:.12g},{delta:.12g}"
+        for mu, k_a, lam, delta in zip(
+            c.mu.tolist(), c.k_a.tolist(), c.lam.tolist(), c.delta.tolist())
+    ]
+
+
 def format_risk_csv(curves: Sequence[RiskCurve]) -> str:
     """Sweep CSV: one row per (attack, mu), 12 significant digits, LF.
 
@@ -362,10 +385,31 @@ def format_risk_csv(curves: Sequence[RiskCurve]) -> str:
     """
     lines = ["attack_id,mu,k_a,k_d,lambda,delta_theory,delta_empirical,impact,risk"]
     for c in curves:
-        for p in c.points:
-            emp = "" if p.delta_empirical is None else f"{p.delta_empirical:.12g}"
-            lines.append(
-                f"{c.attack_id},{p.mu:.12g},{p.k_a},{p.k_d},{p.lam:.12g},"
-                f"{p.delta:.12g},{emp},{p.impact:.12g},{p.risk:.12g}"
-            )
+        emp = ([""] * len(c.mu) if c.alarms is None
+               else [f"{v:.12g}" for v in c.delta_empirical.tolist()])
+        lines.extend(
+            f"{head},{e},{impact:.12g},{risk:.12g}"
+            for head, e, impact, risk in zip(
+                _theory_fields(c), emp, c.impact.tolist(), c.risk.tolist())
+        )
+    return "\n".join(lines) + "\n"
+
+
+def format_detect_csv(curves: Sequence[RiskCurve]) -> str:
+    """Detection CSV: one row per (attack, mu), 12 significant digits, LF.
+
+    With Monte Carlo runs, each row adds the empirical rate and its 95%
+    Wilson interval.
+    """
+    header = "attack_id,mu,k_a,k_d,lambda,delta_theory"
+    if any(c.alarms is not None for c in curves):
+        header += ",delta_empirical,ci_low,ci_high"
+    lines = [header]
+    for c in curves:
+        if c.alarms is None:
+            lines.extend(_theory_fields(c))
+            continue
+        for head, alarms in zip(_theory_fields(c), c.alarms.tolist()):
+            low, high = _wilson_interval(alarms, c.runs)
+            lines.append(f"{head},{alarms / c.runs:.12g},{low:.12g},{high:.12g}")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 Everything here avoids the package's own solver machinery: indices come
 from rank arithmetic over explicit subset enumeration, certificates from
-dense least squares, distributions from sampling.
+dense least squares, distributions from sampling or from series summed
+in high precision.
 """
 
 import itertools
@@ -67,6 +68,28 @@ def certificate_for_set(h: np.ndarray, rows, j0: int, mu: float) -> np.ndarray:
 
 def empirical_cdf(samples: np.ndarray, x: float) -> float:
     return float(np.mean(samples <= x))
+
+
+def noncentral_cdf_mp(x: float, dof: int, lam: float, digits: int = 40) -> float:
+    """Noncentral chi-squared CDF as the Poisson(lam/2) mixture of central
+    CDFs, summed in `digits`-digit arithmetic until the terms past the
+    Poisson mode fall below 1e-(digits - 5)."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        half, x_half = mpmath.mpf(lam) / 2, mpmath.mpf(x) / 2
+        weight = mpmath.exp(-half)
+        total = mpmath.mpf(0)
+        tol = mpmath.mpf(10) ** (5 - digits)
+        i = 0
+        while True:
+            term = weight * mpmath.gammainc(mpmath.mpf(dof) / 2 + i, 0, x_half,
+                                            regularized=True)
+            total += term
+            i += 1
+            weight *= half / i
+            if i > half and weight < tol:
+                return float(total)
 
 
 def random_observable_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_criterion_08_risk_ordering(ieee14, variants14):
     assert peaks["combined_1_10"] >= peaks["combined_2_9"] >= peaks["fdi_11"]
     assert [row["attack_id"] for row in table][0] == "combined_1_10"
     fdi = next(c for c in curves if c.attack_id == "fdi_11")
-    risks = np.array([p.risk for p in fdi.points])
+    risks = fdi.risk
     peak = int(np.argmax(risks))
     assert 0 < peak < len(risks) - 1  # rises, then falls
     assert np.all(np.diff(risks[: peak + 1]) > 0)

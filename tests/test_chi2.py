@@ -1,5 +1,5 @@
-"""Central and noncentral chi-squared kernels against sampling and scipy
-oracles."""
+"""Central and noncentral chi-squared laws against sampling, scipy.stats
+and high-precision series oracles."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ncx2 as scipy_ncx2
 
-from gridrisk.chi2 import (
-    central_cdf,
-    detection_delta,
-    noncentral_cdf,
-    regularized_gamma_p,
-    threshold,
-)
+from gridrisk.chi2 import central_cdf, detection_delta, noncentral_cdf, threshold
 
-from oracles import empirical_cdf
+from oracles import empirical_cdf, noncentral_cdf_mp
 
 # frozen scipy.chi2.ppf values
 FROZEN_THRESHOLDS = [
@@ -95,16 +89,6 @@ def test_detection_delta_monotone_in_noncentrality():
     assert deltas[-1] < 1.0
 
 
-def test_regularized_gamma_matches_scipy():
-    from scipy.special import gammainc
-
-    for s in (0.5, 1.0, 4.5, 20.5, 30.0):
-        for x in (1e-6, 0.5, s, 2.0 * s, 8.0 * s):
-            assert regularized_gamma_p(s, x) == pytest.approx(
-                float(gammainc(s, x)), abs=1e-12
-            )
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         threshold(0.0, 10)
@@ -114,6 +98,39 @@ def test_domain_errors():
         threshold(0.05, 0)
     with pytest.raises(ValueError):
         noncentral_cdf(1.0, 3, -0.5)
+    with pytest.raises(ValueError):
+        noncentral_cdf(1.0, 3, np.array([1.0, -0.5]))
+    with pytest.raises(ValueError):
+        noncentral_cdf(1.0, 3, float("nan"))
+    with pytest.raises(ValueError):
+        noncentral_cdf(1.0, 0, 1.0)
+    with pytest.raises(ValueError):
+        central_cdf(1.0, 0)
+    with pytest.raises(ValueError):
+        detection_delta(1.0, 3, -1e-300)
+
+
+def test_noncentral_cdf_against_high_precision_series():
+    # relative accuracy holds deep in the lower tail, where risk is
+    # (1 - delta) times impact and delta itself is within 1e-13 of one
+    tau = threshold(0.05, 41)
+    for dof, x in ((41, tau), (3, threshold(0.05, 3)), (60, 30.0)):
+        for lam in (1e-12, 0.3, 7.5, 60.0, 160.0):
+            ref = noncentral_cdf_mp(x, dof, lam)
+            assert noncentral_cdf(x, dof, lam) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert noncentral_cdf(tau, 41, 162.0) < 1e-12
+
+
+def test_noncentral_cdf_vectorised():
+    lams = np.array([0.0, 0.5, 5.0, 25.0])
+    x = threshold(0.05, 13)
+    values = noncentral_cdf(x, 13, lams)
+    assert isinstance(values, np.ndarray) and values.shape == lams.shape
+    for lam, value in zip(lams, values):
+        assert value == noncentral_cdf(x, 13, float(lam))
+    assert isinstance(noncentral_cdf(x, 13, 0.5), float)
+    assert noncentral_cdf(-1.0, 13, 0.5) == 0.0
+    assert central_cdf(-1.0, 13) == 0.0
 
 
 @given(

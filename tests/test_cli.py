@@ -108,6 +108,9 @@ def test_detect_zero_magnitude_grid(tmp_path):
     for row in _rows(out):
         assert float(row["mu"]) == 0.0
         assert float(row["delta_theory"]) == pytest.approx(0.05, abs=1e-12)
+        # nothing is corrupted at zero magnitude
+        assert row["k_a"] == "0"
+        assert float(row["lambda"]) == 0.0
 
 
 def test_risk_rows_recompute(tmp_path):
@@ -133,6 +136,8 @@ def test_risk_zero_magnitude(tmp_path):
     for row in _rows(out):
         assert float(row["impact"]) == 0.0
         assert float(row["risk"]) == 0.0
+        assert row["k_a"] == "0"
+        assert float(row["lambda"]) == 0.0
 
 
 def test_risk_requires_equal_costs(tmp_path, capsys):
@@ -172,13 +177,25 @@ def test_target_out_of_range(tmp_path, capsys):
     (["--alpha", "0"], "--alpha"),
     (["--perturb", "1.0"], "--perturb"),
     (["--perturb", "-0.1"], "--perturb"),
+    (["--mu", "0"], "--mu"),
+    (["--mu", "inf"], "--mu"),
 ])
 def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
     out = tmp_path / "o.csv"
     rc = main([command, "--case", CHAIN3, "--target", "1", *bad, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err
+    assert err.startswith("error:") and flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["0", "inf", "-inf", "nan"])
+def test_index_bad_mu_exits_2(tmp_path, capsys, mu):
+    out = tmp_path / "o.csv"
+    rc = main(["index", "--case", CHAIN3, f"--mu={mu}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--mu" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -299,3 +316,14 @@ def test_two_threads_finish_with_serial_bytes(tmp_path, args):
         assert proc.stdout == b""
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs tens of megabytes and a third of a second to import
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gridrisk.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "False"

@@ -1,7 +1,5 @@
 """Impact, Monte Carlo detection rates, risk sweeps, and attack ranking."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -128,16 +126,12 @@ def test_empirical_tracks_theory_for_fdi(ieee14, ieee_variants):
     assert abs(report.empirical_delta - theory) <= 0.03
 
 
-def test_empirical_deterministic_and_mapper_invariant(ieee14, stealth_attack):
+def test_empirical_deterministic(ieee14, stealth_attack):
     gains = compute_reduced_gains(ieee14, stealth_attack.d)
     cfg = make_bdd_config(0.05, gains.dof)
     serial = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=8)
     repeat = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=8)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = empirical_detection(
-            ieee14, stealth_attack, cfg, runs=300, seed=8, mapper=pool.map
-        )
-    assert serial == repeat == threaded
+    assert serial == repeat
     other = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=9)
     assert other.alarms != serial.alarms or other.seed != serial.seed
 
@@ -228,19 +222,53 @@ def test_risk_sweep_points_consistent(chain3, chain_variants):
     curves = risk_sweep(chain3, chain_variants, grid, alpha=0.05)
     assert [c.attack_id for c in curves] == [vid for vid, _ in chain_variants]
     for curve in curves:
-        for p in curve.points:
-            assert 0.0 <= p.risk <= p.impact + 1e-15
-            assert p.risk == pytest.approx((1.0 - p.delta) * p.impact, abs=1e-12)
+        assert np.all(curve.risk >= 0.0)
+        assert np.all(curve.risk <= curve.impact + 1e-15)
+        np.testing.assert_allclose(curve.risk, (1.0 - curve.delta) * curve.impact,
+                                   rtol=0, atol=1e-12)
         # impact is linear in mu for every variant
-        impacts = np.array([p.impact for p in curve.points])
-        np.testing.assert_allclose(impacts, impacts[-1] * grid / grid[-1], rtol=1e-9)
+        np.testing.assert_allclose(curve.impact, curve.impact[-1] * grid / grid[-1],
+                                   rtol=1e-9)
+
+
+def _per_point_reference(model, attack, mu, alpha):
+    """The grid point by point: rescale, then noncentrality, delta and
+    impact of the rescaled attack."""
+    gains = (compute_reduced_gains(model, attack.d) if attack.k_d
+             else compute_gains(model))
+    scaled = scale_attack(attack, mu)
+    det = detection_probability(gains, scaled.a, alpha)
+    impact = impact_metric(model, gains, scaled).impact
+    return scaled.k_a, scaled.k_d, det.lam, det.delta, impact
+
+
+@pytest.mark.parametrize("case", ["chain3", "ieee14"])
+@pytest.mark.parametrize("mu_max", [0.5, -0.4])
+def test_closed_form_sweep_matches_per_point(request, case, mu_max):
+    model = request.getfixturevalue(case)
+    variants = request.getfixturevalue(
+        "chain_variants" if case == "chain3" else "ieee_variants")
+    grid = np.r_[0.0, default_mu_grid(mu_max, 12)]
+    curves = risk_sweep(model, variants, grid, alpha=0.05)
+    for curve, (_, attack) in zip(curves, variants):
+        for i, mu in enumerate(grid):
+            k_a, k_d, lam, delta, impact = _per_point_reference(
+                model, attack, float(mu), 0.05)
+            assert (curve.k_a[i], curve.k_d) == (k_a, k_d)
+            # a stealth variant's noncentrality is roundoff of order 1e-30
+            assert curve.lam[i] == pytest.approx(lam, rel=1e-12, abs=1e-20)
+            assert curve.delta[i] == pytest.approx(delta, rel=1e-12, abs=0.0)
+            assert curve.impact[i] == pytest.approx(impact, rel=1e-12, abs=0.0)
+            assert curve.risk[i] == pytest.approx((1.0 - delta) * impact,
+                                                  rel=1e-12, abs=1e-15)
+        assert curve.k_a[0] == 0 and curve.lam[0] == 0.0 and curve.impact[0] == 0.0
 
 
 def test_risk_vanishes_with_magnitude(chain3, chain_variants):
     curves = risk_sweep(chain3, chain_variants, [1e-9], alpha=0.05)
     for curve in curves:
-        assert curve.points[0].impact <= 1e-6
-        assert curve.points[0].risk <= curve.points[0].impact
+        assert curve.impact[0] <= 1e-6
+        assert curve.risk[0] <= curve.impact[0]
 
 
 def test_stealth_variant_constant_delta(chain3, chain_variants):
@@ -248,10 +276,8 @@ def test_stealth_variant_constant_delta(chain3, chain_variants):
     curves = risk_sweep(chain3, chain_variants, grid, alpha=0.05)
     stealth = curves[0]
     assert stealth.attack_id == "combined_1_3"
-    for p in stealth.points:
-        assert p.delta == pytest.approx(0.05, abs=1e-9)
-    risks = [p.risk for p in stealth.points]
-    assert all(b > a for a, b in zip(risks, risks[1:]))
+    np.testing.assert_allclose(stealth.delta, 0.05, rtol=0, atol=1e-9)
+    assert np.all(np.diff(stealth.risk) > 0)
 
 
 def test_mixed_attack_family_rejected(chain3, chain_variants):
@@ -267,9 +293,16 @@ def test_mixed_attack_family_rejected(chain3, chain_variants):
 def test_risk_sweep_empirical_column(chain3, chain_variants):
     curves = risk_sweep(chain3, chain_variants[:1], [0.1, 0.3], alpha=0.05,
                         runs=200, seed=3)
-    for p in curves[0].points:
-        assert p.delta_empirical is not None
-        assert 0.0 <= p.delta_empirical <= 1.0
+    curve = curves[0]
+    assert curve.runs == 200
+    assert np.all((0.0 <= curve.delta_empirical) & (curve.delta_empirical <= 1.0))
+    _, attack = chain_variants[0]
+    cfg = make_bdd_config(0.05, chain3.m - chain3.n - attack.k_d)
+    for pi, mu in enumerate((0.1, 0.3)):
+        report = empirical_detection(chain3, scale_attack(attack, mu), cfg,
+                                     runs=200, seed=(3, 0, pi))
+        assert curve.alarms[pi] == report.alarms
+    assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
 
 
 def test_compare_attacks_ranking(chain3, chain_variants):
