@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
@@ -141,8 +141,10 @@ def _check_sweep_args(args):
 
 def cmd_index(args, mapper=None) -> int:
     _check_mu(args)
-    if args.cost_integrity < 0 or args.cost_availability < 0:
-        raise CliError(2, "costs must be nonnegative")
+    for flag, cost in (("--cost-integrity", args.cost_integrity),
+                       ("--cost-availability", args.cost_availability)):
+        if not (math.isfinite(cost) and cost >= 0):
+            raise CliError(2, f"{flag} must be finite and nonnegative")
     model = _load(args.case)
     rows = index_sweep(
         model,
@@ -195,6 +197,9 @@ def cmd_replay(args, mapper=None) -> int:
     try:
         with open(args.manifest) as fh:
             doc = json.load(fh)
+        missing = {f.name for f in fields(RunManifest)} - {"version"} - set(doc)
+        if missing:
+            raise KeyError(", ".join(sorted(missing)))
         command = doc.pop("command")
         version = doc.pop("version", "unknown")
         replay_args = argparse.Namespace(**doc)

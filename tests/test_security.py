@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridrisk.security as security
 from gridrisk.attack import perturb_model
+from gridrisk.milp import MilpSolution, solve_milp
 from gridrisk.network import build_model, load_bundled_case, load_case
 from gridrisk.security import (
     IndexQuery,
@@ -30,7 +32,8 @@ from oracles import (
     enumeration_alpha,
     enumeration_family,
     random_observable_matrix,
-    rank_of,
+    set_admits_target,
+    withdrawal_index,
 )
 
 # independently derived by rank enumeration over all subsets
@@ -118,12 +121,15 @@ def test_random_matrices_match_oracle():
 
 
 def test_combined_equals_fdi_by_construction():
-    # withdrawing instead of corrupting can never lower the count
+    # withdrawing instead of corrupting can never lower the count: the
+    # program with a withdrawal binary per row and the enumeration agree
     rng = np.random.default_rng(55)
     h = random_observable_matrix(rng, 9, 4)
     for j in (1, 4, 9):
         q = IndexQuery(h, j)
-        assert combined_index(q).objective == fdi_index(q).objective
+        beta, _, _ = withdrawal_index(h, j - 1, 1.0, 1.0)
+        assert combined_index(q).objective == beta
+        assert fdi_index(q).objective == enumeration_alpha(h, j - 1)[0]
 
 
 def test_cost_weighted_closed_form():
@@ -136,16 +142,12 @@ def test_cost_weighted_closed_form():
         ca = float(rng.uniform(0.1, 3.0))
         j = int(rng.integers(1, 9))
         q = IndexQuery(h, j, cost_integrity=ci, cost_availability=ca)
-        beta = combined_index(q).objective
-        expected = ci + (beta - 1) * min(ci, ca)
-        assert cost_weighted_index(q).objective == pytest.approx(expected, rel=1e-9)
-
-
-def test_cost_weighted_without_availability_is_scaled_alpha(ring4):
-    q = IndexQuery(ring4.H, 3, cost_integrity=1.7)
-    res = cost_weighted_index(q, availability=False)
-    assert res.objective == pytest.approx(1.7 * RING4_ALPHA, rel=1e-12)
-    assert res.availability_set == ()
+        gamma, corrupted, withdrawn = withdrawal_index(h, j - 1, ci, ca)
+        res = cost_weighted_index(q)
+        assert res.objective == pytest.approx(gamma, rel=1e-9)
+        assert len(res.integrity_set) == len(corrupted)
+        assert len(res.availability_set) == len(withdrawn)
+        assert set_admits_target(h, [i - 1 for i in res.support], j - 1)
 
 
 def test_free_action_costs(ring4):
@@ -211,6 +213,55 @@ def test_index_sweep_consistent_with_single_solves(chain3):
         assert not set(r["integrity_set"]) & set(r["availability_set"])
 
 
+def test_sweep_solves_one_program_per_class(chain3, ring4, monkeypatch):
+    # beta, gamma and the split come from alpha's support: no other program
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return solve_milp(problem)
+
+    monkeypatch.setattr(security, "solve_milp", counted)
+    for model in (chain3, ring4):
+        calls.clear()
+        index_sweep(model)
+        assert len(calls) == len(parallel_classes(model.H)[0])
+
+
+@pytest.mark.parametrize("ci, ca", [(1.0, 1.0), (0.6, 2.5), (0.7, 0.0),
+                                    (0.0, 0.4), (0.0, 0.0)])
+def test_sweep_at_cost_edges(ring4, ci, ca):
+    for r in index_sweep(ring4, cost_integrity=ci, cost_availability=ca):
+        support = r["integrity_set"] + r["availability_set"]
+        assert r["alpha"] == r["beta"] == len(support) == RING4_ALPHA
+        assert set_admits_target(ring4.H, [i - 1 for i in support], r["j"] - 1)
+        assert r["gamma_fdi"] == pytest.approx(ci * RING4_ALPHA)
+        if ca >= ci:
+            # withdrawing saves nothing, so every support row is written
+            assert (r["k_a"], r["k_d"]) == (RING4_ALPHA, 0)
+            assert r["availability_set"] == ()
+            assert r["gamma_combined"] == pytest.approx(ci * RING4_ALPHA)
+        else:
+            assert r["integrity_set"] == (r["j"],)
+            assert r["k_d"] == RING4_ALPHA - 1
+        if ca == 0.0:
+            # every stealth support then costs the written target alone
+            assert r["gamma_combined"] == ci
+
+
+def test_idle_class_at_optimum_raises(monkeypatch):
+    # every class costs at least one row, so a support holding a class its
+    # own certificate leaves at zero cannot be optimal
+    h = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def padded(problem):
+        return MilpSolution("optimal", 3.0, np.r_[0.1, 0.0, np.ones(3)], 0, 0, 0)
+
+    monkeypatch.setattr(security, "solve_milp", padded)
+    with pytest.raises(SecurityIndexError, match="leaves at zero"):
+        fdi_index(IndexQuery(h, 1))
+
+
 def test_index_sweep_mapper_matches_serial(chain3):
     serial = index_sweep(chain3)
     with ThreadPoolExecutor(max_workers=3) as pool:
@@ -246,6 +297,11 @@ def test_query_validation(chain3):
         IndexQuery(chain3.H, 1, mu=0.0)
     with pytest.raises(SecurityIndexError):
         IndexQuery(chain3.H, 1, cost_integrity=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SecurityIndexError):
+            IndexQuery(chain3.H, 1, cost_availability=bad)
+        with pytest.raises(SecurityIndexError):
+            IndexQuery(chain3.H, 1, cost_integrity=bad)
     with pytest.raises(SecurityIndexError):
         brute_force_index(np.zeros((30, 2)), 1)
 
@@ -292,11 +348,6 @@ def _ring(buses):
     return build_model(load_case(doc))
 
 
-def _stealthy(h, support, j0):
-    comp = [i for i in range(h.shape[0]) if i not in support]
-    return rank_of(np.vstack([h[comp], h[j0][None, :]])) == rank_of(h[comp]) + 1
-
-
 def test_program_beyond_128_binaries():
     # 45-bus ring, every flow and injection metered: 90 row classes plus
     # 135 withdrawal binaries.  Moving one bus angle touches two lines (4
@@ -306,9 +357,9 @@ def test_program_beyond_128_binaries():
     assert res.objective == 7
     _assert_result_shape(res, model.H, 1, 0.1)
     support0 = [i - 1 for i in res.support]
-    assert _stealthy(model.H, support0, 0)
+    assert set_admits_target(model.H, support0, 0)
     for drop in set(support0) - {0}:
-        assert not _stealthy(model.H, [i for i in support0 if i != drop], 0)
+        assert not set_admits_target(model.H, [i for i in support0 if i != drop], 0)
 
 
 # A 40-row ieee14 plan (measurement numbers in the bundled case, in plan
@@ -332,8 +383,8 @@ def test_plan_where_presolve_overshoots():
         measurements=tuple(base.measurements[i - 1] for i in PLAN40_ROWS),
     )
     h = build_model(case).H
-    assert _stealthy(h, [3, 12, 15, 20, 23, 34, 38], 3)
+    assert set_admits_target(h, [3, 12, 15, 20, 23, 34, 38], 3)
     for index in (fdi_index, combined_index):
         res = index(IndexQuery(h, 4))
         assert res.objective == 7
-        assert _stealthy(h, [i - 1 for i in res.support], 3)
+        assert set_admits_target(h, [i - 1 for i in res.support], 3)
