@@ -28,8 +28,8 @@ from .estimator import compute_gains, compute_reduced_gains
 from .network import GridModel
 from .security import IndexQuery, combined_index
 
-# The per-run reference path of the batched Monte Carlo below, kept
-# importable here because perfbench/tracer.py patches these names.
+# Unused here since the Monte Carlo below draws and tests whole blocks,
+# kept importable because perfbench/tracer.py patches these names.
 from .detector import j_test  # noqa: F401
 from .network import synthesize_measurements  # noqa: F401
 
@@ -139,16 +139,11 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _draw_noise(model: GridModel, base: tuple, start: int,
+def _draw_noise(model: GridModel, rng: np.random.Generator,
                 out: np.ndarray) -> np.ndarray:
-    """Fill row k of out with the noise of run start + k, scaled by sigma.
-
-    Run i draws from its own stream seeded by base + (i,), the same
-    stream and values synthesize_measurements(model, 0, seed=base + (i,))
-    draws, so the rows do not depend on block size.
-    """
-    for k, row in enumerate(out):
-        np.random.default_rng(base + (start + k,)).standard_normal(out=row)
+    """Fill out with the next out.size standard normals of rng, row by
+    row, scaled by sigma: row k is the noise of the k-th run of the block."""
+    rng.standard_normal(out=out)
     out *= model.sigma
     return out
 
@@ -159,27 +154,35 @@ def empirical_detection(
     config: BddConfig,
     runs: int,
     seed,
+    gains=None,
 ) -> MonteCarloReport:
     """Alarm rate of the residual test over seeded Monte Carlo noise draws.
 
-    Run i draws its own stream from (seed, i), so the report does not
-    depend on how the runs are grouped.  The statistic's distribution
-    does not depend on the operating state, so runs synthesize around
-    the zero state.  Runs are tested in blocks of MC_BLOCK: one residual
-    product and one vectorised statistic test the whole block.
+    One stream, np.random.default_rng(seed), feeds all runs: run i is the
+    i-th block of m normals drawn from it, so the report does not depend
+    on how the runs are grouped.  The statistic's distribution does not
+    depend on the operating state, so runs synthesize around the zero
+    state.  Runs are tested in blocks of MC_BLOCK: one residual product
+    and one vectorised statistic test the whole block.  gains, when
+    given, must match the attack's availability mask; by default they
+    are computed here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    gains = _gains_for(model, attack)
+    if gains is None:
+        gains = _gains_for(model, attack)
+    else:
+        _check_gains_match(gains, attack)
     if config.dof != gains.dof:
         raise ValueError(
             f"config dof {config.dof} does not match reduced dof {gains.dof}"
         )
     base = _seed_tuple(seed)
+    rng = np.random.default_rng(base)
     buf = np.empty((min(runs, MC_BLOCK), model.m))
     alarms = 0
     for start in range(0, runs, MC_BLOCK):
-        z = _draw_noise(model, base, start, buf[: runs - start])
+        z = _draw_noise(model, rng, buf[: runs - start])
         z += attack.a
         alarms += int(np.count_nonzero(residual_statistic(gains, z) > config.tau))
     low, high = _wilson_interval(alarms, runs)
@@ -220,10 +223,11 @@ def risk_sweep(
     and one vectorised noncentral CDF gives delta.  At mu = 0 nothing is
     corrupted, so k_a is 0 there.
 
-    runs > 0 adds a Monte Carlo alarm count per point, seeded per (seed,
-    attack index, point index, run).  The mapper fans out over those
-    grid points; each point draws and tests its runs serially (see
-    empirical_detection).
+    runs > 0 adds a Monte Carlo alarm count per point.  Each point draws
+    its runs in order from one stream seeded by (seed, attack index,
+    point index) and tests them serially with the variant's gains (see
+    empirical_detection).  The mapper fans out over the grid points, so
+    the counts do not depend on the thread count.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -255,7 +259,7 @@ def risk_sweep(
                 pi, mu_i = item
                 return empirical_detection(
                     model, scale_attack(attack, mu_i), config, runs,
-                    seed=(seed, ai, pi),
+                    seed=(seed, ai, pi), gains=gains,
                 ).alarms
 
             alarms = np.array(list((mapper or map)(alarm_count,

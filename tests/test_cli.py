@@ -337,6 +337,32 @@ def test_replay_warns_on_version_mismatch(tmp_path, capsys):
     assert "warning" in err and "0.0.0-old" in err and gridrisk.__version__ in err
 
 
+def test_replay_warns_on_manifest_from_per_run_streams(tmp_path, capsys):
+    # gridrisk 0.1.0 seeded one noise stream per Monte Carlo run, so its
+    # --empirical columns differ from this version's
+    out = tmp_path / "detect.csv"
+    assert main(["detect", "--case", RING4, "--target", "5", "--empirical",
+                 "--runs", "20", "--mu-points", "3", "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "detect.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    assert doc["version"] == gridrisk.__version__ != "0.1.0"
+    doc["version"] = "0.1.0"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 0
+    err = capsys.readouterr().err
+    assert "gridrisk 0.1.0" in err and "output may differ" in err
+    assert out.read_bytes() == fresh
+
+
+def test_package_and_project_versions_agree():
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    line = next(row for row in _read(pyproject).splitlines()
+                if row.startswith("version"))
+    assert line.split("=", 1)[1].strip().strip('"') == gridrisk.__version__
+
+
 def _run_cli(args, threads, cwd):
     env = dict(os.environ, GRIDRISK_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))

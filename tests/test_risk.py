@@ -6,7 +6,7 @@ import pytest
 from gridrisk.attack import build_full_knowledge_attack, perturb_model, scale_attack
 from gridrisk.detector import detection_probability, j_test, make_bdd_config
 from gridrisk.estimator import compute_gains, compute_reduced_gains
-from gridrisk.network import synthesize_measurements
+from gridrisk import risk
 from gridrisk.risk import (
     MC_BLOCK,
     _draw_noise,
@@ -137,15 +137,12 @@ def test_empirical_deterministic(ieee14, stealth_attack):
 
 
 def _per_run_alarms(model, attack, cfg, runs, seed):
-    """Reference: one synthesized draw and one j_test per run."""
+    """Reference: the whole noise matrix in one draw from the point's
+    stream, then one j_test per run."""
     gains = (compute_reduced_gains(model, attack.d) if attack.k_d
              else compute_gains(model))
-    x0 = np.zeros(model.n)
-    return sum(
-        j_test(gains, synthesize_measurements(model, x0, seed=(seed, i)).z
-               + attack.a, cfg).bad
-        for i in range(runs)
-    )
+    noise = np.random.default_rng(seed).standard_normal((runs, model.m)) * model.sigma
+    return sum(j_test(gains, row + attack.a, cfg).bad for row in noise)
 
 
 @pytest.fixture(scope="module")
@@ -156,13 +153,14 @@ def mc_attacks(ieee14, stealth_attack, ieee_variants):
 
 
 def test_batched_noise_rows_are_the_per_run_draws(ieee14):
+    # blocks drawn in turn from one stream are the rows of one draw
     base = (4, 1, 7)
-    start = MC_BLOCK - 2
-    rows = _draw_noise(ieee14, base, start, np.empty((5, ieee14.m)))
-    x0 = np.zeros(ieee14.n)
-    for k, row in enumerate(rows):
-        snap = synthesize_measurements(ieee14, x0, seed=base + (start + k,))
-        np.testing.assert_array_equal(row, snap.z)
+    rng = np.random.default_rng(base)
+    rows = np.empty((5, ieee14.m))
+    _draw_noise(ieee14, rng, rows[:3])
+    _draw_noise(ieee14, rng, rows[3:])
+    expected = np.random.default_rng(base).standard_normal((5, ieee14.m)) * ieee14.sigma
+    np.testing.assert_array_equal(rows, expected)
 
 
 @pytest.mark.parametrize("kind", ["stealth", "fdi", "none"])
@@ -181,6 +179,31 @@ def test_batched_alarms_across_block_boundary(ieee14, mc_attacks):
     report = empirical_detection(ieee14, attack, cfg, runs=runs, seed=12)
     assert report.runs == runs
     assert report.alarms == _per_run_alarms(ieee14, attack, cfg, runs, 12)
+
+
+@pytest.mark.parametrize("kind", ["stealth", "fdi"])
+def test_alarms_do_not_depend_on_block_size(ieee14, mc_attacks, monkeypatch, kind):
+    attack = mc_attacks[kind]
+    cfg = make_bdd_config(0.05, ieee14.m - ieee14.n - attack.k_d)
+    default = empirical_detection(ieee14, attack, cfg, runs=500, seed=(2, 1, 3))
+    monkeypatch.setattr(risk, "MC_BLOCK", 7)
+    small = empirical_detection(ieee14, attack, cfg, runs=500, seed=(2, 1, 3))
+    assert small == default
+
+
+def test_empirical_gains_argument(ieee14, stealth_attack):
+    gains = compute_reduced_gains(ieee14, stealth_attack.d)
+    cfg = make_bdd_config(0.05, gains.dof)
+    own = empirical_detection(ieee14, stealth_attack, cfg, runs=200, seed=4)
+    given = empirical_detection(ieee14, stealth_attack, cfg, runs=200, seed=4,
+                                gains=gains)
+    assert given == own
+    wrong = np.zeros(ieee14.m)
+    wrong[0] = 1.0
+    for bad in (compute_gains(ieee14), compute_reduced_gains(ieee14, wrong)):
+        with pytest.raises(ValueError, match="gains"):
+            empirical_detection(ieee14, stealth_attack, cfg, runs=10, seed=4,
+                                gains=bad)
 
 
 def test_empirical_validation(ieee14, stealth_attack):
