@@ -5,6 +5,21 @@ presolve off, then checks the answer itself: the point must meet every
 constraint at HiGHS's own tolerances, and the incumbent must sit within
 HiGHS's absolute gap of its dual bound.
 
+HiGHS's feasibility-jump primal heuristic (Luteberget & Sartor, Math.
+Prog. Comp. 2023) is off.  It runs before the root LP, and on the index
+programs, which mostly close within a few branch-and-bound nodes, it took
+about half of HiGHS's time: the 26 programs of a 40-row ieee14 plan took
+0.48 s with it and 0.25 s without, at the same 40 nodes (one core of a
+2-vCPU VM).  A primal heuristic only decides which optimum is found
+first, never which one is proven, so optimal values do not change; among
+equally good points a different one may be reported.  scipy passes the
+option to HiGHS verbatim and warns about it on every call.  That one
+warning is ignored by a filter set at import (and put back if a reset
+drops it), since a per-call `warnings.catch_warnings` is not
+thread-safe.  For the same reason the constraints reach scipy as a sparse
+matrix: converting a dense one, scipy switches every warning in the
+process to an error for a moment.
+
 HiGHS prints some MIP diagnostics straight to file descriptor 1, whatever
 its logging options say, so solves run with fd 1 on the null device.  The
 first solve in flight redirects and the last one restores, so concurrent
@@ -17,20 +32,33 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import re
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 # HiGHS defaults of mip_feasibility_tolerance and mip_abs_gap
 _FEAS_TOL = 1e-6
 _ABS_GAP = 1e-6
 # With presolve on, HiGHS 1.12 proved a wrong optimum on a seeded 40-row
-# ieee14 plan: 8 where a stealth-verified 7-row support exists.
-_OPTIONS = {"mip_rel_gap": 0.0, "presolve": False}
+# ieee14 plan: 8 where a stealth-verified 7-row support exists.  Feasibility
+# jump took about as long per index program as everything after it, and
+# cannot help prove the optimum.
+_OPTIONS = {"mip_rel_gap": 0.0, "presolve": False,
+            "mip_heuristic_run_feasibility_jump": False}
+# scipy's warning that it passes the option above to HiGHS verbatim
+# (message, category, module), and the "ignore" filter for it as
+# `warnings.filterwarnings` stores it
+_OPTION_WARNING = (r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}",
+                   RuntimeWarning, re.escape(__name__) + r"\Z")
+_OPTION_WARNING_FILTER = ("ignore", re.compile(_OPTION_WARNING[0], re.I), RuntimeWarning,
+                          re.compile(_OPTION_WARNING[2]), 0)
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
@@ -81,6 +109,16 @@ def _as_matrix(a, ncols):
         raise MilpError(f"constraint matrix must have {ncols} columns")
     return a
 
+
+def _ignore_option_warning():
+    # Run at import and before each solve.  The filter list changes only
+    # when a reset, such as the end of a catch_warnings block, dropped the
+    # filter, so concurrent solves do not rewrite it.
+    if _OPTION_WARNING_FILTER not in warnings.filters:
+        warnings.filterwarnings("ignore", *_OPTION_WARNING)
+
+
+_ignore_option_warning()
 
 try:
     _c_fflush = ctypes.CDLL(None).fflush
@@ -141,8 +179,11 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
     if np.any(lb[binary] < -1e-12) or np.any(ub[binary] > 1.0 + 1e-12):
         raise MilpError("binary variables must have bounds within [0, 1]")
 
-    constraints = [LinearConstraint(a_ub, -np.inf, b_ub),
-                   LinearConstraint(a_eq, b_eq, b_eq)]
+    # sparse, so no other thread's option warning is raised as an error
+    constraints = LinearConstraint(csc_array(np.vstack([a_ub, a_eq])),
+                                   np.r_[np.full(b_ub.size, -np.inf), b_eq],
+                                   np.r_[b_ub, b_eq])
+    _ignore_option_warning()
     with _quiet_fd1():
         res = milp(c, integrality=binary, bounds=Bounds(lb, ub),
                    constraints=constraints, options=_OPTIONS)

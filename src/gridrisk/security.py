@@ -12,10 +12,16 @@ cheaper action on every other row, so gamma = C_I + (alpha - 1) min(C_I, C_A).
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary.
 Every support the solver reports is refit with exact zeros off the
-support and checked for stealth before it is returned.  Among equally
-sparse supports, the one reported is the one HiGHS finds first.  A
-brute-force critical-tuple search over measurement subsets provides an
-independent oracle for small systems.
+support and checked for stealth before it is returned.
+
+Every program is solved at the magnitude 0.1, with the big-M box scaled
+by 0.1/|mu| (the default box is then the same for every mu), and only the
+refit uses the query's mu.  The support is therefore the same for every
+mu, and the certificate scales with mu.  Among equally sparse supports,
+the one reported is the one HiGHS proves optimal first; it is fixed for a
+given scipy build and solver options, but follows no ordering of the
+rows.  A brute-force critical-tuple search over measurement subsets
+provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .milp import MilpProblem, solve_milp
 
 PARALLEL_ATOL = 1e-8
 BIG_M_FACTOR = 1e4       # default M = BIG_M_FACTOR * |mu|
+_PROGRAM_MU = 0.1        # the magnitude every index program is solved at
 _M_GUARD = 0.99
 _MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
 _MAX_CUTS = 64           # refuted candidate supports before giving up
@@ -114,7 +122,10 @@ def parallel_classes(h):
     Returns (classes, row_class): classes is a list of index arrays, one
     per class in order of first appearance; row_class maps each row to its
     class id.  Such rows share the same zero set for every c, which is
-    what lets one binary represent the whole class.
+    what lets one binary represent the whole class.  Rows are compared as
+    unit vectors signed so their first entry above PARALLEL_ATOL is
+    positive; a row joins the first earlier class whose first row it
+    matches to PARALLEL_ATOL in every entry, or else opens a class.
     """
     h = _matrix(h)
     m = h.shape[0]
@@ -122,24 +133,18 @@ def parallel_classes(h):
     if np.any(norms < 1e-12):
         raise SecurityIndexError("model matrix has a zero row")
     units = h / norms[:, None]
-    reps = []
-    members = []
-    row_class = np.empty(m, dtype=int)
+    lead = np.argmax(np.abs(units) > PARALLEL_ATOL, axis=1)
+    units[units[np.arange(m), lead] < 0] *= -1.0
+    close = cdist(units, units, "chebyshev") <= PARALLEL_ATOL
+    np.fill_diagonal(close, True)  # a row with a NaN still opens its own class
+    classes = []
+    row_class = np.full(m, -1)
     for i in range(m):
-        u = units[i]
-        lead = int(np.argmax(np.abs(u) > PARALLEL_ATOL))
-        if u[lead] < 0:
-            u = -u
-        for ci, v in enumerate(reps):
-            if np.max(np.abs(v - u)) <= PARALLEL_ATOL:
-                members[ci].append(i)
-                row_class[i] = ci
-                break
-        else:
-            reps.append(u)
-            members.append([i])
-            row_class[i] = len(reps) - 1
-    classes = [np.array(ms, dtype=int) for ms in members]
+        if row_class[i] < 0:
+            # no earlier class took row i, and none can take a row it matches
+            members = np.flatnonzero(close[i] & (row_class < 0))
+            row_class[members] = len(classes)
+            classes.append(members)
     return classes, row_class
 
 
@@ -231,12 +236,15 @@ def _solve_index(query: IndexQuery, with_d: bool = False) -> SecurityIndexResult
     h, j0, mu = query.h, query.target_j - 1, query.mu
     n = h.shape[1]
     classes, row_class = parallel_classes(h)
-    big = query.resolved_big_m
+    # The program is posed at magnitude _PROGRAM_MU with the box scaled to
+    # match (the default box exactly, so the program does not depend on mu)
+    scale = _PROGRAM_MU / abs(mu)
+    big = BIG_M_FACTOR * _PROGRAM_MU if query.big_m is None else query.big_m * scale
     enlargements = 0
     cuts = []
     while True:
-        problem, h_rep = _build_problem(h, classes, row_class, j0, mu, big,
-                                        with_d, cuts)
+        problem, h_rep = _build_problem(h, classes, row_class, j0, _PROGRAM_MU,
+                                        big, with_d, cuts)
         sol = solve_milp(problem)
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
@@ -247,7 +255,7 @@ def _solve_index(query: IndexQuery, with_d: bool = False) -> SecurityIndexResult
                 raise SecurityIndexError(
                     f"no stealthy support after {_MAX_CUTS} refuted candidates")
             cuts.append((~on).astype(float))
-        elif np.max(np.abs(h @ cert)) > _M_GUARD * big:
+        elif np.max(np.abs(h @ cert)) * scale > _M_GUARD * big:
             # big-M validity guard: even the least-norm certificate of the
             # support nearly fills the box, so the box may cut off others
             if enlargements == _MAX_ENLARGEMENTS:

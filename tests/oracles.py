@@ -60,6 +60,31 @@ def enumeration_family(h: np.ndarray, j0: int):
     return frozenset(sets)
 
 
+def parallel_classes_by_row(h: np.ndarray, atol: float):
+    """Parallel row classes by a per-row scan: each row, as a unit vector
+    signed so its first entry above atol is positive, joins the first
+    earlier class whose first row it matches to atol in every entry, or
+    opens a class.  Returns (classes, row_class) like
+    `gridrisk.security.parallel_classes`."""
+    units = h / np.linalg.norm(h, axis=1)[:, None]
+    reps, members = [], []
+    row_class = np.empty(h.shape[0], dtype=int)
+    for i, u in enumerate(units):
+        lead = int(np.argmax(np.abs(u) > atol))
+        if u[lead] < 0:
+            u = -u
+        for ci, v in enumerate(reps):
+            if np.max(np.abs(v - u)) <= atol:
+                members[ci].append(i)
+                row_class[i] = ci
+                break
+        else:
+            reps.append(u)
+            members.append([i])
+            row_class[i] = len(reps) - 1
+    return [np.array(ms, dtype=int) for ms in members], row_class
+
+
 def withdrawal_index(h: np.ndarray, j0: int, ci: float, ca: float):
     """Cheapest stealth attack on row j0 when each row may be corrupted at
     cost ci or withdrawn at cost ca, as its own MILP.

@@ -356,6 +356,24 @@ def test_replay_warns_on_manifest_from_per_run_streams(tmp_path, capsys):
     assert out.read_bytes() == fresh
 
 
+def test_replay_warns_on_index_manifest_from_0_2_0(tmp_path, capsys):
+    # gridrisk 0.2.0 ran HiGHS's feasibility-jump heuristic, so its index
+    # CSVs may report other, equally sparse supports than this version's
+    out = tmp_path / "index.csv"
+    assert main(["index", "--case", RING4, "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "index.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    assert doc["version"] == gridrisk.__version__ != "0.2.0"
+    doc["version"] = "0.2.0"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 0
+    err = capsys.readouterr().err
+    assert "gridrisk 0.2.0" in err and "output may differ" in err
+    assert out.read_bytes() == fresh
+
+
 def test_package_and_project_versions_agree():
     pyproject = Path(SRC).parent / "pyproject.toml"
     line = next(row for row in _read(pyproject).splitlines()
@@ -386,6 +404,9 @@ def test_two_threads_finish_with_serial_bytes(tmp_path, args):
         proc = _run_cli([*args, "--out", str(out)], threads, tmp_path)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b""
+        if args[0] == "index":
+            # nothing from scipy or HiGHS either, such as a warning per solve
+            assert proc.stderr == b""
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

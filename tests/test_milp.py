@@ -1,6 +1,10 @@
 """The HiGHS wrapper against direct scipy calls, exhaustive enumeration,
 and a dynamic-programming knapsack oracle, plus its own answer checks."""
 
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, OptimizeResult, milp as scipy_milp
@@ -139,6 +143,34 @@ def test_statuses():
     prob = _problem([-1.0, 0.0], np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)),
                     np.zeros(0), [False, True], [0.0, 0.0], [np.inf, 1.0])
     assert solve_milp(prob).status == "unbounded"
+
+
+def test_option_warning_is_ignored_but_others_are_not():
+    prob = _pick_two()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        solve_milp(prob)
+        warnings.warn("unrelated", RuntimeWarning)
+    assert [str(w.message) for w in caught] == ["unrelated"]
+
+
+def test_concurrent_solves_never_raise_the_option_warning():
+    # A dense constraint matrix made scipy switch every warning to an error
+    # while it converted it, so a solve in another thread raised its
+    # option warning.  A tiny switch interval makes that window easy to hit.
+    prob = _pick_two()
+
+    def solve_many(_):
+        return [solve_milp(prob).objective for _ in range(50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(solve_many, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(x == 2.0 for batch in results for x in batch)
 
 
 def test_node_hook_rejected():

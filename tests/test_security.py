@@ -31,6 +31,7 @@ from oracles import (
     certificate_for_set,
     enumeration_alpha,
     enumeration_family,
+    parallel_classes_by_row,
     random_observable_matrix,
     set_admits_target,
     withdrawal_index,
@@ -171,6 +172,23 @@ def test_magnitude_homogeneity(ring4):
     )
 
 
+def test_support_does_not_depend_on_magnitude(ring4, ieee14):
+    # every program is solved at one magnitude, so mu only scales the
+    # certificate, whatever its size or sign
+    for model, targets in ((ring4, range(1, ring4.m + 1)), (ieee14, (1, 9, 44))):
+        for index in (fdi_index, combined_index):
+            for j in targets:
+                ref = index(IndexQuery(model.H, j, mu=0.1))
+                for mu in (1e-3, -0.5, 25.0):
+                    res = index(IndexQuery(model.H, j, mu=mu))
+                    assert res.support == ref.support
+                    assert res.objective == ref.objective
+                    np.testing.assert_allclose(
+                        res.certificate_c, (mu / 0.1) * ref.certificate_c,
+                        rtol=1e-9, atol=1e-12 * abs(mu))
+                    _assert_result_shape(res, model.H, j, mu)
+
+
 def test_big_m_insensitivity(chain3, ring4):
     for model, j in ((chain3, 2), (ring4, 7)):
         base = IndexQuery(model.H, j)
@@ -199,6 +217,60 @@ def test_parallel_classes_structure(ieee14):
         for i in cls[1:]:
             cross = np.outer(lead, ieee14.H[i]) - np.outer(ieee14.H[i], lead)
             assert np.max(np.abs(cross)) <= 1e-8 * max(np.abs(lead).max(), 1e-30)
+
+
+def _assert_same_classes(h):
+    classes, row_class = parallel_classes(h)
+    ref_classes, ref_row_class = parallel_classes_by_row(h, security.PARALLEL_ATOL)
+    assert len(classes) == len(ref_classes)
+    for cls, ref in zip(classes, ref_classes):
+        np.testing.assert_array_equal(cls, ref)
+    np.testing.assert_array_equal(row_class, ref_row_class)
+    return classes
+
+
+def test_parallel_classes_match_per_row_scan_on_cases(chain3, ring4, ieee14):
+    for model in (chain3, ring4, ieee14):
+        _assert_same_classes(model.H)
+
+
+def _planted_rows(rng, atol):
+    """Rows along a few random directions u: each is s (u + t atol w) for a
+    random scale s of either sign and a shift t along a direction w
+    orthogonal to u whose largest entry is 1, so two rows of one direction
+    differ by about |t1 - t2| atol at most once made unit and
+    sign-canonical.  Shifts 0.95 and 1.05 sit just inside and just outside
+    atol of an unshifted row, and 0.6 / 1.2 make chains where a row
+    matches a neighbour but not the class's first row.  Returns the rows
+    and the direction each was drawn along."""
+    n = int(rng.integers(2, 6))
+    rows, direction = [], []
+    for d in range(int(rng.integers(2, 5))):
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        w = rng.normal(size=n)
+        w -= (w @ u) * u
+        w /= np.abs(w).max()
+        for t in rng.choice([0.0, 0.0, 0.6, 0.95, 1.05, 1.2, -0.5, 2.0],
+                            size=int(rng.integers(2, 7))):
+            s = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+            rows.append(s * (u + t * atol * w))
+            direction.append(d)
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], np.array(direction)[order]
+
+
+def test_parallel_classes_match_per_row_scan_on_planted_rows():
+    sizes, splits, flips = [], 0, 0
+    for seed in range(40):
+        h, direction = _planted_rows(np.random.default_rng(seed), security.PARALLEL_ATOL)
+        classes = _assert_same_classes(h)
+        sizes += [len(c) for c in classes]
+        # a direction whose rows fell into several classes
+        splits += len(classes) - len(set(direction))
+        flips += sum(len(set(np.sign(h[c, 0]))) > 1 for c in classes)
+    # the data must exercise merging, splitting and anti-parallel members
+    assert max(sizes) > 2 and splits > 0 and flips > 0
 
 
 def test_index_sweep_consistent_with_single_solves(chain3):
