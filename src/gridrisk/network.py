@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,9 @@ def _require_keys(doc: dict, allowed: dict, where: str):
 
 
 def _validate_case(case: GridCase):
-    if case.base_mva <= 0:
-        raise CaseValidationError("base_mva must be positive")
+    # a chained comparison with inf is false for NaN and for inf itself
+    if not 0.0 < case.base_mva < math.inf:
+        raise CaseValidationError("base_mva must be positive and finite")
     if not case.buses:
         raise CaseValidationError("case declares no buses")
     bus_ids = [b.id for b in case.buses]
@@ -112,8 +114,8 @@ def _validate_case(case: GridCase):
             )
         if ln.from_bus == ln.to_bus:
             raise CaseValidationError(f"line {ln.id}: from and to bus coincide")
-        if not ln.reactance > 0:
-            raise CaseValidationError(f"line {ln.id}: reactance must be positive")
+        if not 0.0 < ln.reactance < math.inf:
+            raise CaseValidationError(f"line {ln.id}: reactance must be positive and finite")
     if not case.measurements:
         raise CaseValidationError("measurement plan is empty")
     lines_by_id = {ln.id: ln for ln in case.lines}
@@ -126,8 +128,8 @@ def _validate_case(case: GridCase):
                 raise CaseValidationError(f"{where}: unknown bus {meas.element}")
         elif meas.element not in lines_by_id:
             raise CaseValidationError(f"{where}: unknown line {meas.element}")
-        if not meas.sigma > 0:
-            raise CaseValidationError(f"{where}: sigma must be strictly positive")
+        if not 0.0 < meas.sigma < math.inf:
+            raise CaseValidationError(f"{where}: sigma must be positive and finite")
 
 
 def load_case(document) -> GridCase:

@@ -332,8 +332,10 @@ def tuple_attack_variants(
 
     One certificate feeds every variant, so they act on the same rows:
     the pure FDI corrupts the whole tuple, the combined variants keep
-    one or two rows corrupted and withdraw the rest.  Returned as
-    (attack_id, AttackVector) pairs in increasing k_a order.
+    one or two rows corrupted and withdraw the rest.  The tuple is
+    alpha's support in the attacker's model, as `combined_index` reports
+    it.  Returned as (attack_id, AttackVector) pairs in increasing k_a
+    order.
     """
     res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j, mu=mu))
     support = list(res.support)

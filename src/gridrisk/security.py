@@ -72,8 +72,8 @@ class IndexQuery:
         if not all(np.isfinite(c) and c >= 0
                    for c in (self.cost_integrity, self.cost_availability)):
             raise SecurityIndexError("costs must be finite and nonnegative")
-        if self.big_m is not None and self.big_m <= 0:
-            raise SecurityIndexError("big_m must be positive")
+        if self.big_m is not None and not (np.isfinite(self.big_m) and self.big_m > 0):
+            raise SecurityIndexError("big_m must be positive and finite")
 
     @property
     def resolved_big_m(self) -> float:
@@ -148,29 +148,24 @@ def parallel_classes(h):
     return classes, row_class
 
 
-def _build_problem(h, classes, row_class, j0, mu, big_m, with_d, cuts):
-    m, n = h.shape
+def _build_problem(h, classes, row_class, j0, mu, big_m, cuts):
+    n = h.shape[1]
     ncls = len(classes)
-    jc = int(row_class[j0])
     norms = np.linalg.norm(h, axis=1)
     rep_rows = np.array([cls[np.argmax(norms[cls])] for cls in classes])
     h_rep = h[rep_rows]
 
-    nv = n + ncls + (m if with_d else 0)
-    n_ub = 2 * ncls + (m if with_d else 0) + len(cuts)
+    nv = n + ncls
+    n_ub = 2 * ncls + len(cuts)
     a_ub = np.zeros((n_ub, nv))
     b_ub = np.zeros(n_ub)
     a_ub[0 : 2 * ncls : 2, :n] = h_rep
     a_ub[1 : 2 * ncls : 2, :n] = -h_rep
     a_ub[np.arange(2 * ncls), n + np.repeat(np.arange(ncls), 2)] = -big_m
-    if with_d:
-        d_rows = 2 * ncls + np.arange(m)
-        a_ub[d_rows, n + ncls + np.arange(m)] = 1.0
-        a_ub[d_rows, n + row_class] = -1.0
     if cuts:
         # at least one class outside each refuted support must be attacked
-        a_ub[n_ub - len(cuts) :, n : n + ncls] = -np.array(cuts)
-        b_ub[n_ub - len(cuts) :] = -1.0
+        a_ub[2 * ncls :, n:] = -np.array(cuts)
+        b_ub[2 * ncls :] = -1.0
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = h[j0]
     b_eq = np.array([mu])
@@ -181,12 +176,10 @@ def _build_problem(h, classes, row_class, j0, mu, big_m, with_d, cuts):
     ub = np.full(nv, np.inf)
     lb[n:] = 0.0
     ub[n:] = 1.0
-    lb[n + jc] = 1.0  # target row is corrupted by definition
-    if with_d:
-        ub[n + ncls + j0] = 0.0  # the target value must be written, not withdrawn
+    lb[n + row_class[j0]] = 1.0  # target row is corrupted by definition
 
     objective = np.zeros(nv)
-    objective[n : n + ncls] = [len(cls) for cls in classes]  # withdrawal is free
+    objective[n:] = [len(cls) for cls in classes]
     return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub), h_rep
 
 
@@ -222,7 +215,7 @@ def _rows_of(classes, on):
     return np.sort(np.concatenate([classes[k] for k in np.flatnonzero(on)]))
 
 
-def _solve_index(query: IndexQuery, with_d: bool = False) -> SecurityIndexResult:
+def _solve_index(query: IndexQuery) -> SecurityIndexResult:
     """Sparsest stealth support through the target, with its certificate.
 
     HiGHS accepts a binary within its integrality tolerance of 0 while the
@@ -244,7 +237,7 @@ def _solve_index(query: IndexQuery, with_d: bool = False) -> SecurityIndexResult
     cuts = []
     while True:
         problem, h_rep = _build_problem(h, classes, row_class, j0, _PROGRAM_MU,
-                                        big, with_d, cuts)
+                                        big, cuts)
         sol = solve_milp(problem)
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
@@ -283,13 +276,12 @@ def fdi_index(query: IndexQuery) -> SecurityIndexResult:
 def combined_index(query: IndexQuery) -> SecurityIndexResult:
     """beta: fewest corruptions when availability attacks may substitute.
 
-    beta is alpha, reported with every row written.  The zero-cost
-    withdrawal binaries this program adds only steer which equally sparse
-    support HiGHS reports.  `risk.tuple_attack_variants` builds on that
-    support, and acceptance criterion 08's risk ordering holds on it (not
-    on alpha's) for the seed-7 attacker model of ieee14 target 9.
+    A withdrawn row leaves the stealth condition just as a corrupted one
+    does, so beta is alpha: this is alpha's program and support, reported
+    with every row written.  `risk.tuple_attack_variants` builds its
+    variants on that support.
     """
-    return _solve_index(query, with_d=True)
+    return _solve_index(query)
 
 
 def cost_weighted_index(query: IndexQuery) -> SecurityIndexResult:

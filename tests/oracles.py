@@ -13,6 +13,8 @@ import warnings
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from gridrisk.attack import build_limited_knowledge_attack
+
 WITHDRAWAL_BIG_M = 1e4
 
 
@@ -144,6 +146,28 @@ def certificate_for_set(h: np.ndarray, rows, j0: int, mu: float) -> np.ndarray:
     b[-1] = mu
     c, *_ = np.linalg.lstsq(a_eq, b, rcond=None)
     return c
+
+
+def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:
+    """The (attack_id, AttackVector) pairs `tuple_attack_variants`
+    specifies on a critical tuple of at least three rows (1-based, through
+    target_j): one certificate_for_set, then combined_1 withdrawing every
+    other tuple row, combined_2 keeping the lowest-numbered other row
+    corrupted, and fdi withdrawing nothing.  The vectors come from the
+    package's attack constructor."""
+    rows = sorted(rows)
+    c = certificate_for_set(perturbed.H, [i - 1 for i in rows], target_j - 1, mu)
+    others = [i for i in rows if i != target_j]
+
+    def variant(withdrawn):
+        d = np.zeros(perturbed.H.shape[0])
+        d[[i - 1 for i in withdrawn]] = 1.0
+        return build_limited_knowledge_attack(perturbed, c, d, target_j)
+
+    k = len(rows)
+    return [(f"combined_1_{k - 1}", variant(others)),
+            (f"combined_2_{k - 2}", variant(others[1:])),
+            (f"fdi_{k}", variant([]))]
 
 
 def empirical_cdf(samples: np.ndarray, x: float) -> float:

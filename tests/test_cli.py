@@ -315,6 +315,19 @@ def test_invalid_case_exits_2(tmp_path, capsys):
     assert "invalid case" in capsys.readouterr().err
 
 
+def test_non_finite_sigma_exits_2(tmp_path, capsys):
+    doc = json.loads((resources.files("gridrisk") / "cases" / "ieee14.json").read_text())
+    doc["measurements"][3]["sigma"] = float("inf")
+    case = tmp_path / "inf_sigma.json"
+    case.write_text(json.dumps(doc))
+    assert "Infinity" in case.read_text()
+    rc = main(["detect", "--case", str(case), "--target", "9", "--mu-points", "2",
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "measurement 4: sigma" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gridrisk.attack import build_full_knowledge_attack, perturb_model, scale_attack
+from gridrisk.attack import build_full_knowledge_attack, scale_attack
 from gridrisk.detector import make_bdd_config, residual_statistic
 from gridrisk.estimator import compute_gains, compute_reduced_gains
-from gridrisk.risk import _draw_noise, empirical_detection, tuple_attack_variants
+from gridrisk.risk import _draw_noise, empirical_detection
 
 ALPHA = 0.05
 SEEDS = 400
@@ -24,15 +24,10 @@ KS_MIN_P = 1e-3
 
 
 @pytest.fixture(scope="module")
-def variants14(ieee14):
-    perturbed = perturb_model(ieee14, 0.2, seed=7)
-    return dict(tuple_attack_variants(perturbed, target_j=9, mu=0.1))
-
-
-@pytest.fixture(scope="module")
 def fdi_point(ieee14, variants14):
-    """The fdi_11 variant at mu = 0.5, its full gains and its
-    noncentrality, computed here from the gains alone."""
+    """The fdi_11 variant (on conftest's named seed-7 tuple) at mu = 0.5,
+    its full gains and its noncentrality, computed here from the gains
+    alone."""
     attack = scale_attack(variants14["fdi_11"], 0.5)
     gains = compute_gains(ieee14)
     r = (attack.a @ gains.S.T) / gains.sigma

@@ -131,6 +131,23 @@ def test_validation_rejects_bad_documents(mutate, fragment):
         load_case(doc)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda d, x: d.__setitem__("base_mva", x), "base_mva"),
+        (lambda d, x: d["lines"][1].__setitem__("reactance", x), "reactance"),
+        (lambda d, x: d["measurements"][3].__setitem__("sigma", x), "sigma"),
+    ],
+)
+def test_validation_rejects_non_finite_numbers(mutate, fragment, bad):
+    # json reads the Infinity and NaN literals, so the check must be explicit
+    doc = copy.deepcopy(_chain3_doc())
+    mutate(doc, bad)
+    with pytest.raises(CaseValidationError, match=fragment):
+        load_case(json.dumps(doc))
+
+
 def test_not_json_rejected():
     with pytest.raises(CaseValidationError):
         load_case("{ not json")

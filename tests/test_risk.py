@@ -20,6 +20,8 @@ from gridrisk.risk import (
 )
 from gridrisk.security import IndexQuery, combined_index
 
+from oracles import enumeration_alpha, set_admits_target, tuple_variants
+
 
 @pytest.fixture(scope="module")
 def chain_variants(chain3):
@@ -28,9 +30,34 @@ def chain_variants(chain3):
 
 
 @pytest.fixture(scope="module")
-def ieee_variants(ieee14):
-    perturbed = perturb_model(ieee14, 0.2, seed=7)
-    return tuple_attack_variants(perturbed, target_j=9, mu=0.1)
+def ieee_variants(reported_variants14):
+    return reported_variants14[7][1]
+
+
+def _assert_variants_follow_spec(perturbed, variants, target_j, alpha):
+    """Rebuild the variants from the tuple they act on, the target and
+    every row combined_1 withdraws, and compare."""
+    rows = sorted({target_j, *(np.flatnonzero(variants[0][1].d) + 1).tolist()})
+    assert len(rows) == alpha
+    assert set_admits_target(perturbed.H, [i - 1 for i in rows], target_j - 1)
+    expected = tuple_variants(perturbed, rows, target_j, 0.1)
+    assert [i for i, _ in variants] == [i for i, _ in expected]
+    for (_, attack), (_, ref) in zip(variants, expected):
+        np.testing.assert_array_equal(attack.d, ref.d)
+        np.testing.assert_allclose(attack.a, ref.a, rtol=1e-9, atol=1e-13)
+        assert attack.mu == pytest.approx(ref.mu, rel=1e-9)
+        assert attack.target_j == target_j
+    # the FDI variant corrupts every tuple row and nothing else
+    np.testing.assert_array_equal(np.flatnonzero(variants[-1][1].a) + 1, rows)
+
+
+def test_variants_follow_spec_on_reported_tuple(chain3, chain_variants,
+                                                reported_variants14):
+    alpha3, _ = enumeration_alpha(chain3.H, 0)
+    _assert_variants_follow_spec(perturb_model(chain3, 0.2, seed=21),
+                                 chain_variants, 1, alpha3)
+    for perturbed, variants in reported_variants14.values():
+        _assert_variants_follow_spec(perturbed, variants, 9, 11)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ structure."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gridrisk.security as security
 from gridrisk.attack import perturb_model
-from gridrisk.milp import MilpSolution, solve_milp
+from gridrisk.milp import MilpProblem, MilpSolution, solve_milp
 from gridrisk.network import build_model, load_bundled_case, load_case
 from gridrisk.security import (
     IndexQuery,
@@ -187,6 +187,30 @@ def test_support_does_not_depend_on_magnitude(ring4, ieee14):
                         res.certificate_c, (mu / 0.1) * ref.certificate_c,
                         rtol=1e-9, atol=1e-12 * abs(mu))
                     _assert_result_shape(res, model.H, j, mu)
+
+
+def test_fdi_and_combined_pose_one_program(chain3, ring4, ieee14, monkeypatch):
+    # beta is alpha, so both indices hand the solver the very same arrays
+    posed = []
+
+    def spy(problem):
+        posed.append(problem)
+        return solve_milp(problem)
+
+    monkeypatch.setattr(security, "solve_milp", spy)
+    queries = [IndexQuery(model.H, j) for model in (chain3, ring4)
+               for j in range(1, model.m + 1)] + [IndexQuery(ieee14.H, 9)]
+    for q in queries:
+        programs = []
+        for index in (fdi_index, combined_index):
+            posed.clear()
+            index(q)
+            programs.append(list(posed))
+        assert len(programs[0]) == len(programs[1]) >= 1
+        for p_fdi, p_comb in zip(*programs):
+            for f in fields(MilpProblem):
+                np.testing.assert_array_equal(getattr(p_fdi, f.name),
+                                              getattr(p_comb, f.name))
 
 
 def test_big_m_insensitivity(chain3, ring4):
@@ -374,6 +398,9 @@ def test_query_validation(chain3):
             IndexQuery(chain3.H, 1, cost_availability=bad)
         with pytest.raises(SecurityIndexError):
             IndexQuery(chain3.H, 1, cost_integrity=bad)
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(SecurityIndexError, match="big_m"):
+            IndexQuery(chain3.H, 1, big_m=bad)
     with pytest.raises(SecurityIndexError):
         brute_force_index(np.zeros((30, 2)), 1)
 
@@ -421,10 +448,11 @@ def _ring(buses):
 
 
 def test_program_beyond_128_binaries():
-    # 45-bus ring, every flow and injection metered: 90 row classes plus
-    # 135 withdrawal binaries.  Moving one bus angle touches two lines (4
-    # flows) and three injections, the fewest any attack on a flow can.
-    model = _ring(45)
+    # 65-bus ring, every flow and injection metered: 130 row classes, one
+    # binary each.  Moving one bus angle touches two lines (4 flows) and
+    # three injections, the fewest any attack on a flow can.
+    model = _ring(65)
+    assert len(parallel_classes(model.H)[0]) == 130
     res = combined_index(IndexQuery(model.H, 1))
     assert res.objective == 7
     _assert_result_shape(res, model.H, 1, 0.1)
