@@ -2,6 +2,9 @@
 
 The detector compares the weighted residual statistic ||R^-1/2 r||^2
 against a chi-squared threshold chosen for a given false-alarm rate.
+The gains' weighted residual operator W carries both R^-1/2 and the
+withdrawal mask, so the statistic of z is ||z @ W||^2 for full and
+reduced gains alike.
 Under an additive attack the statistic follows a noncentral chi-squared
 law, which gives closed-form detection probabilities.
 """
@@ -36,19 +39,19 @@ class BddOutcome:
 
 
 def residual_statistic(gains, z):
-    """Weighted residual statistic ||R^-1/2 S z||^2 over the kept rows.
+    """Weighted residual statistic ||R^-1/2 S z||^2 over the kept rows,
+    computed as ||z @ W||^2.
 
     z is one measurement vector of shape (m,), or a batch with one vector
     per row, shape (runs, m); the result is a scalar or one statistic per
-    row.  For reduced gains the masked rows are excluded.
+    row.  For reduced gains W has no columns for the masked rows, so they
+    are excluded.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != gains.m:
         raise ValueError(f"z must have shape ({gains.m},) or (runs, {gains.m})")
-    r = z @ gains.S.T
-    d = getattr(gains, "d", None)
-    keep = np.ones(gains.m, dtype=bool) if d is None else d == 0.0
-    return np.sum((r[..., keep] / gains.sigma[keep]) ** 2, axis=-1)
+    r = z @ gains.W
+    return np.einsum("...i,...i->...", r, r)
 
 
 def j_test(gains, z, config: BddConfig) -> BddOutcome:

@@ -3,7 +3,10 @@
 Provides the gain matrix K = (H^T R^-1 H)^-1 H^T R^-1, the hat matrix
 T = H K, and the residual sensitivity S = I - T, both for the full
 measurement set and for a reduced set where availability-attacked rows
-have been masked to zero.
+have been masked to zero.  Each set of gains also carries the weighted
+residual operator W = (R^-1/2 S)[kept rows]^T, so that z @ W is the
+weighted residual of z over the rows the detector still sees: R^-1/2 and
+the withdrawal mask live in W, not in the callers.
 """
 
 from __future__ import annotations
@@ -46,18 +49,22 @@ def _normal_factor(h: np.ndarray, r_inv_diag: np.ndarray):
 
 @dataclass(frozen=True)
 class EstimatorGains:
-    """Gain, hat and residual-sensitivity matrices for the full model."""
+    """Gain, hat and residual-sensitivity matrices for the full model.
+
+    W, shape (m, m), is the weighted residual operator (S / sigma)^T.
+    """
 
     K: np.ndarray
     T: np.ndarray
     S: np.ndarray
+    W: np.ndarray
     dof: int
     sigma: np.ndarray
     m: int
     n: int
 
     def __post_init__(self):
-        for arr in (self.K, self.T, self.S, self.sigma):
+        for arr in (self.K, self.T, self.S, self.W, self.sigma):
             arr.setflags(write=False)
 
 
@@ -66,7 +73,10 @@ class ReducedGains:
     """Gains for a model whose availability-attacked rows are zeroed.
 
     d is the 0/1 mask of removed rows; H_d = (I - diag(d)) H keeps the
-    original row count so measurement indices stay aligned.
+    original row count so measurement indices stay aligned.  W, shape
+    (m, m - k_d), is the weighted residual operator (S[keep] /
+    sigma[keep])^T over the kept rows; the withdrawn rows of W are zero,
+    because K_d, and with it S[keep], has zero columns there.
     """
 
     d: np.ndarray
@@ -75,13 +85,14 @@ class ReducedGains:
     K: np.ndarray
     T: np.ndarray
     S: np.ndarray
+    W: np.ndarray
     dof: int
     sigma: np.ndarray
     m: int
     n: int
 
     def __post_init__(self):
-        for arr in (self.d, self.H_d, self.K, self.T, self.S, self.sigma):
+        for arr in (self.d, self.H_d, self.K, self.T, self.S, self.W, self.sigma):
             arr.setflags(write=False)
 
 
@@ -99,8 +110,8 @@ def _gain_matrices(h: np.ndarray, sigma: np.ndarray):
 def compute_gains(model: GridModel) -> EstimatorGains:
     k, t, s = _gain_matrices(model.H, model.sigma)
     return EstimatorGains(
-        K=k, T=t, S=s, dof=model.m - model.n, sigma=model.sigma.copy(),
-        m=model.m, n=model.n,
+        K=k, T=t, S=s, W=(s / model.sigma[:, None]).T,
+        dof=model.m - model.n, sigma=model.sigma.copy(), m=model.m, n=model.n,
     )
 
 
@@ -114,8 +125,10 @@ def compute_reduced_gains(model: GridModel, d) -> ReducedGains:
     k_d = int(d.sum())
     h_d = (1.0 - d)[:, None] * model.H
     k, t, s = _gain_matrices(h_d, model.sigma)
+    keep = d == 0.0
+    w = (s[keep] / model.sigma[keep, None]).T
     return ReducedGains(
-        d=d, k_d=k_d, H_d=h_d, K=k, T=t, S=s,
+        d=d, k_d=k_d, H_d=h_d, K=k, T=t, S=s, W=w,
         dof=model.m - model.n - k_d, sigma=model.sigma.copy(),
         m=model.m, n=model.n,
     )

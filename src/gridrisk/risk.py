@@ -15,22 +15,20 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attack import AttackVector, PerturbedModel, scale_attack
+from .attack import AttackVector, PerturbedModel
 from .attack import build_limited_knowledge_attack
 from .chi2 import noncentral_cdf
-from .detector import (
-    BddConfig,
-    detection_probability,
-    make_bdd_config,
-    residual_statistic,
-)
+from .detector import BddConfig, detection_probability
 from .estimator import compute_gains, compute_reduced_gains
 from .network import GridModel
 from .security import IndexQuery, combined_index
 
-# Unused here since the Monte Carlo below draws and tests whole blocks,
-# kept importable because perfbench/tracer.py patches these names.
-from .detector import j_test  # noqa: F401
+# Unused here since the Monte Carlo below tests whole blocks through the
+# gains' weighted residual operator, without rescaled attacks or
+# per-run tests; kept importable because perfbench/tracer.py patches
+# these names.
+from .attack import scale_attack  # noqa: F401
+from .detector import j_test, make_bdd_config  # noqa: F401
 from .network import synthesize_measurements  # noqa: F401
 
 # z for a two-sided 95% interval
@@ -139,13 +137,27 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _draw_noise(model: GridModel, rng: np.random.Generator,
-                out: np.ndarray) -> np.ndarray:
-    """Fill out with the next out.size standard normals of rng, row by
-    row, scaled by sigma: row k is the noise of the k-th run of the block."""
-    rng.standard_normal(out=out)
-    out *= model.sigma
-    return out
+def _count_alarms(noise_op: np.ndarray, shift: np.ndarray, tau: float,
+                  seed: tuple, runs: int) -> int:
+    """Runs out of `runs` whose weighted residual e @ noise_op + shift has
+    squared norm above tau, e being the run's m unscaled standard normals.
+
+    Run i is the i-th row of m normals drawn from default_rng(seed), so
+    the count does not depend on MC_BLOCK, the number of runs drawn and
+    tested together.
+    """
+    rng = np.random.default_rng(seed)
+    block = min(runs, MC_BLOCK)
+    e = np.empty((block, noise_op.shape[0]))
+    r = np.empty((block, noise_op.shape[1]))
+    alarms = 0
+    for start in range(0, runs, MC_BLOCK):
+        n = min(runs - start, block)
+        rng.standard_normal(out=e[:n])
+        np.matmul(e[:n], noise_op, out=r[:n])
+        r[:n] += shift
+        alarms += int(np.count_nonzero(np.einsum("ij,ij->i", r[:n], r[:n]) > tau))
+    return alarms
 
 
 def empirical_detection(
@@ -161,11 +173,13 @@ def empirical_detection(
     One stream, np.random.default_rng(seed), feeds all runs: run i is the
     i-th block of m normals drawn from it, so the report does not depend
     on how the runs are grouped.  The statistic's distribution does not
-    depend on the operating state, so runs synthesize around the zero
-    state.  Runs are tested in blocks of MC_BLOCK: one residual product
-    and one vectorised statistic test the whole block.  gains, when
-    given, must match the attack's availability mask; by default they
-    are computed here.
+    depend on the operating state, so runs test noise plus the attack
+    around the zero state.  The noise is drawn unscaled: sigma and the
+    withdrawal mask live in the operator diag(sigma) W (W being the gains'
+    weighted residual operator), and the attack adds the fixed shift
+    a @ W.  Runs are tested in blocks of MC_BLOCK, one product and one
+    row-wise dot per block.  gains, when given, must match the attack's
+    availability mask; by default they are computed here.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -178,13 +192,8 @@ def empirical_detection(
             f"config dof {config.dof} does not match reduced dof {gains.dof}"
         )
     base = _seed_tuple(seed)
-    rng = np.random.default_rng(base)
-    buf = np.empty((min(runs, MC_BLOCK), model.m))
-    alarms = 0
-    for start in range(0, runs, MC_BLOCK):
-        z = _draw_noise(model, rng, buf[: runs - start])
-        z += attack.a
-        alarms += int(np.count_nonzero(residual_statistic(gains, z) > config.tau))
+    alarms = _count_alarms(gains.sigma[:, None] * gains.W, attack.a @ gains.W,
+                           config.tau, base, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -225,9 +234,11 @@ def risk_sweep(
 
     runs > 0 adds a Monte Carlo alarm count per point.  Each point draws
     its runs in order from one stream seeded by (seed, attack index,
-    point index) and tests them serially with the variant's gains (see
-    empirical_detection).  The mapper fans out over the grid points, so
-    the counts do not depend on the thread count.
+    point index) and tests them serially, as empirical_detection does:
+    unscaled normals through the variant's operator diag(sigma) W, plus the
+    point's shift (mu/mu0) a0 @ W, so no rescaled attack is built.  The
+    mapper fans out over the grid points, so the counts do not depend on
+    the thread count.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -253,17 +264,16 @@ def risk_sweep(
         impact = np.abs(scale) * impact_metric(model, gains, attack).impact
         alarms = None
         if runs > 0:
-            config = make_bdd_config(alpha, gains.dof)
+            noise_op = gains.sigma[:, None] * gains.W
+            shift0 = attack.a @ gains.W
 
             def alarm_count(item) -> int:
-                pi, mu_i = item
-                return empirical_detection(
-                    model, scale_attack(attack, mu_i), config, runs,
-                    seed=(seed, ai, pi), gains=gains,
-                ).alarms
+                pi, scale_i = item
+                return _count_alarms(noise_op, scale_i * shift0, det.tau,
+                                     _seed_tuple((seed, ai, pi)), runs)
 
             alarms = np.array(list((mapper or map)(alarm_count,
-                                                   list(enumerate(mu.tolist())))))
+                                                   list(enumerate(scale.tolist())))))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,

@@ -170,6 +170,28 @@ def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:
             (f"fdi_{k}", variant([]))]
 
 
+def mc_alarm_count(model, attack, alpha: float, runs: int, seed) -> int:
+    """Monte Carlo alarms of the residual test on `runs` noisy copies of
+    attack.a: the whole noise matrix in one draw from default_rng(seed),
+    scaled by sigma, then the masked weighted residual statistic of each
+    run against the chi-squared threshold.  The residual sensitivity
+    comes from the normal equations solved here, not from the package's
+    gains."""
+    from scipy import stats
+
+    keep = attack.d == 0.0
+    h_d = model.H * keep[:, None]
+    r_inv = 1.0 / model.sigma**2
+    k = np.linalg.solve(h_d.T @ (r_inv[:, None] * h_d), h_d.T * r_inv)
+    s = np.eye(model.m) - h_d @ k
+    z = np.random.default_rng(seed).standard_normal((runs, model.m)) * model.sigma
+    z = z + attack.a
+    r = z @ s.T
+    t = np.sum((r[:, keep] / model.sigma[keep]) ** 2, axis=1)
+    tau = stats.chi2.isf(alpha, model.m - model.n - int((~keep).sum()))
+    return int(np.count_nonzero(t > tau))
+
+
 def empirical_cdf(samples: np.ndarray, x: float) -> float:
     return float(np.mean(samples <= x))
 

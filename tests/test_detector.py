@@ -125,3 +125,36 @@ def test_shape_validation(ieee14):
     g = compute_gains(ieee14)
     with pytest.raises(ValueError):
         noncentrality(g, np.zeros(3))
+
+
+def _masked_statistic(g, z):
+    """The statistic as the masked formula: S z, the kept rows, divided
+    by sigma, squared and summed."""
+    d = getattr(g, "d", np.zeros(g.m))
+    keep = d == 0.0
+    r = np.asarray(z) @ g.S.T
+    return np.sum((r[..., keep] / g.sigma[keep]) ** 2, axis=-1)
+
+
+def test_weighted_operator_matches_masked_formula(ieee14):
+    d = np.zeros(ieee14.m)
+    d[[2, 30, 44]] = 1.0
+    rng = np.random.default_rng(15)
+    z = np.stack([synthesize_measurements(ieee14, np.zeros(ieee14.n), seed=s).z
+                  for s in range(8)])
+    for g in (compute_gains(ieee14), compute_reduced_gains(ieee14, d)):
+        k_d = getattr(g, "k_d", 0)
+        assert g.W.shape == (ieee14.m, ieee14.m - k_d)
+        assert not g.W.flags.writeable
+        with pytest.raises(ValueError):
+            g.W[0, 0] = 1.0
+        assert float(residual_statistic(g, z[0])) == pytest.approx(
+            float(_masked_statistic(g, z[0])), rel=1e-12)
+        np.testing.assert_allclose(residual_statistic(g, z), _masked_statistic(g, z),
+                                   rtol=1e-12)
+        # attack vectors leave withdrawn rows at zero; there noncentrality's
+        # all-row sum and the kept-row operator agree
+        a = rng.normal(size=ieee14.m) * 0.01 * (1.0 - getattr(g, "d", 0.0))
+        w_a = a @ g.W
+        assert noncentrality(g, a) == pytest.approx(float(w_a @ w_a), rel=1e-12)
+    assert k_d == 3

@@ -12,7 +12,7 @@ from scipy import stats
 from gridrisk.attack import build_full_knowledge_attack, scale_attack
 from gridrisk.detector import make_bdd_config, residual_statistic
 from gridrisk.estimator import compute_gains, compute_reduced_gains
-from gridrisk.risk import _draw_noise, empirical_detection
+from gridrisk.risk import empirical_detection
 
 ALPHA = 0.05
 SEEDS = 400
@@ -73,11 +73,12 @@ def test_wilson_coverage_on_fdi_point(ieee14, fdi_point):
 
 def _batched_statistics(model, gains, a, seed):
     """Residual statistics of KS_DRAWS runs, drawn in uneven blocks from
-    one stream as empirical_detection draws them."""
+    one stream as empirical_detection draws them, then scaled by sigma."""
     rng = np.random.default_rng(seed)
     z = np.empty((KS_DRAWS, model.m))
     for block in np.array_split(z, 7):
-        _draw_noise(model, rng, block)
+        rng.standard_normal(out=block)
+    z *= model.sigma
     return residual_statistic(gains, z + a)
 
 

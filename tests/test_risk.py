@@ -9,7 +9,7 @@ from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk import risk
 from gridrisk.risk import (
     MC_BLOCK,
-    _draw_noise,
+    _count_alarms,
     compare_attacks,
     default_mu_grid,
     empirical_detection,
@@ -20,7 +20,7 @@ from gridrisk.risk import (
 )
 from gridrisk.security import IndexQuery, combined_index
 
-from oracles import enumeration_alpha, set_admits_target, tuple_variants
+from oracles import enumeration_alpha, mc_alarm_count, set_admits_target, tuple_variants
 
 
 @pytest.fixture(scope="module")
@@ -179,15 +179,19 @@ def mc_attacks(ieee14, stealth_attack, ieee_variants):
     return {"stealth": stealth_attack, "fdi": fdi, "none": quiet}
 
 
-def test_batched_noise_rows_are_the_per_run_draws(ieee14):
-    # blocks drawn in turn from one stream are the rows of one draw
+def test_batched_noise_rows_are_the_per_run_draws(ieee14, monkeypatch):
+    # blocks drawn in turn from one stream are the rows of one draw.  With
+    # the identity operator a run's statistic is its squared norm, so a
+    # threshold between each pair of the one draw's sorted row norms
+    # counts the rows above it; the five runs go in blocks of three and two
     base = (4, 1, 7)
-    rng = np.random.default_rng(base)
-    rows = np.empty((5, ieee14.m))
-    _draw_noise(ieee14, rng, rows[:3])
-    _draw_noise(ieee14, rng, rows[3:])
-    expected = np.random.default_rng(base).standard_normal((5, ieee14.m)) * ieee14.sigma
-    np.testing.assert_array_equal(rows, expected)
+    rows = np.random.default_rng(base).standard_normal((5, ieee14.m))
+    norms = np.sort(np.sum(rows**2, axis=1))
+    cuts = np.r_[0.0, (norms[:-1] + norms[1:]) / 2, 2.0 * norms[-1]]
+    monkeypatch.setattr(risk, "MC_BLOCK", 3)
+    eye, zero = np.eye(ieee14.m), np.zeros(ieee14.m)
+    counts = [_count_alarms(eye, zero, tau, base, 5) for tau in cuts]
+    assert counts == [5, 4, 3, 2, 1, 0]
 
 
 @pytest.mark.parametrize("kind", ["stealth", "fdi", "none"])
@@ -353,6 +357,35 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
                                      runs=200, seed=(3, 0, pi))
         assert curve.alarms[pi] == report.alarms
     assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
+
+
+GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]
+
+
+@pytest.fixture(scope="module")
+def family14(variants14):
+    return [(vid, variants14[vid]) for vid in ("combined_1_10", "combined_2_9", "fdi_11")]
+
+
+def test_sweep_alarms_equal_oracle(ieee14, family14):
+    # full gains (fdi_11) and reduced gains (combined_1_10, combined_2_9)
+    curves = risk_sweep(ieee14, family14, GRID_WITH_ZERO, alpha=0.05,
+                        runs=1000, seed=21)
+    for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
+        expected = [mc_alarm_count(ieee14, scale_attack(attack, mu), 0.05, 1000,
+                                   (21, ai, pi))
+                    for pi, mu in enumerate(GRID_WITH_ZERO)]
+        assert curve.alarms.tolist() == expected
+
+
+def test_sweep_alarms_equal_oracle_across_block_boundary(ieee14, family14):
+    runs = MC_BLOCK + 3
+    curves = risk_sweep(ieee14, family14, [0.25], alpha=0.05, runs=runs, seed=22)
+    for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
+        expected = mc_alarm_count(ieee14, scale_attack(attack, 0.25), 0.05, runs,
+                                  (22, ai, 0))
+        assert curve.runs == runs
+        assert curve.alarms.tolist() == [expected]
 
 
 def test_compare_attacks_ranking(chain3, chain_variants):
