@@ -73,23 +73,9 @@ class RunManifest:
 
 
 def _manifest_from_args(command: str, args) -> RunManifest:
-    return RunManifest(
-        command=command,
-        version=__version__,
-        case=args.case,
-        out=args.out,
-        target=args.target,
-        mu=args.mu,
-        mu_max=args.mu_max,
-        mu_points=args.mu_points,
-        alpha=args.alpha,
-        cost_integrity=args.cost_integrity,
-        cost_availability=args.cost_availability,
-        perturb=args.perturb,
-        seed=args.seed,
-        runs=args.runs,
-        empirical=args.empirical,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(RunManifest)
+              if f.name not in ("command", "version")}
+    return RunManifest(command=command, version=__version__, **values)
 
 
 def _write_text(path: str, text: str):

@@ -3,8 +3,8 @@
 The detector compares the weighted residual statistic ||R^-1/2 r||^2
 against a chi-squared threshold chosen for a given false-alarm rate.
 The gains' weighted residual operator W carries both R^-1/2 and the
-withdrawal mask, so the statistic of z is ||z @ W||^2 for full and
-reduced gains alike.
+withdrawal mask, so the statistic of z is ||z @ W||^2 under any mask,
+the empty mask of the full measurement set included.
 Under an additive attack the statistic follows a noncentral chi-squared
 law, which gives closed-form detection probabilities.
 """
@@ -44,8 +44,7 @@ def residual_statistic(gains, z):
 
     z is one measurement vector of shape (m,), or a batch with one vector
     per row, shape (runs, m); the result is a scalar or one statistic per
-    row.  For reduced gains W has no columns for the masked rows, so they
-    are excluded.
+    row.  W has no columns for the masked rows, so they are excluded.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != gains.m:
@@ -57,8 +56,8 @@ def residual_statistic(gains, z):
 def j_test(gains, z, config: BddConfig) -> BddOutcome:
     """Chi-squared bad-data test on the residual of z.
 
-    For reduced gains the masked rows are excluded from the statistic;
-    config.dof must match the gains' degrees of freedom.  The verdict is
+    The gains' masked rows are excluded from the statistic; config.dof
+    must match the gains' degrees of freedom.  The verdict is
     bad only when the statistic strictly exceeds the threshold.
     """
     if config.dof != gains.dof:

@@ -1,12 +1,13 @@
 """Weighted least-squares state estimation and its sensitivity matrices.
 
 Provides the gain matrix K = (H^T R^-1 H)^-1 H^T R^-1, the hat matrix
-T = H K, and the residual sensitivity S = I - T, both for the full
-measurement set and for a reduced set where availability-attacked rows
-have been masked to zero.  Each set of gains also carries the weighted
-residual operator W = (R^-1/2 S)[kept rows]^T, so that z @ W is the
-weighted residual of z over the rows the detector still sees: R^-1/2 and
-the withdrawal mask live in W, not in the callers.
+T = H K, and the residual sensitivity S = I - T for the measurement set
+an availability mask d leaves: withdrawn rows are zeroed, and the full
+measurement set is the empty mask, so one Gains type serves both.  Each
+set of gains also carries the weighted residual operator
+W = (R^-1/2 S)[kept rows]^T, so that z @ W is the weighted residual of z
+over the rows the detector still sees: R^-1/2 and the withdrawal mask
+live in W, not in the callers.
 """
 
 from __future__ import annotations
@@ -48,35 +49,15 @@ def _normal_factor(h: np.ndarray, r_inv_diag: np.ndarray):
 
 
 @dataclass(frozen=True)
-class EstimatorGains:
-    """Gain, hat and residual-sensitivity matrices for the full model.
-
-    W, shape (m, m), is the weighted residual operator (S / sigma)^T.
-    """
-
-    K: np.ndarray
-    T: np.ndarray
-    S: np.ndarray
-    W: np.ndarray
-    dof: int
-    sigma: np.ndarray
-    m: int
-    n: int
-
-    def __post_init__(self):
-        for arr in (self.K, self.T, self.S, self.W, self.sigma):
-            arr.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class ReducedGains:
+class Gains:
     """Gains for a model whose availability-attacked rows are zeroed.
 
-    d is the 0/1 mask of removed rows; H_d = (I - diag(d)) H keeps the
-    original row count so measurement indices stay aligned.  W, shape
-    (m, m - k_d), is the weighted residual operator (S[keep] /
-    sigma[keep])^T over the kept rows; the withdrawn rows of W are zero,
-    because K_d, and with it S[keep], has zero columns there.
+    d is the 0/1 mask of removed rows (all zero for the full measurement
+    set); H_d = (I - diag(d)) H keeps the original row count so
+    measurement indices stay aligned.  W, shape (m, m - k_d), is the
+    weighted residual operator (S[keep] / sigma[keep])^T over the kept
+    rows; the withdrawn rows of W are zero, because K_d, and with it
+    S[keep], has zero columns there.
     """
 
     d: np.ndarray
@@ -96,26 +77,12 @@ class ReducedGains:
             arr.setflags(write=False)
 
 
-def _gain_matrices(h: np.ndarray, sigma: np.ndarray):
-    r_inv = 1.0 / sigma**2
-    chol = _normal_factor(h, r_inv)
-    # K = G^-1 H^T R^-1 via two triangular solves; no explicit inverse.
-    rhs = h.T * r_inv[None, :]
-    k = scipy.linalg.cho_solve((chol, True), rhs)
-    t = h @ k
-    s = np.eye(h.shape[0]) - t
-    return k, t, s
+def compute_gains(model: GridModel) -> Gains:
+    """Gains of the full measurement set: the empty availability mask."""
+    return compute_reduced_gains(model, np.zeros(model.m))
 
 
-def compute_gains(model: GridModel) -> EstimatorGains:
-    k, t, s = _gain_matrices(model.H, model.sigma)
-    return EstimatorGains(
-        K=k, T=t, S=s, W=(s / model.sigma[:, None]).T,
-        dof=model.m - model.n, sigma=model.sigma.copy(), m=model.m, n=model.n,
-    )
-
-
-def compute_reduced_gains(model: GridModel, d) -> ReducedGains:
+def compute_reduced_gains(model: GridModel, d) -> Gains:
     """Gains after masking the rows flagged in d (0/1 vector of length m)."""
     d = np.asarray(d, dtype=float)
     if d.shape != (model.m,):
@@ -124,10 +91,15 @@ def compute_reduced_gains(model: GridModel, d) -> ReducedGains:
         raise ValueError("d must be a 0/1 mask")
     k_d = int(d.sum())
     h_d = (1.0 - d)[:, None] * model.H
-    k, t, s = _gain_matrices(h_d, model.sigma)
+    r_inv = 1.0 / model.sigma**2
+    chol = _normal_factor(h_d, r_inv)
+    # K = G^-1 H^T R^-1 via two triangular solves; no explicit inverse.
+    k = scipy.linalg.cho_solve((chol, True), h_d.T * r_inv[None, :])
+    t = h_d @ k
+    s = np.eye(model.m) - t
     keep = d == 0.0
     w = (s[keep] / model.sigma[keep, None]).T
-    return ReducedGains(
+    return Gains(
         d=d, k_d=k_d, H_d=h_d, K=k, T=t, S=s, W=w,
         dof=model.m - model.n - k_d, sigma=model.sigma.copy(),
         m=model.m, n=model.n,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +133,28 @@ def _validate_case(case: GridCase):
             raise CaseValidationError(f"{where}: sigma must be positive and finite")
 
 
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number",
+               bool: "true or false", list: "a list", dict: "an object"}
+
+
+def _checked(value, kind: type, where: str):
+    """value, if it is an instance of kind.  A bool is only ever a bool,
+    so JSON true is neither an id nor a number."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise CaseValidationError(
+            f"{where} must be {_KIND_NAMES[kind]}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _entries(doc: dict, key: str, allowed: dict):
+    """(where, entry) for each object of the list doc[key], keys checked."""
+    for i, entry in enumerate(_checked(doc[key], list, key)):
+        where = f"{key}[{i}]"
+        _require_keys(_checked(entry, dict, where), allowed, where)
+        yield where, entry
+
+
 def load_case(document) -> GridCase:
     """Parse a case from a JSON string or an already-decoded dict."""
     if isinstance(document, (str, bytes)):
@@ -148,41 +171,32 @@ def load_case(document) -> GridCase:
         {"base_mva": True, "buses": True, "lines": True, "measurements": True},
         "case",
     )
-    buses = []
-    for i, b in enumerate(doc["buses"]):
-        _require_keys(b, {"id": True, "reference": False}, f"buses[{i}]")
-        buses.append(Bus(id=int(b["id"]), reference=bool(b.get("reference", False))))
-    lines = []
-    for i, ln in enumerate(doc["lines"]):
-        _require_keys(
-            ln,
-            {"id": True, "from": True, "to": True, "reactance": True},
-            f"lines[{i}]",
-        )
-        lines.append(
-            Line(
-                id=int(ln["id"]),
-                from_bus=int(ln["from"]),
-                to_bus=int(ln["to"]),
-                reactance=float(ln["reactance"]),
-            )
-        )
-    measurements = []
-    for i, ms in enumerate(doc["measurements"]):
-        _require_keys(
-            ms,
-            {"kind": True, "element": True, "sigma": True},
-            f"measurements[{i}]",
-        )
-        measurements.append(
-            Measurement(
-                kind=str(ms["kind"]),
-                element=int(ms["element"]),
-                sigma=float(ms["sigma"]),
-            )
-        )
+
+    def integer(entry, key, where):
+        return int(_checked(entry[key], numbers.Integral, f"{where}.{key}"))
+
+    def number(entry, key, where):
+        return float(_checked(entry[key], numbers.Real, f"{where}.{key}"))
+
+    buses = [
+        Bus(id=integer(b, "id", where),
+            reference=_checked(b.get("reference", False), bool, f"{where}.reference"))
+        for where, b in _entries(doc, "buses", {"id": True, "reference": False})
+    ]
+    lines = [
+        Line(id=integer(ln, "id", where), from_bus=integer(ln, "from", where),
+             to_bus=integer(ln, "to", where), reactance=number(ln, "reactance", where))
+        for where, ln in _entries(
+            doc, "lines", {"id": True, "from": True, "to": True, "reactance": True})
+    ]
+    measurements = [
+        Measurement(kind=str(ms["kind"]), element=integer(ms, "element", where),
+                    sigma=number(ms, "sigma", where))
+        for where, ms in _entries(
+            doc, "measurements", {"kind": True, "element": True, "sigma": True})
+    ]
     return GridCase(
-        base_mva=float(doc["base_mva"]),
+        base_mva=number(doc, "base_mva", "case"),
         buses=tuple(buses),
         lines=tuple(lines),
         measurements=tuple(measurements),
@@ -226,7 +240,6 @@ class GridModel:
     n_t: int
     m: int
     H: np.ndarray
-    R: np.ndarray
     incidence_full: np.ndarray
     incidence_truncated: np.ndarray
     line_weights: np.ndarray
@@ -238,7 +251,6 @@ class GridModel:
     def __post_init__(self):
         for arr in (
             self.H,
-            self.R,
             self.incidence_full,
             self.incidence_truncated,
             self.line_weights,
@@ -297,8 +309,7 @@ def build_model(case: GridCase) -> GridModel:
 
     h = selector @ stacked
 
-    svals = np.linalg.svd(h, compute_uv=False)
-    rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
+    rank = matrix_rank(h)
     if rank < n:
         raise UnobservableError(
             f"measurement plan leaves the state unobservable (rank {rank} < {n})"
@@ -310,7 +321,6 @@ def build_model(case: GridCase) -> GridModel:
         n_t=n_t,
         m=m,
         H=h,
-        R=np.diag(sigma**2),
         incidence_full=b0,
         incidence_truncated=b_trunc,
         line_weights=weights,
@@ -347,7 +357,7 @@ class MeasurementSnapshot:
 def synthesize_measurements(
     model: GridModel, x_true, seed: int, noise_scale: float = 1.0
 ) -> MeasurementSnapshot:
-    """Draw z = H x_true + e with e ~ N(0, noise_scale^2 R), seeded.
+    """Draw z = H x_true + e with e ~ N(0, noise_scale^2 diag(sigma^2)), seeded.
 
     noise_scale=0 gives the exact noise-free measurement vector; the case
     sigmas themselves must stay strictly positive for estimation.

@@ -5,6 +5,8 @@ Risk weighs what an attack does to the injection estimates against how
 likely the operator is to notice it: R = (1 - delta) * impact.  Attacks
 are compared only within families that share one critical tuple and one
 resource cost, where the attack likelihood can be normalized away.
+Every attack is evaluated under the gains of its own availability mask;
+a pure FDI attack has the empty mask.
 """
 
 from __future__ import annotations
@@ -19,16 +21,17 @@ from .attack import AttackVector, PerturbedModel
 from .attack import build_limited_knowledge_attack
 from .chi2 import noncentral_cdf
 from .detector import BddConfig, detection_probability
-from .estimator import compute_gains, compute_reduced_gains
+from .estimator import compute_reduced_gains
 from .network import GridModel
 from .security import IndexQuery, combined_index
 
 # Unused here since the Monte Carlo below tests whole blocks through the
 # gains' weighted residual operator, without rescaled attacks or
-# per-run tests; kept importable because perfbench/tracer.py patches
-# these names.
+# per-run tests, and every attack's gains come from its own mask;
+# kept importable because perfbench/tracer.py patches these names.
 from .attack import scale_attack  # noqa: F401
 from .detector import j_test, make_bdd_config  # noqa: F401
+from .estimator import compute_gains  # noqa: F401
 from .network import synthesize_measurements  # noqa: F401
 
 # z for a two-sided 95% interval
@@ -88,28 +91,14 @@ class MonteCarloReport:
     seed: tuple
 
 
-def _gains_for(model: GridModel, attack: AttackVector):
-    if attack.k_d > 0:
-        return compute_reduced_gains(model, attack.d)
-    return compute_gains(model)
-
-
-def _check_gains_match(gains, attack: AttackVector):
-    d = getattr(gains, "d", None)
-    if d is None:
-        if attack.k_d != 0:
-            raise ValueError("attack withdraws measurements but gains are unreduced")
-    elif not np.array_equal(d, attack.d):
-        raise ValueError("gains were computed for a different availability mask")
-
-
 def impact_metric(model: GridModel, gains, attack: AttackVector) -> ImpactAnalysis:
     """Impact = 2-norm of the expected injection-estimate bias H_inj K_d a.
 
     The injection rows of the true model matter even when some of them
     are withdrawn: the operator still publishes estimates for them.
     """
-    _check_gains_match(gains, attack)
+    if not np.array_equal(gains.d, attack.d):
+        raise ValueError("gains were computed for a different availability mask")
     inj0 = model.injection_rows()
     h_inj = model.H[inj0]
     bias = h_inj @ (gains.K @ attack.a)
@@ -166,7 +155,6 @@ def empirical_detection(
     config: BddConfig,
     runs: int,
     seed,
-    gains=None,
 ) -> MonteCarloReport:
     """Alarm rate of the residual test over seeded Monte Carlo noise draws.
 
@@ -178,18 +166,15 @@ def empirical_detection(
     withdrawal mask live in the operator diag(sigma) W (W being the gains'
     weighted residual operator), and the attack adds the fixed shift
     a @ W.  Runs are tested in blocks of MC_BLOCK, one product and one
-    row-wise dot per block.  gains, when given, must match the attack's
-    availability mask; by default they are computed here.
+    row-wise dot per block.  The gains are those of the attack's
+    availability mask, the empty mask for a pure FDI attack.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if gains is None:
-        gains = _gains_for(model, attack)
-    else:
-        _check_gains_match(gains, attack)
+    gains = compute_reduced_gains(model, attack.d)
     if config.dof != gains.dof:
         raise ValueError(
-            f"config dof {config.dof} does not match reduced dof {gains.dof}"
+            f"config dof {config.dof} does not match gains dof {gains.dof}"
         )
     base = _seed_tuple(seed)
     alarms = _count_alarms(gains.sigma[:, None] * gains.W, attack.a @ gains.W,
@@ -254,7 +239,7 @@ def risk_sweep(
     for ai, (attack_id, attack) in enumerate(base_attacks):
         if not attack.mu:
             raise ValueError("attack has no nonzero magnitude to scale from")
-        gains = _gains_for(model, attack)
+        gains = compute_reduced_gains(model, attack.d)
         det = detection_probability(gains, attack.a, alpha)
         scale = mu / attack.mu
         lam = scale * scale * det.lam

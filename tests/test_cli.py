@@ -315,6 +315,18 @@ def test_invalid_case_exits_2(tmp_path, capsys):
     assert "invalid case" in capsys.readouterr().err
 
 
+def test_mistyped_case_exits_2(tmp_path, capsys):
+    doc = json.loads((resources.files("gridrisk") / "cases" / "ring4.json").read_text())
+    doc["buses"][0]["id"] = "x"
+    case = tmp_path / "mistyped.json"
+    case.write_text(json.dumps(doc))
+    rc = main(["index", "--case", str(case), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid case: buses[0].id must be an integer" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_sigma_exits_2(tmp_path, capsys):
     doc = json.loads((resources.files("gridrisk") / "cases" / "ieee14.json").read_text())
     doc["measurements"][3]["sigma"] = float("inf")

@@ -111,8 +111,12 @@ def test_reduced_gains_dof_and_mask(ieee14):
 def test_reduced_gains_empty_mask_matches_full(chain3):
     full = compute_gains(chain3)
     red = compute_reduced_gains(chain3, np.zeros(chain3.m))
-    np.testing.assert_allclose(red.K, full.K, atol=1e-12)
-    assert red.dof == full.dof
+    assert type(full) is type(red)
+    for name in ("d", "H_d", "K", "T", "S", "W", "sigma"):
+        assert np.array_equal(getattr(full, name), getattr(red, name)), name
+    np.testing.assert_array_equal(full.H_d, chain3.H)
+    assert not full.d.any() and full.k_d == red.k_d == 0
+    assert (full.dof, full.m, full.n) == (red.dof, red.m, red.n)
 
 
 def test_reduced_projection_identities_on_masked_rows(ieee14):

@@ -39,8 +39,7 @@ def _coverage(model, attack, gains, delta, tag):
     cfg = make_bdd_config(ALPHA, gains.dof)
     covered = alarms = 0
     for s in range(SEEDS):
-        rep = empirical_detection(model, attack, cfg, RUNS, seed=(s, tag, 0),
-                                  gains=gains)
+        rep = empirical_detection(model, attack, cfg, RUNS, seed=(s, tag, 0))
         covered += rep.ci_low <= delta <= rep.ci_high
         alarms += rep.alarms
     return covered, alarms

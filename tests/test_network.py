@@ -122,6 +122,18 @@ def test_load_case_file(tmp_path):
         (lambda d: d["measurements"][0].__setitem__("sigma", 0.0), "sigma"),
         (lambda d: d.__setitem__("extra", 1), "unknown keys"),
         (lambda d: d["buses"][0].__setitem__("name", "x"), "unknown keys"),
+        (lambda d: d["buses"][0].__setitem__("id", "x"), "integer, not str"),
+        (lambda d: d["buses"][1].__setitem__("id", 1.5), "integer, not float"),
+        (lambda d: d["measurements"][0].__setitem__("element", True),
+         "integer, not bool"),
+        (lambda d: d["measurements"][0].__setitem__("sigma", "abc"), "number, not str"),
+        (lambda d: d["lines"][0].__setitem__("reactance", None),
+         "number, not NoneType"),
+        (lambda d: d.__setitem__("base_mva", True), "number, not bool"),
+        (lambda d: d.__setitem__("buses", 5), "list, not int"),
+        (lambda d: d["buses"].__setitem__(1, 5), "object, not int"),
+        (lambda d: d["buses"][0].__setitem__("reference", "false"),
+         "true or false, not str"),
     ],
 )
 def test_validation_rejects_bad_documents(mutate, fragment):

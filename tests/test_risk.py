@@ -222,21 +222,6 @@ def test_alarms_do_not_depend_on_block_size(ieee14, mc_attacks, monkeypatch, kin
     assert small == default
 
 
-def test_empirical_gains_argument(ieee14, stealth_attack):
-    gains = compute_reduced_gains(ieee14, stealth_attack.d)
-    cfg = make_bdd_config(0.05, gains.dof)
-    own = empirical_detection(ieee14, stealth_attack, cfg, runs=200, seed=4)
-    given = empirical_detection(ieee14, stealth_attack, cfg, runs=200, seed=4,
-                                gains=gains)
-    assert given == own
-    wrong = np.zeros(ieee14.m)
-    wrong[0] = 1.0
-    for bad in (compute_gains(ieee14), compute_reduced_gains(ieee14, wrong)):
-        with pytest.raises(ValueError, match="gains"):
-            empirical_detection(ieee14, stealth_attack, cfg, runs=10, seed=4,
-                                gains=bad)
-
-
 def test_empirical_validation(ieee14, stealth_attack):
     gains = compute_reduced_gains(ieee14, stealth_attack.d)
     with pytest.raises(ValueError):
