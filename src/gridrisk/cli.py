@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from . import __version__
 from .attack import perturb_model
@@ -70,6 +70,27 @@ class RunManifest:
     seed: int
     runs: int
     empirical: bool
+
+
+# The JSON values each manifest field type admits, and its name in errors.
+# JSON true and false load as bool, a subclass of int, so only a bool
+# field admits them.
+_MANIFEST_VALUES = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    Optional[int]: ((int, type(None)), "an integer or null"),
+}
+
+
+def _check_manifest_values(doc: dict):
+    for name, kind in get_type_hints(RunManifest).items():
+        admitted, label = _MANIFEST_VALUES[kind]
+        value = doc.get(name)
+        if name in doc and (not isinstance(value, admitted)
+                            or isinstance(value, bool) != (kind is bool)):
+            raise TypeError(f"{name} must be {label}, got {value!r}")
 
 
 def _manifest_from_args(command: str, args) -> RunManifest:
@@ -186,6 +207,7 @@ def cmd_replay(args, mapper=None) -> int:
         missing = {f.name for f in fields(RunManifest)} - {"version"} - set(doc)
         if missing:
             raise KeyError(", ".join(sorted(missing)))
+        _check_manifest_values(doc)
         command = doc.pop("command")
         version = doc.pop("version", "unknown")
         replay_args = argparse.Namespace(**doc)

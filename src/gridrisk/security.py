@@ -14,6 +14,19 @@ certificate c, so each parallel row class gets a single indicator binary.
 Every support the solver reports is refit with exact zeros off the
 support and checked for stealth before it is returned.
 
+The big-M relaxation alone bounds alpha weakly (2 against 11 at the root
+for ieee14 measurement 9, 4 with the rows below), so each program also
+carries the short-circuit inequalities of Barahona & Mahjoub ("On the cut
+polytope", Math. Prog. 1986) on its 3-circuits: three pairwise
+non-parallel class representatives of rank 2.  Each of the three rows is
+a combination of the other two, so it cannot be the only nonzero row of
+the triple, and y_a <= y_b + y_c holds for each member a of every
+minimal stealth support.  Through the target class, whose binary is
+fixed at 1, the rows become covers y_b + y_c >= 1.  The circuits are
+found once per matrix and no minimal stealth support is cut off, so
+alpha is unchanged; only which of several equally sparse supports is
+reported can move.
+
 Every program is solved at the magnitude 0.1, with the big-M box scaled
 by 0.1/|mu| (the default box is then the same for every mu), and only the
 refit uses the query's mu.  The support is therefore the same for every
@@ -42,6 +55,8 @@ _M_GUARD = 0.99
 _MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
 _MAX_CUTS = 64           # refuted candidate supports before giving up
 _VAL_TOL = 1e-7          # row-value nonzero threshold, scaled by |mu|
+_CIRCUIT_SCREEN = 1e-12  # Gram determinant below which a triple gets an SVD
+_CIRCUIT_BLOCK = 1 << 15  # Gram determinants computed per block of the scan
 
 
 class SecurityIndexError(Exception):
@@ -148,24 +163,87 @@ def parallel_classes(h):
     return classes, row_class
 
 
-def _build_problem(h, classes, row_class, j0, mu, big_m, cuts):
-    n = h.shape[1]
-    ncls = len(classes)
+def three_circuits(rows) -> np.ndarray:
+    """Triples of pairwise non-parallel rows that span only a plane.
+
+    Returns the triples (a, b, c), a < b < c, 0-based, in lexicographic
+    order, as a (k, 3) int array.  Rows are compared as unit vectors: a
+    triple is a 3-circuit when its smallest singular value is at most
+    PARALLEL_ATOL times its largest.  Projected off row a, rows b and c
+    span an area whose square is the triple's Gram determinant, the
+    product of its squared singular values: at most 4 PARALLEL_ATOL^2 on
+    a circuit.  One Gram matrix gives that area for every triple, a block
+    of rows a at a time, and the triples below _CIRCUIT_SCREEN are
+    confirmed by an SVD.  A near-dependent triple that the SVD refuses
+    never becomes a cut, since a false cut could only overstate alpha.
+    """
+    rows = np.asarray(rows, dtype=float)
+    units = rows / np.linalg.norm(rows, axis=1)[:, None]
+    g = units @ units.T
+    k = len(units)
+    found = [np.zeros((0, 3), dtype=int)]
+    lo = 0
+    while lo < k - 2:
+        hi = min(k - 2, lo + max(1, _CIRCUIT_BLOCK // (k - lo) ** 2))
+        # Gram entries of rows lo.. after projecting off each a in lo..hi
+        ga = g[lo:hi, lo:, None]
+        sq = 1.0 - ga ** 2
+        cross = g[lo:, lo:] - ga * ga.transpose(0, 2, 1)
+        a, b, c = np.nonzero(sq * sq.transpose(0, 2, 1) - cross ** 2 <= _CIRCUIT_SCREEN)
+        keep = (a < b) & (b < c)
+        found.append(np.column_stack([a[keep], b[keep], c[keep]]) + lo)
+        lo = hi
+    triples = np.concatenate(found)
+    if triples.size == 0 or units.shape[1] < 3:
+        return triples  # with two columns every such triple spans a plane
+    s = np.linalg.svd(units[triples], compute_uv=False)
+    return triples[s[:, 2] <= PARALLEL_ATOL * s[:, 0]]
+
+
+@dataclass(frozen=True, eq=False)
+class RowStructure:
+    """What every index program on one matrix shares: its parallel
+    classes (as `parallel_classes` returns them), each class's
+    representative (its largest-norm row) and the 3-circuits among the
+    representatives, as class ids."""
+
+    classes: list
+    row_class: np.ndarray
+    reps: np.ndarray
+    circuits: np.ndarray
+
+
+def row_structure(h) -> RowStructure:
+    """The structure of h, found once for every index program posed on it."""
+    h = _matrix(h)
+    classes, row_class = parallel_classes(h)
     norms = np.linalg.norm(h, axis=1)
-    rep_rows = np.array([cls[np.argmax(norms[cls])] for cls in classes])
-    h_rep = h[rep_rows]
+    reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
+    return RowStructure(classes, row_class, reps, three_circuits(h[reps]))
+
+
+def _build_problem(h, structure, j0, mu, big_m, cuts):
+    n = h.shape[1]
+    ncls = len(structure.classes)
+    circuits = structure.circuits
+    h_rep = h[structure.reps]
 
     nv = n + ncls
-    n_ub = 2 * ncls + len(cuts)
+    n_circ = 3 * len(circuits)
+    n_ub = 2 * ncls + n_circ + len(cuts)
     a_ub = np.zeros((n_ub, nv))
     b_ub = np.zeros(n_ub)
     a_ub[0 : 2 * ncls : 2, :n] = h_rep
     a_ub[1 : 2 * ncls : 2, :n] = -h_rep
     a_ub[np.arange(2 * ncls), n + np.repeat(np.arange(ncls), 2)] = -big_m
+    # y_a - y_b - y_c <= 0 for each member a of each 3-circuit
+    circ = a_ub[2 * ncls : 2 * ncls + n_circ]
+    circ[np.repeat(np.arange(n_circ), 3), n + np.repeat(circuits, 3, axis=0).ravel()] = -1.0
+    circ[np.arange(n_circ), n + circuits.ravel()] = 1.0
     if cuts:
         # at least one class outside each refuted support must be attacked
-        a_ub[2 * ncls :, n:] = -np.array(cuts)
-        b_ub[2 * ncls :] = -1.0
+        a_ub[2 * ncls + n_circ :, n:] = -np.array(cuts)
+        b_ub[2 * ncls + n_circ :] = -1.0
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = h[j0]
     b_eq = np.array([mu])
@@ -176,11 +254,11 @@ def _build_problem(h, classes, row_class, j0, mu, big_m, cuts):
     ub = np.full(nv, np.inf)
     lb[n:] = 0.0
     ub[n:] = 1.0
-    lb[n + row_class[j0]] = 1.0  # target row is corrupted by definition
+    lb[n + structure.row_class[j0]] = 1.0  # target row is corrupted by definition
 
     objective = np.zeros(nv)
-    objective[n:] = [len(cls) for cls in classes]
-    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub), h_rep
+    objective[n:] = [len(cls) for cls in structure.classes]
+    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub)
 
 
 def _canonical_sets(support, j, ci, ca):
@@ -215,7 +293,7 @@ def _rows_of(classes, on):
     return np.sort(np.concatenate([classes[k] for k in np.flatnonzero(on)]))
 
 
-def _solve_index(query: IndexQuery) -> SecurityIndexResult:
+def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """Sparsest stealth support through the target, with its certificate.
 
     HiGHS accepts a binary within its integrality tolerance of 0 while the
@@ -228,7 +306,9 @@ def _solve_index(query: IndexQuery) -> SecurityIndexResult:
     """
     h, j0, mu = query.h, query.target_j - 1, query.mu
     n = h.shape[1]
-    classes, row_class = parallel_classes(h)
+    if structure is None:
+        structure = row_structure(h)
+    classes = structure.classes
     # The program is posed at magnitude _PROGRAM_MU with the box scaled to
     # match (the default box exactly, so the program does not depend on mu)
     scale = _PROGRAM_MU / abs(mu)
@@ -236,9 +316,7 @@ def _solve_index(query: IndexQuery) -> SecurityIndexResult:
     enlargements = 0
     cuts = []
     while True:
-        problem, h_rep = _build_problem(h, classes, row_class, j0, _PROGRAM_MU,
-                                        big, cuts)
-        sol = solve_milp(problem)
+        sol = solve_milp(_build_problem(h, structure, j0, _PROGRAM_MU, big, cuts))
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
         on = sol.x[n : n + len(classes)] > 0.5
@@ -260,7 +338,7 @@ def _solve_index(query: IndexQuery) -> SecurityIndexResult:
 
     # Every class costs at least one row, so dropping a class the verified
     # certificate leaves at zero would undercut an optimal support
-    if np.any(np.abs(h_rep[on] @ cert) <= _VAL_TOL * abs(mu)):
+    if np.any(np.abs(h[structure.reps[on]] @ cert) <= _VAL_TOL * abs(mu)):
         raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
     support = tuple(int(i) + 1 for i in _rows_of(classes, on))
     if abs(sol.objective - len(support)) > 1e-6 * len(support):
@@ -268,9 +346,12 @@ def _solve_index(query: IndexQuery) -> SecurityIndexResult:
     return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
 
-def fdi_index(query: IndexQuery) -> SecurityIndexResult:
-    """alpha: fewest integrity corruptions for a stealth attack on j."""
-    return _solve_index(query)
+def fdi_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
+    """alpha: fewest integrity corruptions for a stealth attack on j.
+
+    structure is `row_structure(query.h)` when the caller already has it.
+    """
+    return _solve_index(query, structure)
 
 
 def combined_index(query: IndexQuery) -> SecurityIndexResult:
@@ -361,18 +442,20 @@ def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
 
     Parallel rows share their index and support family, so one alpha
     program is solved per class and its result replicated to the members;
+    the classes and 3-circuits are found once and shared by every program;
     beta, gamma and the split follow from alpha's support, and only the
     split is member-specific.  Classes are independent tasks, so a
     parallel mapper changes nothing but time.
     """
     h = _matrix(model_or_h)
-    classes, _ = parallel_classes(h)
+    structure = row_structure(h)
     ci, ca = cost_integrity, cost_availability
 
     def solve_class(cls):
-        return fdi_index(IndexQuery(h, int(cls.min()) + 1, mu, ci, ca))
+        return fdi_index(IndexQuery(h, int(cls.min()) + 1, mu, ci, ca), structure)
 
     rows = [None] * h.shape[0]
+    classes = structure.classes
     for cls, res in zip(classes, (mapper or map)(solve_class, classes)):
         for j0 in cls:
             # the whole class sits inside the support, so members differ

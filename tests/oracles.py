@@ -87,6 +87,23 @@ def parallel_classes_by_row(h: np.ndarray, atol: float):
     return [np.array(ms, dtype=int) for ms in members], row_class
 
 
+def three_circuits(h: np.ndarray, atol: float, chunk: int = 20_000):
+    """Class triples of rank 2 by a scan of every triple: the classes of
+    `parallel_classes_by_row`, each represented by its largest-norm row as
+    a unit vector, and a triple kept when np.linalg.matrix_rank, at atol
+    relative to its largest singular value, finds rank 2.  Returns the
+    triples of 0-based class ids in lexicographic order."""
+    classes, _ = parallel_classes_by_row(h, atol)
+    reps = np.array([h[c[np.argmax(np.linalg.norm(h[c], axis=1))]] for c in classes])
+    units = reps / np.linalg.norm(reps, axis=1)[:, None]
+    triples = itertools.combinations(range(len(units)), 3)
+    found = []
+    while batch := list(itertools.islice(triples, chunk)):
+        ranks = np.linalg.matrix_rank(units[np.array(batch)], rtol=atol)
+        found += [t for t, r in zip(batch, ranks) if r == 2]
+    return found
+
+
 def withdrawal_index(h: np.ndarray, j0: int, ci: float, ca: float):
     """Cheapest stealth attack on row j0 when each row may be corrupted at
     cost ci or withdrawn at cost ca, as its own MILP.

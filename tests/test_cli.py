@@ -257,6 +257,43 @@ def test_replay_rejects_manifest_missing_a_field(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "x"), ("mu_points", 2.5), ("runs", True), ("mu", "0.1"),
+    ("alpha", False), ("empirical", 1), ("target", 1.0), ("target", True),
+    ("case", 3),
+])
+def test_replay_rejects_mistyped_manifest_values(tmp_path, capsys, field, value):
+    # "seed": "x" once failed inside the argument checks with a TypeError
+    # traceback, and "mu_points": 2.5 replayed a grid running past mu_max
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed manifest") and field in err
+    assert err.count("\n") == 1
+    assert out.read_bytes() == fresh
+
+
+def test_replay_accepts_integral_floats_and_null_target(tmp_path):
+    out = tmp_path / "i.csv"
+    assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "i.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    assert doc["target"] is None
+    doc["mu_max"] = 1
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest)]) == 0
+    assert out.read_bytes() == fresh
+
+
 def test_negative_costs_rejected(tmp_path):
     rc = main(["index", "--case", CHAIN3, "--cost-integrity", "-1",
                "--out", str(tmp_path / "o.csv")])

@@ -34,6 +34,7 @@ from oracles import (
     parallel_classes_by_row,
     random_observable_matrix,
     set_admits_target,
+    three_circuits,
     withdrawal_index,
 )
 
@@ -297,6 +298,69 @@ def test_parallel_classes_match_per_row_scan_on_planted_rows():
     assert max(sizes) > 2 and splits > 0 and flips > 0
 
 
+def _assert_same_circuits(h):
+    found = [tuple(t) for t in security.row_structure(h).circuits.tolist()]
+    assert found == three_circuits(h, security.PARALLEL_ATOL)
+    return found
+
+
+def test_circuits_match_triple_scan_on_cases(chain3, ring4, ieee14):
+    # chain3 has two state columns, so its three classes span a plane
+    for model, count in ((chain3, 1), (ring4, 4), (ieee14, 17), (_ring(65), 65)):
+        assert len(_assert_same_circuits(model.H)) == count
+
+
+def _unit_ratio(rows):
+    units = rows / np.linalg.norm(rows, axis=1)[:, None]
+    s = np.linalg.svd(units, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def _planted_circuits(rng, atol):
+    """Random rows, then rows x + e w planted on the plane of two earlier
+    rows u and v: x a combination of both, w a unit direction off the
+    plane, and e set so that (u, v, x + e w) as unit rows has its smallest
+    singular value at t atol times its largest.  t = 0 is exactly
+    dependent, 0.5 and 0.8 sit just inside the tolerance, 1.25 and 2 just
+    outside.  Returns the rows and the planted triples as (sorted row ids,
+    t)."""
+    n = int(rng.integers(3, 7))
+    rows = list(rng.normal(size=(int(rng.integers(4, 9)), n)))
+    planted = []
+    for t in rng.choice([0.0, 0.0, 0.5, 0.8, 1.25, 2.0], size=int(rng.integers(2, 6))):
+        i, j = rng.choice(len(rows), 2, replace=False)
+        weights = rng.uniform(0.2, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+        x = weights[0] * rows[i] + weights[1] * rows[j]
+        q, _ = np.linalg.qr(np.column_stack([rows[i], rows[j]]))
+        w = rng.normal(size=n)
+        w -= q @ (q.T @ w)
+        w /= np.linalg.norm(w)
+        # the ratio grows linearly with a small offset
+        probe = atol * np.linalg.norm(x)
+        slope = _unit_ratio(np.array([rows[i], rows[j], x + probe * w])) / probe
+        rows.append(x + t * atol / slope * w)
+        planted.append(((i, j, len(rows) - 1), t))
+    order = rng.permutation(len(rows))
+    where = np.argsort(order)
+    return (np.array(rows)[order],
+            [(tuple(sorted(int(where[r]) for r in ids)), t) for ids, t in planted])
+
+
+def test_circuits_match_triple_scan_on_planted_rows():
+    atol = security.PARALLEL_ATOL
+    inside = outside = 0
+    for seed in range(40):
+        h, planted = _planted_circuits(np.random.default_rng(seed), atol)
+        assert len(parallel_classes(h)[0]) == h.shape[0]  # class ids are row ids
+        found = set(_assert_same_circuits(h))
+        for ids, t in planted:
+            assert (ids in found) == (t < 1.0), (seed, ids, t)
+            inside += 0.0 < t < 1.0
+            outside += t > 1.0
+    # the near-dependent triples on both sides of the tolerance occur
+    assert inside > 0 and outside > 0
+
+
 def test_index_sweep_consistent_with_single_solves(chain3):
     rows = index_sweep(chain3, cost_availability=0.5)
     assert [r["j"] for r in rows] == list(range(1, 8))
@@ -322,6 +386,55 @@ def test_sweep_solves_one_program_per_class(chain3, ring4, monkeypatch):
         calls.clear()
         index_sweep(model)
         assert len(calls) == len(parallel_classes(model.H)[0])
+
+
+def test_sweep_finds_classes_and_circuits_once(chain3, ring4, monkeypatch):
+    calls = []
+
+    def counted(name):
+        orig = getattr(security, name)
+
+        def spy(*args):
+            calls.append(name)
+            return orig(*args)
+        return spy
+
+    for name in ("parallel_classes", "three_circuits"):
+        monkeypatch.setattr(security, name, counted(name))
+    for model in (chain3, ring4):
+        calls.clear()
+        index_sweep(model)
+        assert sorted(calls) == ["parallel_classes", "three_circuits"]
+
+
+def _without_circuit_rows(problem):
+    # circuit rows are the ones on binaries alone with right-hand side 0;
+    # the refutation cuts have right-hand side -1
+    n = int(np.count_nonzero(~problem.binary))
+    circuit = ~problem.a_ub[:, :n].any(axis=1) & (problem.b_ub == 0.0)
+    assert circuit.any()
+    return replace(problem, a_ub=problem.a_ub[~circuit], b_ub=problem.b_ub[~circuit])
+
+
+def test_circuit_rows_shrink_the_search(ieee14, monkeypatch):
+    # the rows cut off no optimum, and the search they leave is smaller
+    solved = []
+
+    def spy(problem):
+        sol = solve_milp(problem)
+        solved.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(security, "solve_milp", spy)
+    for seed in range(13):
+        combined_index(IndexQuery(perturb_model(ieee14, 0.2, seed=seed).H, 9))
+    nodes_with = nodes_without = 0
+    for problem, sol in solved:
+        bare = solve_milp(_without_circuit_rows(problem))
+        assert bare.objective == pytest.approx(sol.objective, abs=1e-9)
+        nodes_with += sol.node_count
+        nodes_without += bare.node_count
+    assert nodes_with < nodes_without
 
 
 @pytest.mark.parametrize("ci, ca", [(1.0, 1.0), (0.6, 2.5), (0.7, 0.0),
