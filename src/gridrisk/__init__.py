@@ -1,140 +1,49 @@
 """Vulnerability, detectability, and risk of combined data-integrity and
 data-availability attacks on DC power system state estimation."""
 
-from .attack import (
-    AttackVector,
-    PerturbedModel,
-    attack_from_document,
-    attack_to_document,
-    build_full_knowledge_attack,
-    build_limited_knowledge_attack,
-    perturb_model,
-    scale_attack,
-)
-from .chi2 import central_cdf, detection_delta, noncentral_cdf, threshold
-from .detector import (
-    BddConfig,
-    BddOutcome,
-    DetectionAnalysis,
-    detection_probability,
-    j_test,
-    make_bdd_config,
-    noncentrality,
-)
-from .estimator import (
-    Gains,
-    compute_gains,
-    compute_reduced_gains,
-    residual,
-    solve_wls,
-)
-from .milp import MilpError, MilpProblem, MilpSolution, solve_milp
+from .attack import perturb_model
+from .detector import make_bdd_config
+from .estimator import Gains, compute_gains, compute_reduced_gains
+from .milp import MilpError
 from .network import (
     CaseValidationError,
-    GridCase,
-    GridModel,
-    MeasurementSnapshot,
     UnobservableError,
     build_model,
-    bundled_case_names,
     load_bundled_case,
-    load_case,
     load_case_file,
-    matrix_rank,
-    synthesize_measurements,
 )
-from .risk import (
-    ImpactAnalysis,
-    MonteCarloReport,
-    RiskCurve,
-    compare_attacks,
-    default_mu_grid,
-    empirical_detection,
-    format_detect_csv,
-    format_risk_csv,
-    impact_metric,
-    risk_sweep,
-    tuple_attack_variants,
-)
+from .risk import default_mu_grid, empirical_detection, risk_sweep, tuple_attack_variants
 from .security import (
     IndexQuery,
     SecurityIndexError,
-    SecurityIndexResult,
-    Theorem2Report,
-    brute_force_index,
     combined_index,
     cost_weighted_index,
     fdi_index,
-    format_index_csv,
     index_sweep,
-    parallel_classes,
-    verify_theorem2,
 )
 
 __version__ = "0.5.0"
 
 __all__ = [
-    "AttackVector",
-    "BddConfig",
-    "BddOutcome",
     "CaseValidationError",
-    "DetectionAnalysis",
     "Gains",
-    "GridCase",
-    "GridModel",
-    "ImpactAnalysis",
     "IndexQuery",
-    "MeasurementSnapshot",
     "MilpError",
-    "MilpProblem",
-    "MilpSolution",
-    "MonteCarloReport",
-    "PerturbedModel",
-    "RiskCurve",
     "SecurityIndexError",
-    "SecurityIndexResult",
-    "Theorem2Report",
     "UnobservableError",
-    "attack_from_document",
-    "attack_to_document",
-    "brute_force_index",
-    "build_full_knowledge_attack",
-    "build_limited_knowledge_attack",
     "build_model",
-    "bundled_case_names",
-    "central_cdf",
     "combined_index",
-    "compare_attacks",
     "compute_gains",
     "compute_reduced_gains",
     "cost_weighted_index",
     "default_mu_grid",
-    "detection_delta",
-    "detection_probability",
     "empirical_detection",
     "fdi_index",
-    "format_detect_csv",
-    "format_index_csv",
-    "format_risk_csv",
-    "impact_metric",
     "index_sweep",
-    "j_test",
     "load_bundled_case",
-    "load_case",
     "load_case_file",
     "make_bdd_config",
-    "matrix_rank",
-    "noncentral_cdf",
-    "noncentrality",
-    "parallel_classes",
     "perturb_model",
-    "residual",
     "risk_sweep",
-    "scale_attack",
-    "solve_milp",
-    "solve_wls",
-    "synthesize_measurements",
-    "threshold",
     "tuple_attack_variants",
-    "verify_theorem2",
 ]

@@ -1,4 +1,4 @@
-"""Attack construction under full and limited model knowledge.
+"""Attack construction from the attacker's model of the grid.
 
 A combined attack pairs an additive integrity vector a with a binary
 availability mask d.  Under full knowledge a = H_d c is invisible to the
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import GridModel, UnobservableError, matrix_rank
+from .network import GridModel, UnobservableError, _assemble_matrix, matrix_rank
 
 SNAP_TOL = 1e-9  # relative floor below which attack entries are exact zeros
 
@@ -94,9 +94,8 @@ def perturb_model(model: GridModel, fraction: float, seed: int) -> PerturbedMode
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-fraction, fraction, size=model.n_t)
     w = model.line_weights * factors[None, :]  # diagonal times diagonal
-    b_t = model.incidence_truncated.T
-    stacked = np.vstack([w @ b_t, -(w @ b_t), model.incidence_full @ w @ b_t])
-    h = model.selector @ stacked
+    h = _assemble_matrix(model.selector, model.incidence_full,
+                         model.incidence_truncated, w)
     return PerturbedModel(H=h, W=w, fraction=fraction, seed=seed)
 
 
@@ -124,16 +123,6 @@ def _build(h: np.ndarray, c, d, target_j) -> AttackVector:
     return AttackVector(a=a, d=d, target_j=target_j, mu=mu)
 
 
-def build_full_knowledge_attack(model: GridModel, c, d=None,
-                                target_j: Optional[int] = None) -> AttackVector:
-    """a = (I - diag(d)) H c against the attacker's own (true) model.
-
-    Such attacks lie in the masked column space, so the residual shift,
-    and with it the noncentrality, is exactly zero.
-    """
-    return _build(model.H, c, d, target_j)
-
-
 def build_limited_knowledge_attack(perturbed: PerturbedModel, c, d=None,
                                    target_j: Optional[int] = None) -> AttackVector:
     """a = (I - diag(d)) H-tilde c from the perturbed model.
@@ -156,35 +145,3 @@ def scale_attack(attack: AttackVector, mu_new: float) -> AttackVector:
     return AttackVector(a=s * attack.a, d=attack.d.copy(),
                         target_j=attack.target_j, mu=float(mu_new))
 
-
-def attack_to_document(attack: AttackVector) -> dict:
-    """Sparse replay document: {target, mu, a: {index: value}, d: [indices]}
-    with 1-based indices."""
-    a_doc = {
-        str(i + 1): float(attack.a[i]) for i in np.flatnonzero(attack.a)
-    }
-    return {
-        "target": attack.target_j,
-        "mu": attack.mu,
-        "a": a_doc,
-        "d": [int(i) + 1 for i in np.flatnonzero(attack.d)],
-    }
-
-
-def attack_from_document(doc: dict, m: int) -> AttackVector:
-    a = np.zeros(m)
-    for key, value in doc["a"].items():
-        i = int(key)
-        if not 1 <= i <= m:
-            raise ValueError(f"attack index {i} outside 1..{m}")
-        a[i - 1] = float(value)
-    d = np.zeros(m)
-    for i in doc["d"]:
-        if not 1 <= int(i) <= m:
-            raise ValueError(f"availability index {i} outside 1..{m}")
-        d[int(i) - 1] = 1.0
-    target = doc.get("target")
-    mu = doc.get("mu")
-    return AttackVector(a=a, d=d,
-                        target_j=None if target is None else int(target),
-                        mu=None if mu is None else float(mu))

@@ -265,12 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _thread_count() -> int:
+    """GRIDRISK_THREADS, capped at the machine's CPU count."""
     raw = os.environ.get("GRIDRISK_THREADS", "1")
     try:
         count = int(raw)
     except ValueError:
-        raise CliError(2, f"GRIDRISK_THREADS must be an integer, got {raw!r}")
-    return max(count, 1)
+        count = 0
+    if count < 1:
+        raise CliError(2, f"GRIDRISK_THREADS must be an integer >= 1, got {raw!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 def main(argv=None) -> int:

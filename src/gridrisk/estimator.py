@@ -105,18 +105,3 @@ def compute_reduced_gains(model: GridModel, d) -> Gains:
         m=model.m, n=model.n,
     )
 
-
-def solve_wls(gains, z) -> np.ndarray:
-    """Weighted least-squares state estimate x_hat = K z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (gains.m,):
-        raise ValueError(f"z must have shape ({gains.m},)")
-    return gains.K @ z
-
-
-def residual(gains, z) -> np.ndarray:
-    """Measurement residual r = z - H x_hat = S z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (gains.m,):
-        raise ValueError(f"z must have shape ({gains.m},)")
-    return gains.S @ z

@@ -267,6 +267,20 @@ class GridModel:
         )
 
 
+def _assemble_matrix(selector, incidence_full, incidence_truncated, weights):
+    """H = P @ stack(W B^T; -W B^T; B0 W B^T).
+
+    The candidate rows come in fixed stacking order: flows at the from
+    ends, flows at the to ends, then injections at every bus.  The true
+    model and every perturbed one are assembled here, in one order of
+    operations, so a zero perturbation gives the true H bit for bit.
+    """
+    b_t = incidence_truncated.T
+    return selector @ np.vstack(
+        [weights @ b_t, -(weights @ b_t), incidence_full @ weights @ b_t]
+    )
+
+
 def build_model(case: GridCase) -> GridModel:
     n_bus = len(case.buses)
     n = n_bus - 1
@@ -284,16 +298,6 @@ def build_model(case: GridCase) -> GridModel:
     b_trunc = np.delete(b0, ref_pos, axis=0)
     weights = np.diag([1.0 / ln.reactance for ln in case.lines])
 
-    # Candidate rows in fixed stacking order: flows at the from ends, flows
-    # at the to ends, then injections at every bus.
-    stacked = np.vstack(
-        [
-            weights @ b_trunc.T,
-            -(weights @ b_trunc.T),
-            b0 @ weights @ b_trunc.T,
-        ]
-    )
-
     selector = np.zeros((m, 2 * n_t + n_bus))
     sigma = np.zeros(m)
     labels = []
@@ -307,7 +311,7 @@ def build_model(case: GridCase) -> GridModel:
         sigma[i] = meas.sigma
         labels.append((meas.kind, meas.element))
 
-    h = selector @ stacked
+    h = _assemble_matrix(selector, b0, b_trunc, weights)
 
     rank = matrix_rank(h)
     if rank < n:

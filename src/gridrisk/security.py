@@ -33,13 +33,11 @@ refit uses the query's mu.  The support is therefore the same for every
 mu, and the certificate scales with mu.  Among equally sparse supports,
 the one reported is the one HiGHS proves optimal first; it is fixed for a
 given scipy build and solver options, but follows no ordering of the
-rows.  A brute-force critical-tuple search over measurement subsets
-provides an independent oracle for small systems.
+rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -106,24 +104,6 @@ class SecurityIndexResult:
     @property
     def support(self) -> tuple:
         return tuple(sorted(self.integrity_set + self.availability_set))
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    objective: int
-    support: tuple           # first minimal support, 1-based
-    family: tuple            # all minimal supports, enumeration order
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    target_j: int
-    alpha: int
-    beta: int
-    alpha_perturbed: int
-    beta_perturbed: int
-    indices_equal: bool
-    assumption1_holds: Optional[bool]  # None when the system is too large to enumerate
 
 
 def _matrix(model_or_h) -> np.ndarray:
@@ -377,63 +357,6 @@ def cost_weighted_index(query: IndexQuery) -> SecurityIndexResult:
     integ, avail = _canonical_sets(res.support, query.target_j, ci, ca)
     return replace(res, objective=_gamma(res.objective, ci, ca),
                    integrity_set=integ, availability_set=avail)
-
-
-def brute_force_index(model_or_h, target_j: int, max_rows: int = 25,
-                      max_enumerations: int = 500_000) -> BruteForceResult:
-    """Sparsest critical tuple containing target_j by direct enumeration.
-
-    A support S (with j in S) admits a stealth certificate iff the target
-    row is independent of the rows outside S, decided by a rank test.
-    Supports are enumerated in increasing cardinality, so the first hits
-    are exactly the minimal family.
-    """
-    h = _matrix(model_or_h)
-    m, n = h.shape
-    if m > max_rows:
-        raise SecurityIndexError(f"enumeration guard: m = {m} exceeds {max_rows}")
-    if not 1 <= target_j <= m:
-        raise SecurityIndexError(f"target_j {target_j} outside 1..{m}")
-    j0 = target_j - 1
-    others = [i for i in range(m) if i != j0]
-    seen = 0
-    for k in range(1, m + 1):
-        family = []
-        for extra in itertools.combinations(others, k - 1):
-            seen += 1
-            if seen > max_enumerations:
-                raise SecurityIndexError("enumeration cap exceeded")
-            support = np.array(sorted((j0,) + extra))
-            comp = np.setdiff1d(np.arange(m), support)
-            r1 = np.linalg.matrix_rank(h[comp]) if comp.size else 0
-            r2 = np.linalg.matrix_rank(np.vstack([h[comp], h[j0][None, :]]))
-            if r2 == r1 + 1:
-                family.append(tuple(int(i) + 1 for i in support))
-        if family:
-            return BruteForceResult(k, family[0], tuple(family))
-    raise SecurityIndexError("no feasible support found; model unobservable?")
-
-
-def verify_theorem2(h, h_perturbed, target_j: int, mu: float = 0.1,
-                    enumeration_limit: int = 25) -> Theorem2Report:
-    """Check that alpha and beta agree between a model and its structured
-    perturbation, and (on systems small enough to enumerate) that the two
-    models share identical minimal critical-tuple families for every j.
-    beta is alpha on each model, so one program is solved per model."""
-    h = _matrix(h)
-    hp = _matrix(h_perturbed)
-    if h.shape != hp.shape:
-        raise SecurityIndexError("models differ in shape")
-    alpha, alpha_p = (int(fdi_index(IndexQuery(mat, target_j, mu)).objective)
-                      for mat in (h, hp))
-    assumption = None
-    if h.shape[0] <= enumeration_limit:
-        assumption = all(
-            brute_force_index(h, j).family == brute_force_index(hp, j).family
-            for j in range(1, h.shape[0] + 1)
-        )
-    return Theorem2Report(target_j, alpha, alpha, alpha_p, alpha_p,
-                          alpha == alpha_p, assumption)
 
 
 def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,

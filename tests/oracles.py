@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from gridrisk.attack import build_limited_knowledge_attack
+from gridrisk.attack import AttackVector, build_limited_knowledge_attack
 
 WITHDRAWAL_BIG_M = 1e4
 
@@ -163,6 +163,17 @@ def certificate_for_set(h: np.ndarray, rows, j0: int, mu: float) -> np.ndarray:
     b[-1] = mu
     c, *_ = np.linalg.lstsq(a_eq, b, rcond=None)
     return c
+
+
+def full_knowledge_attack(model, c, d=None, target_j=None) -> AttackVector:
+    """The attack a = (1 - d) H c on the true model, as an AttackVector
+    (d the 0/1 availability mask, none if omitted).  It lies in the
+    masked column space, so its residual shift is exactly zero.  The
+    product is formed here, without the package's attack constructor."""
+    d = np.zeros(model.m) if d is None else np.asarray(d, dtype=float)
+    a = (1.0 - d) * (model.H @ np.asarray(c, dtype=float))
+    mu = None if target_j is None else float(a[target_j - 1])
+    return AttackVector(a=a, d=d, target_j=target_j, mu=mu)
 
 
 def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:

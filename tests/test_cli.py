@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridrisk
+from gridrisk import cli
 from gridrisk.cli import main
 from gridrisk.network import build_model, load_bundled_case
 from gridrisk.security import format_index_csv, index_sweep
@@ -305,6 +306,59 @@ def test_bad_thread_env(tmp_path, capsys, monkeypatch):
     rc = main(["index", "--case", CHAIN3, "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "GRIDRISK_THREADS" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps
+    serially, so no thread is started whatever the count."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingPool(seen, max_workers))
+    return seen
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_thread_env_below_one_exits_2(raw, tmp_path, capsys, monkeypatch,
+                                      recorded_pools):
+    monkeypatch.setenv("GRIDRISK_THREADS", raw)
+    out = tmp_path / "o.csv"
+    assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: GRIDRISK_THREADS") and err.count("\n") == 1
+    assert recorded_pools == [] and not out.exists()
+
+
+def test_thread_env_capped_at_cpu_count(tmp_path, monkeypatch, recorded_pools):
+    serial = tmp_path / "serial.csv"
+    assert main(["index", "--case", CHAIN3, "--out", str(serial)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for raw in ("12000", "3", "1"):
+        monkeypatch.setenv("GRIDRISK_THREADS", raw)
+        out = tmp_path / f"t{raw}.csv"
+        assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 0
+        assert _read(out) == _read(serial)
+    # one thread runs serially, without a pool
+    assert recorded_pools == [4, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # count unknown
+    monkeypatch.setenv("GRIDRISK_THREADS", "8")
+    assert main(["index", "--case", CHAIN3, "--out", str(tmp_path / "n.csv")]) == 0
+    assert recorded_pools == [4, 3]
 
 
 def test_thread_env_output_identical(tmp_path, monkeypatch):

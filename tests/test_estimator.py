@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from gridrisk.estimator import (
-    compute_gains,
-    compute_reduced_gains,
-    residual,
-    solve_wls,
-)
+from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.network import UnobservableError, load_case, build_model, synthesize_measurements
 
 
@@ -61,7 +56,7 @@ def test_wls_recovers_state_noise_free(ieee14):
     rng = np.random.default_rng(2)
     x = rng.normal(scale=0.2, size=ieee14.n)
     g = compute_gains(ieee14)
-    x_hat = solve_wls(g, ieee14.H @ x)
+    x_hat = g.K @ (ieee14.H @ x)
     np.testing.assert_allclose(x_hat, x, atol=1e-10)
 
 
@@ -69,7 +64,7 @@ def test_wls_normal_equations_hold(varied_sigma_model):
     model = varied_sigma_model
     g = compute_gains(model)
     snap = synthesize_measurements(model, np.array([0.1, -0.3]), seed=9)
-    x_hat = solve_wls(g, snap.z)
+    x_hat = g.K @ snap.z
     gradient = model.H.T @ np.diag(1.0 / model.sigma**2) @ (snap.z - model.H @ x_hat)
     assert np.max(np.abs(gradient)) <= 1e-9
 
@@ -79,7 +74,7 @@ def test_wls_estimate_is_unbiased(chain3):
     x_true = np.array([0.05, -0.08])
     draws = np.stack(
         [
-            solve_wls(g, synthesize_measurements(chain3, x_true, seed=s).z)
+            g.K @ synthesize_measurements(chain3, x_true, seed=s).z
             for s in range(2000)
         ]
     )
@@ -92,8 +87,8 @@ def test_stealth_attack_leaves_residual_unchanged(ieee14):
     g = compute_gains(ieee14)
     snap = synthesize_measurements(ieee14, np.zeros(ieee14.n), seed=13)
     c = rng.normal(size=ieee14.n)
-    r_clean = residual(g, snap.z)
-    r_attacked = residual(g, snap.z + ieee14.H @ c)
+    r_clean = g.S @ snap.z
+    r_attacked = g.S @ (snap.z + ieee14.H @ c)
     assert np.max(np.abs(r_attacked - r_clean)) <= 1e-9
 
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gridrisk.attack import build_full_knowledge_attack, scale_attack
+from gridrisk.attack import scale_attack
 from gridrisk.detector import make_bdd_config, residual_statistic
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.risk import empirical_detection
+
+from oracles import full_knowledge_attack
 
 ALPHA = 0.05
 SEEDS = 400
@@ -83,7 +85,7 @@ def _batched_statistics(model, gains, a, seed):
 
 def test_no_attack_statistics_are_chi_squared(ieee14):
     gains = compute_gains(ieee14)
-    quiet = build_full_knowledge_attack(ieee14, np.zeros(ieee14.n))
+    quiet = full_knowledge_attack(ieee14, np.zeros(ieee14.n))
     t = _batched_statistics(ieee14, gains, quiet.a, seed=(101, 0, 0))
     assert stats.kstest(t, stats.chi2(gains.dof).cdf).pvalue > KS_MIN_P
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridrisk.attack import build_full_knowledge_attack, perturb_model, scale_attack
+from gridrisk.attack import perturb_model, scale_attack
 from gridrisk.detector import detection_probability, j_test, make_bdd_config
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk import risk
@@ -20,7 +20,13 @@ from gridrisk.risk import (
 )
 from gridrisk.security import IndexQuery, combined_index
 
-from oracles import enumeration_alpha, mc_alarm_count, set_admits_target, tuple_variants
+from oracles import (
+    enumeration_alpha,
+    full_knowledge_attack,
+    mc_alarm_count,
+    set_admits_target,
+    tuple_variants,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ def stealth_attack(ieee14):
     for i in res.support:
         if i != 9:
             d[i - 1] = 1.0
-    return build_full_knowledge_attack(ieee14, res.certificate_c, d, target_j=9)
+    return full_knowledge_attack(ieee14, res.certificate_c, d, target_j=9)
 
 
 def test_impact_zero_attack(ieee14, stealth_attack):
@@ -83,7 +89,7 @@ def test_impact_of_stealth_attack_is_certificate_bias(ieee14):
     for i in res.support:
         if i != 9:
             d[i - 1] = 1.0
-    atk = build_full_knowledge_attack(ieee14, res.certificate_c, d, target_j=9)
+    atk = full_knowledge_attack(ieee14, res.certificate_c, d, target_j=9)
     gains = compute_reduced_gains(ieee14, d)
     ana = impact_metric(ieee14, gains, atk)
     h_inj = ieee14.H[ieee14.injection_rows()]
@@ -138,7 +144,7 @@ def test_empirical_stealth_calibration(ieee14, stealth_attack):
 def test_empirical_no_attack_calibration(ieee14):
     gains = compute_gains(ieee14)
     cfg = make_bdd_config(0.05, gains.dof)
-    quiet = build_full_knowledge_attack(ieee14, np.zeros(ieee14.n))
+    quiet = full_knowledge_attack(ieee14, np.zeros(ieee14.n))
     report = empirical_detection(ieee14, quiet, cfg, runs=1000, seed=6)
     assert 0.03 <= report.empirical_delta <= 0.07
 
@@ -175,7 +181,7 @@ def _per_run_alarms(model, attack, cfg, runs, seed):
 @pytest.fixture(scope="module")
 def mc_attacks(ieee14, stealth_attack, ieee_variants):
     fdi = scale_attack(dict(ieee_variants)["fdi_11"], 0.25)
-    quiet = build_full_knowledge_attack(ieee14, np.zeros(ieee14.n))
+    quiet = full_knowledge_attack(ieee14, np.zeros(ieee14.n))
     return {"stealth": stealth_attack, "fdi": fdi, "none": quiet}
 
 
@@ -321,7 +327,7 @@ def test_stealth_variant_constant_delta(chain3, chain_variants):
 
 def test_mixed_attack_family_rejected(chain3, chain_variants):
     res = combined_index(IndexQuery(chain3.H, 2))
-    other = build_full_knowledge_attack(chain3, res.certificate_c, None, target_j=2)
+    other = full_knowledge_attack(chain3, res.certificate_c, None, target_j=2)
     with pytest.raises(ValueError, match="mixed-index"):
         risk_sweep(chain3, list(chain_variants) + [("intruder", other)],
                    [0.1], alpha=0.05)

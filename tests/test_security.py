@@ -17,14 +17,12 @@ from gridrisk.network import build_model, load_bundled_case, load_case
 from gridrisk.security import (
     IndexQuery,
     SecurityIndexError,
-    brute_force_index,
     combined_index,
     cost_weighted_index,
     fdi_index,
     format_index_csv,
     index_sweep,
     parallel_classes,
-    verify_theorem2,
 )
 
 from oracles import (
@@ -76,19 +74,11 @@ def test_toy_cases_match_rank_oracle(chain3, ring4):
     for model in (chain3, ring4):
         for j in range(1, model.m + 1):
             size, _ = enumeration_alpha(model.H, j - 1)
-            assert fdi_index(IndexQuery(model.H, j)).objective == size
-
-
-def test_brute_force_agrees_with_external_oracle(chain3, ring4):
-    for model in (chain3, ring4):
-        for j in range(1, model.m + 1):
-            ours = brute_force_index(model.H, j)
-            size, _ = enumeration_alpha(model.H, j - 1)
-            family = enumeration_family(model.H, j - 1)
-            assert ours.objective == size
-            assert frozenset(
-                frozenset(i - 1 for i in s) for s in ours.family
-            ) == family
+            res = fdi_index(IndexQuery(model.H, j))
+            assert res.objective == size
+            # the reported support is one of the minimal critical tuples
+            support = frozenset(i - 1 for i in res.support)
+            assert support in enumeration_family(model.H, j - 1)
 
 
 def test_ieee14_target_nine_values(ieee14):
@@ -221,15 +211,6 @@ def test_big_m_insensitivity(chain3, ring4):
         a, b = fdi_index(base), fdi_index(forced)
         assert a.objective == b.objective
         assert a.support == b.support
-
-
-def test_theorem2_on_chain3(chain3):
-    perturbed = perturb_model(chain3, 0.2, seed=3)
-    report = verify_theorem2(chain3.H, perturbed.H, target_j=1)
-    assert report.indices_equal
-    assert report.assumption1_holds is True
-    assert report.alpha == report.beta == CHAIN3_ALPHA
-    assert report.alpha_perturbed == report.beta_perturbed == CHAIN3_ALPHA
 
 
 def test_parallel_classes_structure(ieee14):
@@ -514,8 +495,6 @@ def test_query_validation(chain3):
     for bad in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(SecurityIndexError, match="big_m"):
             IndexQuery(chain3.H, 1, big_m=bad)
-    with pytest.raises(SecurityIndexError):
-        brute_force_index(np.zeros((30, 2)), 1)
 
 
 @given(
