@@ -3,7 +3,8 @@
 Every command writes CSV (12 significant digits, LF endings) plus a JSON
 manifest that fully determines the run; `gridrisk replay MANIFEST`
 reproduces the outputs byte for byte.  Exit codes: 0 success, 1 the
-analysis itself failed, 2 bad usage or input.
+analysis itself failed, 2 bad usage or input, including a case, manifest
+or output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -99,9 +100,17 @@ def _manifest_from_args(command: str, args) -> RunManifest:
     return RunManifest(command=command, version=__version__, **values)
 
 
+def _reason(exc: Exception) -> str:
+    """An OSError's strerror, or the whole message of any other error."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {_reason(exc)}") from exc
 
 
 def _write_manifest(manifest: RunManifest):
@@ -109,10 +118,23 @@ def _write_manifest(manifest: RunManifest):
     _write_text(manifest.out + ".manifest.json", doc)
 
 
+def _check_out(args):
+    """Reject an --out that cannot be written before any work is done."""
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise CliError(2, f"output directory not found: {folder}")
+    if os.path.isdir(args.out):
+        raise CliError(2, f"--out is a directory: {args.out}")
+
+
 def _load(path: str):
     if not os.path.exists(path):
         raise CliError(2, f"case not found: {path}")
-    return build_model(load_case_file(path))
+    try:
+        case = load_case_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(2, f"cannot read case {path}: {_reason(exc)}") from exc
+    return build_model(case)
 
 
 def _require_target(args, m: int) -> int:
@@ -152,6 +174,7 @@ def cmd_index(args, mapper=None) -> int:
                        ("--cost-availability", args.cost_availability)):
         if not (math.isfinite(cost) and cost >= 0):
             raise CliError(2, f"{flag} must be finite and nonnegative")
+    _check_out(args)
     model = _load(args.case)
     rows = index_sweep(
         model,
@@ -168,6 +191,7 @@ def cmd_index(args, mapper=None) -> int:
 def _sweep(args, mapper) -> list:
     """Curves of the variants on the target's tuple, shared by detect and risk."""
     _check_sweep_args(args)
+    _check_out(args)
     model = _load(args.case)
     target = _require_target(args, model.m)
     perturbed = perturb_model(model, args.perturb, args.seed)
@@ -203,7 +227,11 @@ def cmd_replay(args, mapper=None) -> int:
         raise CliError(2, f"manifest not found: {args.manifest}")
     try:
         with open(args.manifest) as fh:
-            doc = json.load(fh)
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(2, f"cannot read manifest {args.manifest}: {_reason(exc)}") from exc
+    try:
+        doc = json.loads(text)
         missing = {f.name for f in fields(RunManifest)} - {"version"} - set(doc)
         if missing:
             raise KeyError(", ".join(sorted(missing)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -370,13 +371,29 @@ def tuple_attack_variants(
     return variants
 
 
-def _theory_fields(c: RiskCurve) -> list:
-    """attack_id,mu,k_a,k_d,lambda,delta_theory of each point of a curve."""
-    return [
-        f"{c.attack_id},{mu:.12g},{k_a},{c.k_d},{lam:.12g},{delta:.12g}"
-        for mu, k_a, lam, delta in zip(
-            c.mu.tolist(), c.k_a.tolist(), c.lam.tolist(), c.delta.tolist())
-    ]
+def _format_curves(header: str, curves: Sequence[RiskCurve], tail: Callable) -> str:
+    """header, then attack_id,mu,k_a,k_d,lambda,delta_theory and the
+    curve's tail columns for each point, 12 significant digits, LF.
+
+    tail(c) gives the template of the columns after delta_theory and the
+    value lists that fill it.  Each curve's rows come from one % template
+    with its id and k_d baked in, repeated once per point and filled in
+    one operation; "%.12g" % x is f"{x:.12g}" for every double.  The mu
+    column is formatted once per grid and shared by the curves on that
+    grid.
+    """
+    parts = [header + "\n"]
+    grid = mu_text = None
+    for c in curves:
+        if grid is None or not np.array_equal(c.mu, grid):
+            grid, mu_text = c.mu, list(map("%.12g".__mod__, c.mu.tolist()))
+        fmt, columns = tail(c)
+        template = (str(c.attack_id).replace("%", "%%")
+                    + ",%s,%d," + str(c.k_d) + ",%.12g,%.12g" + fmt + "\n")
+        values = tuple(chain.from_iterable(zip(
+            mu_text, c.k_a.tolist(), c.lam.tolist(), c.delta.tolist(), *columns)))
+        parts.append(template * len(mu_text) % values)
+    return "".join(parts)
 
 
 def format_risk_csv(curves: Sequence[RiskCurve]) -> str:
@@ -384,33 +401,35 @@ def format_risk_csv(curves: Sequence[RiskCurve]) -> str:
 
     delta_empirical is left empty when no Monte Carlo runs were requested.
     """
-    lines = ["attack_id,mu,k_a,k_d,lambda,delta_theory,delta_empirical,impact,risk"]
-    for c in curves:
-        emp = ([""] * len(c.mu) if c.alarms is None
-               else [f"{v:.12g}" for v in c.delta_empirical.tolist()])
-        lines.extend(
-            f"{head},{e},{impact:.12g},{risk:.12g}"
-            for head, e, impact, risk in zip(
-                _theory_fields(c), emp, c.impact.tolist(), c.risk.tolist())
-        )
-    return "\n".join(lines) + "\n"
+    def tail(c: RiskCurve) -> tuple:
+        values = [c.impact.tolist(), c.risk.tolist()]
+        if c.alarms is None:
+            return ",,%.12g,%.12g", values
+        return ",%.12g,%.12g,%.12g", [c.delta_empirical.tolist(), *values]
+
+    return _format_curves(
+        "attack_id,mu,k_a,k_d,lambda,delta_theory,delta_empirical,impact,risk",
+        curves, tail)
 
 
 def format_detect_csv(curves: Sequence[RiskCurve]) -> str:
     """Detection CSV: one row per (attack, mu), 12 significant digits, LF.
 
     With Monte Carlo runs, each row adds the empirical rate and its 95%
-    Wilson interval.
+    Wilson interval; those columns are left empty for a curve without runs.
     """
     header = "attack_id,mu,k_a,k_d,lambda,delta_theory"
-    if any(c.alarms is not None for c in curves):
+    empirical = any(c.alarms is not None for c in curves)
+    if empirical:
         header += ",delta_empirical,ci_low,ci_high"
-    lines = [header]
-    for c in curves:
+
+    def tail(c: RiskCurve) -> tuple:
         if c.alarms is None:
-            lines.extend(_theory_fields(c))
-            continue
-        for head, alarms in zip(_theory_fields(c), c.alarms.tolist()):
-            low, high = _wilson_interval(alarms, c.runs)
-            lines.append(f"{head},{alarms / c.runs:.12g},{low:.12g},{high:.12g}")
-    return "\n".join(lines) + "\n"
+            return (",,," if empirical else ""), []
+        alarms = c.alarms.tolist()
+        bounds = [_wilson_interval(a, c.runs) for a in alarms]
+        return ",%.12g,%.12g,%.12g", [[a / c.runs for a in alarms],
+                                      [low for low, _ in bounds],
+                                      [high for _, high in bounds]]
+
+    return _format_curves(header, curves, tail)

@@ -252,3 +252,56 @@ def random_observable_matrix(rng: np.random.Generator, m: int, n: int) -> np.nda
         h = rng.normal(size=(m, n))
         if rank_of(h) == n:
             return h
+
+
+
+RISK_HEADER = "attack_id,mu,k_a,k_d,lambda,delta_theory,delta_empirical,impact,risk"
+DETECT_HEADER = "attack_id,mu,k_a,k_d,lambda,delta_theory"
+
+
+def _reference_rows(header: str, curves, tails) -> str:
+    """header, then one f-string per field of each point: attack_id,mu,
+    k_a,k_d,lambda,delta_theory and the point's entry of tails(c), the
+    text of its remaining fields."""
+    lines = [header]
+    for c in curves:
+        lines.extend(
+            f"{c.attack_id},{mu:.12g},{k_a},{c.k_d},{lam:.12g},{delta:.12g}{tail}"
+            for mu, k_a, lam, delta, tail in zip(
+                c.mu.tolist(), c.k_a.tolist(), c.lam.tolist(), c.delta.tolist(),
+                tails(c)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_risk_csv(curves) -> str:
+    """The sweep CSV field by field; delta_empirical is empty for a curve
+    without Monte Carlo runs."""
+    def tails(c):
+        emp = ([""] * len(c.mu) if c.alarms is None
+               else [f"{v:.12g}" for v in c.delta_empirical.tolist()])
+        return [f",{e},{impact:.12g},{risk:.12g}"
+                for e, impact, risk in zip(emp, c.impact.tolist(), c.risk.tolist())]
+
+    return _reference_rows(RISK_HEADER, curves, tails)
+
+
+def reference_detect_csv(curves) -> str:
+    """The detection CSV field by field.  When any curve has Monte Carlo
+    runs, every row carries delta_empirical,ci_low,ci_high, empty for a
+    curve without runs.  The interval is the package's Wilson interval;
+    only the text is the reference's own."""
+    from gridrisk.risk import _wilson_interval
+
+    empirical = any(c.alarms is not None for c in curves)
+
+    def tails(c):
+        if c.alarms is None:
+            return [",,," if empirical else ""] * len(c.mu)
+        out = []
+        for alarms in c.alarms.tolist():
+            low, high = _wilson_interval(alarms, c.runs)
+            out.append(f",{alarms / c.runs:.12g},{low:.12g},{high:.12g}")
+        return out
+
+    header = DETECT_HEADER + (",delta_empirical,ci_low,ci_high" if empirical else "")
+    return _reference_rows(header, curves, tails)

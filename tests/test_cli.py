@@ -155,6 +155,92 @@ def test_missing_case_file(tmp_path, capsys):
     assert "case not found" in capsys.readouterr().err
 
 
+def _one_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert all(word in err for word in words), err
+
+
+def _no_work(*args):
+    raise AssertionError("work started before the --out check")
+
+
+COMMANDS = [["index"], ["detect", "--target", "1"], ["risk", "--target", "1"]]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_out_in_missing_directory_exits_2_before_work(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # the index sweep or Monte Carlo once ran to the end, then the write
+    # raised FileNotFoundError
+    monkeypatch.setattr(cli, "load_case_file", _no_work)
+    out = tmp_path / "missing" / "o.csv"
+    assert main([*command, "--case", CHAIN3, "--out", str(out)]) == 2
+    _one_error_line(capsys, "output directory not found", str(out.parent))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_out_that_is_a_directory_exits_2_before_work(tmp_path, capsys,
+                                                    monkeypatch, command):
+    monkeypatch.setattr(cli, "load_case_file", _no_work)
+    assert main([*command, "--case", CHAIN3, "--out", str(tmp_path)]) == 2
+    _one_error_line(capsys, "--out is a directory")
+
+
+def test_replay_out_in_missing_directory_exits_2_before_work(tmp_path, capsys,
+                                                            monkeypatch):
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc["out"] = str(tmp_path / "gone" / "d.csv")
+    manifest.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "load_case_file", _no_work)
+    assert main(["replay", str(manifest)]) == 2
+    _one_error_line(capsys, "output directory not found", "gone")
+
+
+def test_replay_of_a_directory_exits_2(tmp_path, capsys):
+    assert main(["replay", str(tmp_path)]) == 2
+    _one_error_line(capsys, "cannot read manifest", str(tmp_path))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_case_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "o.csv"
+    assert main([*command, "--case", str(tmp_path), "--out", str(out)]) == 2
+    _one_error_line(capsys, "cannot read case", str(tmp_path))
+    assert not out.exists()
+
+
+def test_non_utf8_case_exits_2(tmp_path, capsys):
+    case = tmp_path / "latin1.json"
+    case.write_bytes(json.dumps({"base_mva": 100.0}).encode() + b"\xff\xfe")
+    assert main(["index", "--case", str(case), "--out", str(tmp_path / "o.csv")]) == 2
+    _one_error_line(capsys, "cannot read case", "utf-8")
+
+
+def test_unreadable_case_exits_2(tmp_path, capsys, monkeypatch):
+    # a permission check cannot be staged for a superuser, so the open
+    # error is raised as load_case_file's open raises it
+    def denied(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "load_case_file", denied)
+    assert main(["detect", "--case", CHAIN3, "--target", "1",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    _one_error_line(capsys, "cannot read case", "Permission denied")
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    # the CSV is written, then the manifest's path is a directory
+    out = tmp_path / "o.csv"
+    (tmp_path / "o.csv.manifest.json").mkdir()
+    assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 2
+    _one_error_line(capsys, "cannot write", "o.csv.manifest.json")
+
+
 def test_detect_requires_target(tmp_path, capsys):
     rc = main(["detect", "--case", CHAIN3, "--out", str(tmp_path / "o.csv")])
     assert rc == 2
