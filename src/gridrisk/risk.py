@@ -40,6 +40,9 @@ _Z95 = 1.959963984540054
 # Monte Carlo runs drawn and tested together: memory stays O(block * m)
 # for any run count, and the default 1000 runs are a single block.
 MC_BLOCK = 4096
+# Grid points per mapped Monte Carlo task; a task's points share one noise
+# buffer and one residual buffer instead of allocating a pair each.
+_SLICE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -127,27 +130,33 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _count_alarms(noise_op: np.ndarray, shift: np.ndarray, tau: float,
-                  seed: tuple, runs: int) -> int:
-    """Runs out of `runs` whose weighted residual e @ noise_op + shift has
-    squared norm above tau, e being the run's m unscaled standard normals.
+def _count_alarms(noise_op: np.ndarray, points: Sequence[tuple], tau: float,
+                  runs: int) -> list:
+    """Alarm count of each (shift, seed) point: the runs out of `runs`
+    whose weighted residual e @ noise_op + shift has squared norm above
+    tau, e being the run's m unscaled standard normals.
 
-    Run i is the i-th row of m normals drawn from default_rng(seed), so
-    the count does not depend on MC_BLOCK, the number of runs drawn and
-    tested together.
+    Run i of a point is the i-th row of m normals drawn from
+    default_rng(seed), so its count depends neither on MC_BLOCK, the
+    number of runs drawn and tested together, nor on the other points.
+    The points share one noise buffer and one residual buffer, allocated
+    once per call.
     """
-    rng = np.random.default_rng(seed)
     block = min(runs, MC_BLOCK)
     e = np.empty((block, noise_op.shape[0]))
     r = np.empty((block, noise_op.shape[1]))
-    alarms = 0
-    for start in range(0, runs, MC_BLOCK):
-        n = min(runs - start, block)
-        rng.standard_normal(out=e[:n])
-        np.matmul(e[:n], noise_op, out=r[:n])
-        r[:n] += shift
-        alarms += int(np.count_nonzero(np.einsum("ij,ij->i", r[:n], r[:n]) > tau))
-    return alarms
+    counts = []
+    for shift, seed in points:
+        rng = np.random.default_rng(seed)
+        alarms = 0
+        for start in range(0, runs, MC_BLOCK):
+            n = min(runs - start, block)
+            rng.standard_normal(out=e[:n])
+            np.matmul(e[:n], noise_op, out=r[:n])
+            r[:n] += shift
+            alarms += int(np.count_nonzero(np.einsum("ij,ij->i", r[:n], r[:n]) > tau))
+        counts.append(alarms)
+    return counts
 
 
 def empirical_detection(
@@ -166,9 +175,10 @@ def empirical_detection(
     around the zero state.  The noise is drawn unscaled: sigma and the
     withdrawal mask live in the operator diag(sigma) W (W being the gains'
     weighted residual operator), and the attack adds the fixed shift
-    a @ W.  Runs are tested in blocks of MC_BLOCK, one product and one
-    row-wise dot per block.  The gains are those of the attack's
-    availability mask, the empty mask for a pure FDI attack.
+    a @ W.  The attack is counted as a single point of _count_alarms:
+    runs are tested in blocks of MC_BLOCK, one product and one row-wise
+    dot per block.  The gains are those of the attack's availability
+    mask, the empty mask for a pure FDI attack.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -178,8 +188,8 @@ def empirical_detection(
             f"config dof {config.dof} does not match gains dof {gains.dof}"
         )
     base = _seed_tuple(seed)
-    alarms = _count_alarms(gains.sigma[:, None] * gains.W, attack.a @ gains.W,
-                           config.tau, base, runs)
+    (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W,
+                              [(attack.a @ gains.W, base)], config.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -223,8 +233,11 @@ def risk_sweep(
     point index) and tests them serially, as empirical_detection does:
     unscaled normals through the variant's operator diag(sigma) W, plus the
     point's shift (mu/mu0) a0 @ W, so no rescaled attack is built.  The
-    mapper fans out over the grid points, so the counts do not depend on
-    the thread count.
+    mapper fans out over contiguous slices of _SLICE_POINTS grid points,
+    and each slice's points reuse one noise buffer and one residual
+    buffer; the counts are concatenated in grid order.  Every point keeps
+    its own stream, so the counts depend neither on the slice length nor
+    on the thread count.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -253,13 +266,16 @@ def risk_sweep(
             noise_op = gains.sigma[:, None] * gains.W
             shift0 = attack.a @ gains.W
 
-            def alarm_count(item) -> int:
-                pi, scale_i = item
-                return _count_alarms(noise_op, scale_i * shift0, det.tau,
-                                     _seed_tuple((seed, ai, pi)), runs)
+            scales = scale.tolist()
 
-            alarms = np.array(list((mapper or map)(alarm_count,
-                                                   list(enumerate(scale.tolist())))))
+            def slice_alarms(start: int) -> list:
+                points = [(scale_i * shift0, _seed_tuple((seed, ai, pi)))
+                          for pi, scale_i in enumerate(
+                              scales[start:start + _SLICE_POINTS], start)]
+                return _count_alarms(noise_op, points, det.tau, runs)
+
+            alarms = np.array(list(chain.from_iterable((mapper or map)(
+                slice_alarms, range(0, len(scales), _SLICE_POINTS)))))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,
@@ -285,8 +301,9 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
 def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = None) -> list:
     """Rank attack variants by peak risk, then risk at a fixed magnitude.
 
-    Ties break toward fewer corrupted measurements, then by id.  Returns
-    table rows as dicts, rank 1 first.
+    Ties break toward fewer corrupted measurements, then by id.  A row's
+    k_a is its variant's count off the zero magnitudes, where nothing is
+    corrupted.  Returns table rows as dicts, rank 1 first.
     """
     if not curves:
         raise ValueError("no risk curves to compare")
@@ -302,7 +319,7 @@ def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = Non
         rows.append(
             {
                 "attack_id": c.attack_id,
-                "k_a": int(c.k_a[0]),
+                "k_a": int(c.k_a.max()),
                 "k_d": c.k_d,
                 "peak_risk": float(c.risk[peak]),
                 "peak_mu": float(grid[peak]),

@@ -1,5 +1,8 @@
 """Impact, Monte Carlo detection rates, risk sweeps, and attack ranking."""
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,7 +199,7 @@ def test_batched_noise_rows_are_the_per_run_draws(ieee14, monkeypatch):
     cuts = np.r_[0.0, (norms[:-1] + norms[1:]) / 2, 2.0 * norms[-1]]
     monkeypatch.setattr(risk, "MC_BLOCK", 3)
     eye, zero = np.eye(ieee14.m), np.zeros(ieee14.m)
-    counts = [_count_alarms(eye, zero, tau, base, 5) for tau in cuts]
+    counts = [_count_alarms(eye, [(zero, base)], tau, 5)[0] for tau in cuts]
     assert counts == [5, 4, 3, 2, 1, 0]
 
 
@@ -351,6 +354,8 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
 
 
 GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]
+# more than two slices of grid points, the last one short
+LONG_GRID = np.r_[0.0, default_mu_grid(0.5, 2 * risk._SLICE_POINTS + 2)].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -359,14 +364,35 @@ def family14(variants14):
 
 
 def test_sweep_alarms_equal_oracle(ieee14, family14):
-    # full gains (fdi_11) and reduced gains (combined_1_10, combined_2_9)
-    curves = risk_sweep(ieee14, family14, GRID_WITH_ZERO, alpha=0.05,
-                        runs=1000, seed=21)
-    for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
-        expected = [mc_alarm_count(ieee14, scale_attack(attack, mu), 0.05, 1000,
-                                   (21, ai, pi))
-                    for pi, mu in enumerate(GRID_WITH_ZERO)]
-        assert curve.alarms.tolist() == expected
+    # full gains (fdi_11) and reduced gains (combined_1_10, combined_2_9),
+    # on one slice of grid points and on several
+    for grid in (GRID_WITH_ZERO, LONG_GRID):
+        curves = risk_sweep(ieee14, family14, grid, alpha=0.05, runs=1000, seed=21)
+        for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
+            expected = [mc_alarm_count(ieee14, scale_attack(attack, mu), 0.05, 1000,
+                                       (21, ai, pi))
+                        for pi, mu in enumerate(grid)]
+            assert curve.alarms.tolist() == expected
+
+
+def _long_grid_alarms(model, family, mapper=None) -> list:
+    curves = risk_sweep(model, family, LONG_GRID, alpha=0.05, runs=200, seed=23,
+                        mapper=mapper)
+    return [c.alarms.tolist() for c in curves]
+
+
+@pytest.mark.parametrize("slice_points", [1, 5])
+def test_sweep_alarms_do_not_depend_on_slice_length(ieee14, family14, monkeypatch,
+                                                     slice_points):
+    default = _long_grid_alarms(ieee14, family14)
+    monkeypatch.setattr(risk, "_SLICE_POINTS", slice_points)
+    assert _long_grid_alarms(ieee14, family14) == default
+
+
+def test_sweep_alarms_do_not_depend_on_threads(ieee14, family14):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = _long_grid_alarms(ieee14, family14, pool.map)
+    assert threaded == _long_grid_alarms(ieee14, family14)
 
 
 def test_sweep_alarms_equal_oracle_across_block_boundary(ieee14, family14):
@@ -400,6 +426,19 @@ def test_compare_attacks_identical_keys(chain3, chain_variants):
     assert table[0]["peak_risk"] == table[1]["peak_risk"]
     assert table[0]["risk_at_fixed_mu"] == table[1]["risk_at_fixed_mu"]
     assert [row["attack_id"] for row in table] == ["first", "second"]
+
+
+def test_compare_attacks_k_a_off_zero_magnitude(ieee14, family14):
+    curves = risk_sweep(ieee14, family14, GRID_WITH_ZERO, alpha=0.05)
+    table = compare_attacks(curves)
+    assert {row["attack_id"]: row["k_a"] for row in table} == {
+        vid: atk.k_a for vid, atk in family14}
+    # equal risk everywhere: the narrower attack ranks first despite its id
+    wide = replace(curves[2], attack_id="a_wide")
+    narrow = replace(wide, attack_id="b_narrow", k_a=curves[0].k_a)
+    table = compare_attacks([wide, narrow])
+    assert [(row["attack_id"], row["k_a"]) for row in table] == [
+        ("b_narrow", family14[0][1].k_a), ("a_wide", family14[2][1].k_a)]
 
 
 def test_compare_attacks_grid_mismatch(chain3, chain_variants):
