@@ -99,11 +99,14 @@ def perturb_model(model: GridModel, fraction: float, seed: int) -> PerturbedMode
     return PerturbedModel(H=h, W=w, fraction=fraction, seed=seed)
 
 
-def _masked_matrix(h: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return (1.0 - d)[:, None] * h
+def build_limited_knowledge_attack(perturbed: PerturbedModel, c, d=None,
+                                   target_j: Optional[int] = None) -> AttackVector:
+    """a = (I - diag(d)) H-tilde c from the perturbed model.
 
-
-def _build(h: np.ndarray, c, d, target_j) -> AttackVector:
+    Against the true model the residual shift is generally nonzero; the
+    detector module turns it into a detection probability.
+    """
+    h = perturbed.H
     c = np.asarray(c, dtype=float)
     m, n = h.shape
     if c.shape != (n,):
@@ -113,7 +116,7 @@ def _build(h: np.ndarray, c, d, target_j) -> AttackVector:
     d = np.asarray(d, dtype=float)
     if d.shape != (m,):
         raise ValueError(f"d must have shape ({m},)")
-    h_d = _masked_matrix(h, d)
+    h_d = (1.0 - d)[:, None] * h
     if matrix_rank(h_d) < n:
         raise UnobservableError("availability mask destroys observability")
     a = h_d @ c
@@ -121,16 +124,6 @@ def _build(h: np.ndarray, c, d, target_j) -> AttackVector:
     if target_j is not None:
         mu = float(a[target_j - 1])
     return AttackVector(a=a, d=d, target_j=target_j, mu=mu)
-
-
-def build_limited_knowledge_attack(perturbed: PerturbedModel, c, d=None,
-                                   target_j: Optional[int] = None) -> AttackVector:
-    """a = (I - diag(d)) H-tilde c from the perturbed model.
-
-    Against the true model the residual shift is generally nonzero; the
-    detector module turns it into a detection probability.
-    """
-    return _build(perturbed.H, c, d, target_j)
 
 
 def scale_attack(attack: AttackVector, mu_new: float) -> AttackVector:

@@ -178,7 +178,6 @@ def cmd_index(args, mapper=None) -> int:
     model = _load(args.case)
     rows = index_sweep(
         model,
-        mu=args.mu,
         cost_integrity=args.cost_integrity,
         cost_availability=args.cost_availability,
         mapper=mapper,

@@ -69,11 +69,18 @@ def j_test(gains, z, config: BddConfig) -> BddOutcome:
 
 
 def noncentrality(gains, a) -> float:
-    """Noncentrality lambda = ||R^-1/2 S a||^2 induced by attack vector a."""
+    """Noncentrality lambda = ||R^-1/2 S a||^2 induced by attack vector a
+    over the kept rows.
+
+    S's withdrawn rows are unit rows that the detector never sees, so
+    their terms are zeroed, not dropped: the sum keeps its grouping.
+    """
     a = np.asarray(a, dtype=float)
     if a.shape != (gains.m,):
         raise ValueError(f"attack vector must have shape ({gains.m},)")
-    return float(np.sum((gains.S @ a / gains.sigma) ** 2))
+    r = gains.S @ a / gains.sigma
+    r[gains.d == 1.0] = 0.0
+    return float(np.sum(r ** 2))
 
 
 @dataclass(frozen=True)

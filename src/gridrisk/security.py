@@ -27,19 +27,19 @@ found once per matrix and no minimal stealth support is cut off, so
 alpha is unchanged; only which of several equally sparse supports is
 reported can move.
 
-Every program is solved at the magnitude 0.1, with the big-M box scaled
-by 0.1/|mu| (the default box is then the same for every mu), and only the
-refit uses the query's mu.  The support is therefore the same for every
-mu, and the certificate scales with mu.  Among equally sparse supports,
-the one reported is the one HiGHS proves optimal first; it is fixed for a
-given scipy build and solver options, but follows no ordering of the
-rows.
+Every program is solved at the magnitude 0.1 in one big-M box, and only
+the refit uses the query's mu.  Every check on a candidate (stealth, the
+big-M guard, an idle class) reads the refit's row values rescaled to the
+program's magnitude, so it passes the same verdict at every mu.  The
+support is therefore the same for every mu, and the certificate scales
+with mu.  Among equally sparse supports, the one reported is the one
+HiGHS proves optimal first; it is fixed for a given scipy build and
+solver options, but follows no ordering of the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -47,12 +47,12 @@ from scipy.spatial.distance import cdist
 from .milp import MilpProblem, solve_milp
 
 PARALLEL_ATOL = 1e-8
-BIG_M_FACTOR = 1e4       # default M = BIG_M_FACTOR * |mu|
 _PROGRAM_MU = 0.1        # the magnitude every index program is solved at
+_BIG_M = 1e3             # the box every index program starts with
 _M_GUARD = 0.99
 _MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
 _MAX_CUTS = 64           # refuted candidate supports before giving up
-_VAL_TOL = 1e-7          # row-value nonzero threshold, scaled by |mu|
+_VAL_TOL = 1e-7 * _PROGRAM_MU  # row value at or below which a class is idle
 _CIRCUIT_SCREEN = 1e-12  # Gram determinant below which a triple gets an SVD
 _CIRCUIT_BLOCK = 1 << 15  # Gram determinants computed per block of the scan
 
@@ -64,14 +64,11 @@ class SecurityIndexError(Exception):
 @dataclass(frozen=True, eq=False)
 class IndexQuery:
     """One security-index question: which measurement, at what magnitude,
-    under which action costs, against which model matrix."""
+    against which model matrix."""
 
     h: np.ndarray
     target_j: int  # 1-based measurement index
     mu: float = 0.1
-    cost_integrity: float = 1.0
-    cost_availability: float = 0.5
-    big_m: Optional[float] = None
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -82,15 +79,11 @@ class IndexQuery:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{h.shape[0]}")
         if self.mu == 0.0 or not np.isfinite(self.mu):
             raise SecurityIndexError("mu must be nonzero and finite")
-        if not all(np.isfinite(c) and c >= 0
-                   for c in (self.cost_integrity, self.cost_availability)):
-            raise SecurityIndexError("costs must be finite and nonnegative")
-        if self.big_m is not None and not (np.isfinite(self.big_m) and self.big_m > 0):
-            raise SecurityIndexError("big_m must be positive and finite")
 
-    @property
-    def resolved_big_m(self) -> float:
-        return self.big_m if self.big_m is not None else BIG_M_FACTOR * abs(self.mu)
+
+def _check_costs(ci, ca):
+    if not all(np.isfinite(c) and c >= 0 for c in (ci, ca)):
+        raise SecurityIndexError("costs must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,17 +249,17 @@ def _gamma(alpha, ci, ca):
 
 def _refit(h, j0, mu, support_rows):
     """Least-squares certificate that zeroes every row off the support and
-    moves the target by mu, and whether it does both to rounding error."""
+    moves the target by mu; its row values rescaled to the program's
+    magnitude; and whether those do both to rounding error."""
     comp = np.setdiff1d(np.arange(h.shape[0]), support_rows)
     a = np.vstack([h[comp], h[j0][None, :]])
     b = np.zeros(a.shape[0])
     b[-1] = mu
     c, *_ = np.linalg.lstsq(a, b, rcond=None)
-    stealth = (
-        abs(h[j0] @ c - mu) <= 1e-7 * max(1.0, abs(mu))
-        and (comp.size == 0 or np.max(np.abs(h[comp] @ c)) <= 1e-9 * max(1.0, abs(mu)))
-    )
-    return c, stealth
+    v = (h @ c) * (_PROGRAM_MU / mu)
+    stealth = (abs(v[j0] - _PROGRAM_MU) <= 1e-7
+               and np.max(np.abs(v[comp]), initial=0.0) <= 1e-9)
+    return c, v, stealth
 
 
 def _rows_of(classes, on):
@@ -279,20 +272,18 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     HiGHS accepts a binary within its integrality tolerance of 0 while the
     big-M row still carries up to M times that tolerance, so its support
     is only a candidate.  The candidate is refit with exact zeros off the
-    support and tested for stealth.  A candidate that fails cannot contain
-    a stealthy subset, so a cut forcing some class outside it into the
-    support is added and the program solved again.  Cuts remove no
-    stealthy support, so the first candidate that passes is optimal.
+    support and tested for stealth at the program's magnitude.  A
+    candidate that fails cannot contain a stealthy subset, so a cut
+    forcing some class outside it into the support is added and the
+    program solved again.  Cuts remove no stealthy support, so the first
+    candidate that passes is optimal.
     """
     h, j0, mu = query.h, query.target_j - 1, query.mu
     n = h.shape[1]
     if structure is None:
         structure = row_structure(h)
     classes = structure.classes
-    # The program is posed at magnitude _PROGRAM_MU with the box scaled to
-    # match (the default box exactly, so the program does not depend on mu)
-    scale = _PROGRAM_MU / abs(mu)
-    big = BIG_M_FACTOR * _PROGRAM_MU if query.big_m is None else query.big_m * scale
+    big = _BIG_M
     enlargements = 0
     cuts = []
     while True:
@@ -300,13 +291,13 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
         on = sol.x[n : n + len(classes)] > 0.5
-        cert, stealth = _refit(h, j0, mu, _rows_of(classes, on))
+        cert, v, stealth = _refit(h, j0, mu, _rows_of(classes, on))
         if not stealth:
             if len(cuts) == _MAX_CUTS:
                 raise SecurityIndexError(
                     f"no stealthy support after {_MAX_CUTS} refuted candidates")
             cuts.append((~on).astype(float))
-        elif np.max(np.abs(h @ cert)) * scale > _M_GUARD * big:
+        elif np.max(np.abs(v)) > _M_GUARD * big:
             # big-M validity guard: even the least-norm certificate of the
             # support nearly fills the box, so the box may cut off others
             if enlargements == _MAX_ENLARGEMENTS:
@@ -318,7 +309,7 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
 
     # Every class costs at least one row, so dropping a class the verified
     # certificate leaves at zero would undercut an optimal support
-    if np.any(np.abs(h[structure.reps[on]] @ cert) <= _VAL_TOL * abs(mu)):
+    if np.any(np.abs(v[structure.reps[on]]) <= _VAL_TOL):
         raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
     support = tuple(int(i) + 1 for i in _rows_of(classes, on))
     if abs(sol.objective - len(support)) > 1e-6 * len(support):
@@ -345,21 +336,23 @@ def combined_index(query: IndexQuery) -> SecurityIndexResult:
     return _solve_index(query)
 
 
-def cost_weighted_index(query: IndexQuery) -> SecurityIndexResult:
+def cost_weighted_index(query: IndexQuery, cost_integrity: float = 1.0,
+                        cost_availability: float = 0.5) -> SecurityIndexResult:
     """gamma: cheapest stealth attack under per-action costs.
 
     At its cheapest split a support of k rows through the target costs
     C_I + (k - 1) min(C_I, C_A), and k >= alpha, so alpha's support is a
     cheapest one.
     """
+    ci, ca = cost_integrity, cost_availability
+    _check_costs(ci, ca)
     res = _solve_index(query)
-    ci, ca = query.cost_integrity, query.cost_availability
     integ, avail = _canonical_sets(res.support, query.target_j, ci, ca)
     return replace(res, objective=_gamma(res.objective, ci, ca),
                    integrity_set=integ, availability_set=avail)
 
 
-def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
+def index_sweep(model_or_h, cost_integrity: float = 1.0,
                 cost_availability: float = 0.5, mapper=None):
     """Per-measurement index table for j = 1..m.
 
@@ -370,12 +363,13 @@ def index_sweep(model_or_h, mu: float = 0.1, cost_integrity: float = 1.0,
     split is member-specific.  Classes are independent tasks, so a
     parallel mapper changes nothing but time.
     """
+    ci, ca = cost_integrity, cost_availability
+    _check_costs(ci, ca)
     h = _matrix(model_or_h)
     structure = row_structure(h)
-    ci, ca = cost_integrity, cost_availability
 
     def solve_class(cls):
-        return fdi_index(IndexQuery(h, int(cls.min()) + 1, mu, ci, ca), structure)
+        return fdi_index(IndexQuery(h, int(cls.min()) + 1), structure)
 
     rows = [None] * h.shape[0]
     classes = structure.classes

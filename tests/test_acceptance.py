@@ -41,7 +41,7 @@ def sweep14(ieee14):
     from gridrisk.security import index_sweep
 
     start = time.perf_counter()
-    rows = index_sweep(ieee14, mu=0.1, cost_integrity=1.0, cost_availability=0.5)
+    rows = index_sweep(ieee14, cost_integrity=1.0, cost_availability=0.5)
     return rows, time.perf_counter() - start
 
 

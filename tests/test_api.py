@@ -5,9 +5,12 @@ in for a linter's unused-import rule.
 """
 
 import ast
+import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import gridrisk
+from gridrisk.security import IndexQuery, cost_weighted_index, index_sweep
 
 PACKAGE = Path(gridrisk.__file__).resolve().parent
 
@@ -50,6 +53,16 @@ def test_public_api_is_pinned():
     for name in PUBLIC_API:
         assert getattr(gridrisk, name) is not None, name
     assert isinstance(gridrisk.__version__, str)
+
+
+def test_index_knobs_are_pinned():
+    # every program is solved in one box at one magnitude, and the costs
+    # only price alpha's support: none of them belongs in the query
+    assert [f.name for f in fields(IndexQuery)] == ["h", "target_j", "mu"]
+    assert list(inspect.signature(index_sweep).parameters) == [
+        "model_or_h", "cost_integrity", "cost_availability", "mapper"]
+    assert list(inspect.signature(cost_weighted_index).parameters) == [
+        "query", "cost_integrity", "cost_availability"]
 
 
 def _unused_imports(tree) -> set:

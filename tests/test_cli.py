@@ -34,8 +34,7 @@ def test_index_csv_matches_library(tmp_path):
     out = tmp_path / "index.csv"
     assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 0
     model = build_model(load_bundled_case("chain3"))
-    expected = format_index_csv(index_sweep(model, mu=0.1,
-                                            cost_integrity=1.0,
+    expected = format_index_csv(index_sweep(model, cost_integrity=1.0,
                                             cost_availability=0.5))
     assert _read(out) == expected
 
@@ -46,6 +45,33 @@ def test_index_csv_matches_library(tmp_path):
     assert manifest["mu"] == 0.1
     assert manifest["cost_availability"] == 0.5
     assert manifest["empirical"] is False
+
+
+# ieee14 restricted to 35 of its 54 measurements (numbers in the bundled
+# case).  The first support HiGHS offers for rows 6 and 17 has 7 rows and
+# fails the stealth check; alpha is 8 there.
+PLAN35_ROWS = [1, 2, 3, 5, 6, 7, 10, 12, 14, 15, 17, 19, 22, 23, 24, 26, 27, 29,
+               30, 31, 32, 33, 35, 38, 39, 40, 43, 45, 46, 47, 49, 51, 52, 53, 54]
+
+
+def test_index_rows_do_not_depend_on_mu(tmp_path):
+    doc = json.loads((resources.files("gridrisk") / "cases" / "ieee14.json").read_text())
+    doc["measurements"] = [doc["measurements"][i - 1] for i in PLAN35_ROWS]
+    plan = tmp_path / "plan35.json"
+    plan.write_text(json.dumps(doc))
+    for case in (str(plan), CHAIN3, RING4):
+        default = tmp_path / "default.csv"
+        assert main(["index", "--case", case, "--out", str(default)]) == 0
+        for mu in ("1e-9", "1e3"):
+            out = tmp_path / f"mu{mu}.csv"
+            assert main(["index", "--case", case, "--mu", mu, "--out", str(out)]) == 0
+            assert out.read_bytes() == default.read_bytes(), (case, mu)
+            # the magnitude is still recorded for replay
+            manifest = json.loads(_read(tmp_path / f"mu{mu}.csv.manifest.json"))
+            assert manifest["mu"] == float(mu)
+        if case == str(plan):
+            alphas = {int(r["j"]): int(r["alpha"]) for r in _rows(default)}
+            assert alphas[6] == alphas[17] == 8
 
 
 def test_replay_restores_output_bytes(tmp_path):

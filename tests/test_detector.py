@@ -105,6 +105,21 @@ def test_noncentrality_formula_and_scaling(ieee14):
     assert noncentrality(g, 2.0 * a) == pytest.approx(4.0 * lam, rel=1e-12)
 
 
+def test_noncentrality_ignores_withdrawn_rows(ieee14):
+    # S's withdrawn rows are unit rows the detector never sees, so an a
+    # that is nonzero on one must not raise lambda or delta
+    d = np.zeros(ieee14.m)
+    d[[4, 17, 30]] = 1.0
+    g = compute_reduced_gains(ieee14, d)
+    a = np.zeros(ieee14.m)
+    a[[4, 9]] = 0.1
+    assert noncentrality(g, a) == pytest.approx(float(residual_statistic(g, a)),
+                                                rel=1e-12)
+    kept = a * (1.0 - d)
+    assert detection_probability(g, a, 0.05).delta == pytest.approx(
+        detection_probability(g, kept, 0.05).delta, rel=1e-12)
+
+
 def test_detection_probability_reduces_to_alpha(ieee14):
     g = compute_gains(ieee14)
     ana = detection_probability(g, np.zeros(ieee14.m), alpha=0.05)

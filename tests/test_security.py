@@ -133,9 +133,8 @@ def test_cost_weighted_closed_form():
         ci = float(rng.uniform(0.5, 2.0))
         ca = float(rng.uniform(0.1, 3.0))
         j = int(rng.integers(1, 9))
-        q = IndexQuery(h, j, cost_integrity=ci, cost_availability=ca)
         gamma, corrupted, withdrawn = withdrawal_index(h, j - 1, ci, ca)
-        res = cost_weighted_index(q)
+        res = cost_weighted_index(IndexQuery(h, j), ci, ca)
         assert res.objective == pytest.approx(gamma, rel=1e-9)
         assert len(res.integrity_set) == len(corrupted)
         assert len(res.availability_set) == len(withdrawn)
@@ -146,8 +145,8 @@ def test_free_action_costs(ring4):
     # a free action leaves a whole tuple of zero-cost rows; the answer must
     # still be a verified stealth support, priced at the one paid row
     for ci, ca, expected in ((1.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)):
-        res = cost_weighted_index(IndexQuery(ring4.H, 1, cost_integrity=ci,
-                                             cost_availability=ca))
+        res = cost_weighted_index(IndexQuery(ring4.H, 1), cost_integrity=ci,
+                                  cost_availability=ca)
         assert res.objective == pytest.approx(expected)
         _assert_result_shape(res, ring4.H, 1, 0.1)
         assert len(res.support) >= RING4_ALPHA
@@ -163,9 +162,36 @@ def test_magnitude_homogeneity(ring4):
     )
 
 
+def _refuted_programs():
+    """The (h, j, result) on the matrices of
+    test_random_matrices_match_oracle whose program at mu = 0.1 refutes a
+    candidate support before one passes."""
+    posed = []
+
+    def spy(problem):
+        posed.append(problem)
+        return solve_milp(problem)
+
+    rng = np.random.default_rng(101)
+    found = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(security, "solve_milp", spy)
+        for _ in range(10):
+            m = int(rng.integers(5, 11))
+            n = int(rng.integers(2, min(m - 1, 5) + 1))
+            h = random_observable_matrix(rng, m, n)
+            for j in range(1, m + 1):
+                posed.clear()
+                res = fdi_index(IndexQuery(h, j))
+                # a refutation cut is the only row with right-hand side -1
+                if np.any(posed[-1].b_ub == -1.0):
+                    found.append((h, j, res))
+    return found
+
+
 def test_support_does_not_depend_on_magnitude(ring4, ieee14):
-    # every program is solved at one magnitude, so mu only scales the
-    # certificate, whatever its size or sign
+    # every program is solved and checked at one magnitude, so mu only
+    # scales the certificate, whatever its size or sign
     for model, targets in ((ring4, range(1, ring4.m + 1)), (ieee14, (1, 9, 44))):
         for index in (fdi_index, combined_index):
             for j in targets:
@@ -178,6 +204,17 @@ def test_support_does_not_depend_on_magnitude(ring4, ieee14):
                         res.certificate_c, (mu / 0.1) * ref.certificate_c,
                         rtol=1e-9, atol=1e-12 * abs(mu))
                     _assert_result_shape(res, model.H, j, mu)
+    # where a candidate fails the stealth check, a tiny or huge mu must
+    # fail it too
+    refuted = _refuted_programs()
+    assert len(refuted) >= 10
+    for h, j, ref in refuted:
+        size, _ = enumeration_alpha(h, j - 1)
+        for mu in (1e-12, 1e-9, 1e-6, 1e3, 1e9):
+            res = fdi_index(IndexQuery(h, j, mu=mu))
+            assert res.objective == size, (j, mu)
+            assert res.support == ref.support, (j, mu)
+            assert set_admits_target(h, [i - 1 for i in res.support], j - 1)
 
 
 def test_fdi_and_combined_pose_one_program(chain3, ring4, ieee14, monkeypatch):
@@ -204,11 +241,13 @@ def test_fdi_and_combined_pose_one_program(chain3, ring4, ieee14, monkeypatch):
                                               getattr(p_comb, f.name))
 
 
-def test_big_m_insensitivity(chain3, ring4):
+def test_big_m_insensitivity(chain3, ring4, monkeypatch):
     for model, j in ((chain3, 2), (ring4, 7)):
-        base = IndexQuery(model.H, j)
-        forced = IndexQuery(model.H, j, big_m=10.0 * base.resolved_big_m)
-        a, b = fdi_index(base), fdi_index(forced)
+        query = IndexQuery(model.H, j)
+        a = fdi_index(query)
+        with monkeypatch.context() as patched:
+            patched.setattr(security, "_BIG_M", 10.0 * security._BIG_M)
+            b = fdi_index(query)
         assert a.objective == b.objective
         assert a.support == b.support
 
@@ -485,16 +524,13 @@ def test_query_validation(chain3):
         IndexQuery(chain3.H, 8)
     with pytest.raises(SecurityIndexError):
         IndexQuery(chain3.H, 1, mu=0.0)
-    with pytest.raises(SecurityIndexError):
-        IndexQuery(chain3.H, 1, cost_integrity=-1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(SecurityIndexError):
-            IndexQuery(chain3.H, 1, cost_availability=bad)
-        with pytest.raises(SecurityIndexError):
-            IndexQuery(chain3.H, 1, cost_integrity=bad)
-    for bad in (np.nan, np.inf, 0.0, -1.0):
-        with pytest.raises(SecurityIndexError, match="big_m"):
-            IndexQuery(chain3.H, 1, big_m=bad)
+    query = IndexQuery(chain3.H, 1)
+    for bad in (-1.0, np.nan, np.inf):
+        for costs in ({"cost_integrity": bad}, {"cost_availability": bad}):
+            with pytest.raises(SecurityIndexError, match="costs"):
+                cost_weighted_index(query, **costs)
+            with pytest.raises(SecurityIndexError, match="costs"):
+                index_sweep(chain3, **costs)
 
 
 @given(
