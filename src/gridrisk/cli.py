@@ -1,10 +1,11 @@
 """Command-line surface: index sweeps, detection curves, risk curves.
 
-Every command writes CSV (12 significant digits, LF endings) plus a JSON
-manifest that fully determines the run; `gridrisk replay MANIFEST`
-reproduces the outputs byte for byte.  Exit codes: 0 success, 1 the
-analysis itself failed, 2 bad usage or input, including a case, manifest
-or output file that cannot be read or written.
+Each command takes only the flags it reads.  It writes CSV (12
+significant digits, LF endings) plus a JSON manifest of its command,
+version and flags, which fully determines the run; `gridrisk replay
+MANIFEST` reproduces the outputs byte for byte.  Exit codes: 0 success,
+1 the analysis itself failed, 2 bad usage or input, including a case,
+manifest or output file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
-from typing import Optional, get_type_hints
+from typing import Optional
 
 from . import __version__
 from .attack import perturb_model
@@ -52,30 +52,27 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command invocation."""
+# Every flag a command may take, by its manifest field: the field's type,
+# the default (None where the flag is required or may stay unset) and
+# help.  A str flag without a default is required.
+_FLAGS = {
+    "case": (str, None, "path to a grid case JSON file"),
+    "target": (Optional[int], None, "measurement index j (1-based)"),
+    "mu_max": (float, 0.5, "largest attack magnitude of the sweep"),
+    "mu_points": (int, 200, "number of magnitudes in (0, mu_max]"),
+    "alpha": (float, 0.05, "false-alarm rate of the residual test"),
+    "cost_integrity": (float, 1.0, "cost of corrupting one measurement"),
+    "cost_availability": (float, 0.5, "cost of withdrawing one measurement"),
+    "perturb": (float, 0.2, "attacker model error fraction on line weights"),
+    "seed": (int, 0, "attacker model and Monte Carlo seed"),
+    "runs": (int, 1000, "Monte Carlo runs per grid point"),
+    "empirical": (bool, False, "add Monte Carlo detection columns"),
+    "out": (str, None, "output CSV path"),
+}
 
-    command: str
-    version: str
-    case: str
-    out: str
-    target: Optional[int]
-    mu: float
-    mu_max: float
-    mu_points: int
-    alpha: float
-    cost_integrity: float
-    cost_availability: float
-    perturb: float
-    seed: int
-    runs: int
-    empirical: bool
-
-
-# The JSON values each manifest field type admits, and its name in errors.
-# JSON true and false load as bool, a subclass of int, so only a bool
-# field admits them.
+# The JSON values each field type admits in a manifest, and its name in
+# errors.  JSON true and false load as bool, a subclass of int, so only a
+# bool field admits them.
 _MANIFEST_VALUES = {
     str: ((str,), "a string"),
     int: ((int,), "an integer"),
@@ -85,19 +82,13 @@ _MANIFEST_VALUES = {
 }
 
 
-def _check_manifest_values(doc: dict):
-    for name, kind in get_type_hints(RunManifest).items():
+def _check_manifest_values(doc: dict, kinds: dict):
+    for name, kind in kinds.items():
         admitted, label = _MANIFEST_VALUES[kind]
         value = doc.get(name)
         if name in doc and (not isinstance(value, admitted)
                             or isinstance(value, bool) != (kind is bool)):
             raise TypeError(f"{name} must be {label}, got {value!r}")
-
-
-def _manifest_from_args(command: str, args) -> RunManifest:
-    values = {f.name: getattr(args, f.name) for f in fields(RunManifest)
-              if f.name not in ("command", "version")}
-    return RunManifest(command=command, version=__version__, **values)
 
 
 def _reason(exc: Exception) -> str:
@@ -111,11 +102,6 @@ def _write_text(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise CliError(2, f"cannot write {path}: {_reason(exc)}") from exc
-
-
-def _write_manifest(manifest: RunManifest):
-    doc = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    _write_text(manifest.out + ".manifest.json", doc)
 
 
 def _check_out(args):
@@ -145,21 +131,15 @@ def _require_target(args, m: int) -> int:
     return args.target
 
 
-def _check_mu(args):
-    if args.mu == 0.0 or not math.isfinite(args.mu):
-        raise CliError(2, "--mu must be nonzero and finite")
-
-
 def _check_sweep_args(args):
     """Reject bad detect/risk values as usage errors (exit 2), before
     any work; replay runs its manifest through the same check."""
-    _check_mu(args)
     if args.seed < 0:
         raise CliError(2, "--seed must be nonnegative")
     if args.mu_points < 1:
         raise CliError(2, "--mu-points must be >= 1")
-    if not math.isfinite(args.mu_max):
-        raise CliError(2, "--mu-max must be finite")
+    if not 0.0 <= args.mu_max < math.inf:
+        raise CliError(2, "--mu-max must be finite and nonnegative")
     if not 0.0 < args.alpha < 1.0:
         raise CliError(2, "--alpha must lie strictly between 0 and 1")
     if not 0.0 <= args.perturb < 1.0:
@@ -168,8 +148,7 @@ def _check_sweep_args(args):
         raise CliError(2, "--runs must be >= 1 with --empirical")
 
 
-def cmd_index(args, mapper=None) -> int:
-    _check_mu(args)
+def _index_csv(args, mapper) -> str:
     for flag, cost in (("--cost-integrity", args.cost_integrity),
                        ("--cost-availability", args.cost_availability)):
         if not (math.isfinite(cost) and cost >= 0):
@@ -182,9 +161,7 @@ def cmd_index(args, mapper=None) -> int:
         cost_availability=args.cost_availability,
         mapper=mapper,
     )
-    _write_text(args.out, format_index_csv(rows))
-    _write_manifest(_manifest_from_args("index", args))
-    return 0
+    return format_index_csv(rows)
 
 
 def _sweep(args, mapper) -> list:
@@ -194,34 +171,50 @@ def _sweep(args, mapper) -> list:
     model = _load(args.case)
     target = _require_target(args, model.m)
     perturbed = perturb_model(model, args.perturb, args.seed)
-    variants = tuple_attack_variants(perturbed, target, mu=args.mu)
+    variants = tuple_attack_variants(perturbed, target)
     grid = default_mu_grid(args.mu_max, args.mu_points)
     runs = args.runs if args.empirical else 0
     return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
                       seed=args.seed, mapper=mapper)
 
 
-def cmd_detect(args, mapper=None) -> int:
-    _write_text(args.out, format_detect_csv(_sweep(args, mapper)))
-    _write_manifest(_manifest_from_args("detect", args))
+def _detect_csv(args, mapper) -> str:
+    return format_detect_csv(_sweep(args, mapper))
+
+
+def _risk_csv(args, mapper) -> str:
+    return format_risk_csv(_sweep(args, mapper))
+
+
+_SWEEP_FLAGS = ("case", "target", "mu_max", "mu_points", "alpha", "perturb",
+                "seed", "runs", "empirical", "out")
+
+# Each command's CSV, help, and the flags it reads: its parser takes
+# those flags alone, and its manifest records them alone.
+_COMMANDS = {
+    "index": (_index_csv, "per-measurement security index table",
+              ("case", "cost_integrity", "cost_availability", "out")),
+    "detect": (_detect_csv, "detection probability versus attack magnitude",
+               _SWEEP_FLAGS),
+    "risk": (_risk_csv, "risk curves for attack variants on one critical tuple",
+             _SWEEP_FLAGS),
+}
+
+
+def _run(args, mapper=None) -> int:
+    """Write the CSV of args.command, then its manifest."""
+    csv, _, flags = _COMMANDS[args.command]
+    _write_text(args.out, csv(args, mapper))
+    manifest = {"command": args.command, "version": __version__,
+                **{name: getattr(args, name) for name in flags}}
+    _write_text(args.out + ".manifest.json",
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_risk(args, mapper=None) -> int:
-    if args.cost_availability != args.cost_integrity:
-        raise CliError(
-            2,
-            "risk comparison requires equal integrity and availability costs",
-        )
-    _write_text(args.out, format_risk_csv(_sweep(args, mapper)))
-    _write_manifest(_manifest_from_args("risk", args))
-    return 0
-
-
-_COMMANDS = {"index": cmd_index, "detect": cmd_detect, "risk": cmd_risk}
-
-
-def cmd_replay(args, mapper=None) -> int:
+def _replay(args, mapper=None) -> int:
+    """Run a manifest's command with the flags it records; keys the
+    command does not read, such as those of older versions, are ignored."""
     if not os.path.exists(args.manifest):
         raise CliError(2, f"manifest not found: {args.manifest}")
     try:
@@ -231,44 +224,25 @@ def cmd_replay(args, mapper=None) -> int:
         raise CliError(2, f"cannot read manifest {args.manifest}: {_reason(exc)}") from exc
     try:
         doc = json.loads(text)
-        missing = {f.name for f in fields(RunManifest)} - {"version"} - set(doc)
+        command = doc["command"]
+        if not isinstance(command, str) or command not in _COMMANDS:
+            raise ValueError(f"command must be one of {', '.join(_COMMANDS)}, "
+                             f"got {command!r}")
+        flags = _COMMANDS[command][2]
+        missing = set(flags) - set(doc)
         if missing:
             raise KeyError(", ".join(sorted(missing)))
-        _check_manifest_values(doc)
-        command = doc.pop("command")
-        version = doc.pop("version", "unknown")
-        replay_args = argparse.Namespace(**doc)
-        handler = _COMMANDS[command]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        _check_manifest_values(doc, {"version": str,
+                                     **{name: _FLAGS[name][0] for name in flags}})
+        version = doc.get("version", "unknown")
+        replay_args = argparse.Namespace(command=command,
+                                         **{name: doc[name] for name in flags})
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(2, f"malformed manifest: {exc}") from exc
     if version != __version__:
         print(f"warning: manifest written by gridrisk {version}, replaying "
               f"with {__version__}; output may differ", file=sys.stderr)
-    return handler(replay_args, mapper)
-
-
-def _add_common(sub: argparse.ArgumentParser, cost_availability: float):
-    sub.add_argument("--case", required=True, help="path to a grid case JSON file")
-    sub.add_argument("--target", type=int, default=None,
-                     help="measurement index j (1-based)")
-    sub.add_argument("--mu", type=float, default=0.1,
-                     help="attack magnitude used to build certificates")
-    sub.add_argument("--mu-max", type=float, default=0.5, dest="mu_max")
-    sub.add_argument("--mu-points", type=int, default=200, dest="mu_points")
-    sub.add_argument("--alpha", type=float, default=0.05,
-                     help="false-alarm rate of the residual test")
-    sub.add_argument("--cost-integrity", type=float, default=1.0,
-                     dest="cost_integrity")
-    sub.add_argument("--cost-availability", type=float,
-                     default=cost_availability, dest="cost_availability")
-    sub.add_argument("--perturb", type=float, default=0.2,
-                     help="attacker model error fraction on line weights")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--runs", type=int, default=1000,
-                     help="Monte Carlo runs per grid point")
-    sub.add_argument("--empirical", action="store_true",
-                     help="add Monte Carlo detection columns")
-    sub.add_argument("--out", required=True, help="output CSV path")
+    return _run(replay_args, mapper)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,12 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser(
-        "index", help="per-measurement security index table"), 0.5)
-    _add_common(subs.add_parser(
-        "detect", help="detection probability versus attack magnitude"), 0.5)
-    _add_common(subs.add_parser(
-        "risk", help="risk curves for attack variants on one critical tuple"), 1.0)
+    for command, (_, text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for name in flags:
+            kind, default, help_text = _FLAGS[name]
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sub.add_argument(flag, action="store_true", help=help_text)
+            else:
+                sub.add_argument(flag, type=int if kind is Optional[int] else kind,
+                                 default=default, required=kind is str,
+                                 help=help_text)
     replay = subs.add_parser("replay", help="re-run a recorded manifest")
     replay.add_argument("manifest", help="path to a .manifest.json file")
     return parser
@@ -305,7 +284,7 @@ def _thread_count() -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = cmd_replay if args.command == "replay" else _COMMANDS[args.command]
+    handler = _replay if args.command == "replay" else _run
     try:
         threads = _thread_count()
         if threads > 1:

@@ -295,6 +295,8 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
     """Uniform magnitudes in (0, mu_max]; mu_max = 0 collapses to a zero grid."""
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
+    if mu_max < 0:
+        raise ValueError("mu_max must be >= 0")
     return mu_max * np.arange(1, mu_points + 1) / mu_points
 
 
@@ -335,22 +337,19 @@ def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = Non
     return rows
 
 
-def tuple_attack_variants(
-    perturbed: PerturbedModel,
-    target_j: int,
-    mu: float = 0.1,
-) -> list:
+def tuple_attack_variants(perturbed: PerturbedModel, target_j: int) -> list:
     """FDI and combined attacks on the target's critical tuple, as the
     attacker would build them from their own (perturbed) model.
 
-    One certificate feeds every variant, so they act on the same rows:
-    the pure FDI corrupts the whole tuple, the combined variants keep
-    one or two rows corrupted and withdraw the rest.  The tuple is
-    alpha's support in the attacker's model, as `combined_index` reports
-    it.  Returned as (attack_id, AttackVector) pairs in increasing k_a
-    order.
+    One certificate, built at the program magnitude mu = 0.1, feeds every
+    variant, so they act on the same rows: the pure FDI corrupts the
+    whole tuple, the combined variants keep one or two rows corrupted and
+    withdraw the rest.  Any other magnitude is a rescaling, which
+    risk_sweep does.  The tuple is alpha's support in the attacker's
+    model, as `combined_index` reports it.  Returned as (attack_id,
+    AttackVector) pairs in increasing k_a order.
     """
-    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j, mu=mu))
+    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j))
     support = list(res.support)
     beta = len(support)
     others = [i for i in support if i != target_j]

@@ -43,7 +43,7 @@ def reported_variants14(ieee14):
     out = {}
     for seed in range(13):
         perturbed = perturb_model(ieee14, 0.2, seed=seed)
-        out[seed] = perturbed, tuple_attack_variants(perturbed, target_j=9, mu=0.1)
+        out[seed] = perturbed, tuple_attack_variants(perturbed, target_j=9)
     return out
 
 

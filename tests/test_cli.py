@@ -1,5 +1,6 @@
 """End-to-end checks of the gridrisk command line."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 import gridrisk
 from gridrisk import cli
 from gridrisk.cli import main
-from gridrisk.network import build_model, load_bundled_case
-from gridrisk.security import format_index_csv, index_sweep
+from gridrisk.network import build_model, load_bundled_case, load_case_file
+from gridrisk.security import IndexQuery, fdi_index, format_index_csv, index_sweep
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
 RING4 = str(resources.files("gridrisk") / "cases" / "ring4.json")
@@ -38,13 +39,16 @@ def test_index_csv_matches_library(tmp_path):
                                             cost_availability=0.5))
     assert _read(out) == expected
 
+    # the manifest records the command, the version and index's own flags
     manifest = json.loads(_read(tmp_path / "index.csv.manifest.json"))
-    assert manifest["command"] == "index"
-    assert manifest["case"] == CHAIN3
-    assert manifest["out"] == str(out)
-    assert manifest["mu"] == 0.1
-    assert manifest["cost_availability"] == 0.5
-    assert manifest["empirical"] is False
+    assert manifest == {
+        "command": "index",
+        "version": gridrisk.__version__,
+        "case": CHAIN3,
+        "out": str(out),
+        "cost_integrity": 1.0,
+        "cost_availability": 0.5,
+    }
 
 
 # ieee14 restricted to 35 of its 54 measurements (numbers in the bundled
@@ -59,19 +63,15 @@ def test_index_rows_do_not_depend_on_mu(tmp_path):
     doc["measurements"] = [doc["measurements"][i - 1] for i in PLAN35_ROWS]
     plan = tmp_path / "plan35.json"
     plan.write_text(json.dumps(doc))
-    for case in (str(plan), CHAIN3, RING4):
-        default = tmp_path / "default.csv"
-        assert main(["index", "--case", case, "--out", str(default)]) == 0
-        for mu in ("1e-9", "1e3"):
-            out = tmp_path / f"mu{mu}.csv"
-            assert main(["index", "--case", case, "--mu", mu, "--out", str(out)]) == 0
-            assert out.read_bytes() == default.read_bytes(), (case, mu)
-            # the magnitude is still recorded for replay
-            manifest = json.loads(_read(tmp_path / f"mu{mu}.csv.manifest.json"))
-            assert manifest["mu"] == float(mu)
-        if case == str(plan):
-            alphas = {int(r["j"]): int(r["alpha"]) for r in _rows(default)}
-            assert alphas[6] == alphas[17] == 8
+    out = tmp_path / "plan35.csv"
+    assert main(["index", "--case", str(plan), "--out", str(out)]) == 0
+    alphas = {int(r["j"]): int(r["alpha"]) for r in _rows(out)}
+    assert alphas[6] == alphas[17] == 8
+    # a query at a tiny or huge magnitude finds the rows index reports
+    h = build_model(load_case_file(str(plan))).H
+    for j in (6, 17):
+        for mu in (1e-9, 1e3):
+            assert fdi_index(IndexQuery(h, j, mu=mu)).objective == alphas[j]
 
 
 def test_replay_restores_output_bytes(tmp_path):
@@ -167,11 +167,16 @@ def test_risk_zero_magnitude(tmp_path):
         assert float(row["lambda"]) == 0.0
 
 
-def test_risk_requires_equal_costs(tmp_path, capsys):
-    rc = main(["risk", "--case", CHAIN3, "--target", "1",
-               "--cost-availability", "0.5", "--out", str(tmp_path / "r.csv")])
-    assert rc == 2
-    assert "equal" in capsys.readouterr().err
+def test_risk_rejects_cost_flags(tmp_path, capsys):
+    # risk compares variants of one critical tuple, whose costs cancel;
+    # equal costs were once accepted and unequal ones rejected
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["risk", "--case", CHAIN3, "--target", "1", "--cost-integrity", "1",
+              "--cost-availability", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--cost-integrity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_case_file(tmp_path, capsys):
@@ -290,8 +295,7 @@ def test_target_out_of_range(tmp_path, capsys):
     (["--alpha", "0"], "--alpha"),
     (["--perturb", "1.0"], "--perturb"),
     (["--perturb", "-0.1"], "--perturb"),
-    (["--mu", "0"], "--mu"),
-    (["--mu", "inf"], "--mu"),
+    (["--mu-max", "-0.5"], "--mu-max"),
 ])
 def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
     out = tmp_path / "o.csv"
@@ -302,14 +306,50 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mu", ["0", "inf", "-inf", "nan"])
-def test_index_bad_mu_exits_2(tmp_path, capsys, mu):
-    out = tmp_path / "o.csv"
-    rc = main(["index", "--case", CHAIN3, f"--mu={mu}", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--mu" in err and err.count("\n") == 1
-    assert not out.exists()
+SWEEP_FLAGS = {"--case", "--out", "--target", "--mu-max", "--mu-points", "--alpha",
+               "--perturb", "--seed", "--runs", "--empirical"}
+FLAG_SETS = {
+    "index": {"--case", "--out", "--cost-integrity", "--cost-availability"},
+    "detect": SWEEP_FLAGS,
+    "risk": SWEEP_FLAGS,
+}
+
+
+def test_each_command_takes_only_its_flags():
+    (subs,) = [action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    for command, flags in FLAG_SETS.items():
+        options = {opt for action in subs.choices[command]._actions
+                   for opt in action.option_strings}
+        assert options - {"-h", "--help"} == flags, command
+
+
+# flags no command reads any more, or that another command reads, each
+# with a value the flag took
+REMOVED = {
+    "index": [["--target", "3"], ["--mu", "0.1"], ["--mu-max", "0.5"],
+              ["--mu-points", "3"], ["--alpha", "0.05"], ["--perturb", "0.2"],
+              ["--seed", "1"], ["--runs", "10"], ["--empirical"]],
+    "detect": [["--mu", "0.1"], ["--cost-integrity", "1"],
+               ["--cost-availability", "0.5"]],
+    "risk": [["--mu", "0.1"], ["--cost-integrity", "1"],
+             ["--cost-availability", "1"]],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in REMOVED.items() for flag in flags
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_removed_flag_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                 command, flag):
+    monkeypatch.setattr(cli, "load_case_file", _no_work)
+    target = [] if command == "index" else ["--target", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", CHAIN3, *target, *flag,
+              "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -371,7 +411,7 @@ def test_replay_rejects_manifest_missing_a_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", "x"), ("mu_points", 2.5), ("runs", True), ("mu", "0.1"),
+    ("seed", "x"), ("mu_points", 2.5), ("runs", True),
     ("alpha", False), ("empirical", 1), ("target", 1.0), ("target", True),
     ("case", 3),
 ])
@@ -394,17 +434,69 @@ def test_replay_rejects_mistyped_manifest_values(tmp_path, capsys, field, value)
     assert out.read_bytes() == fresh
 
 
-def test_replay_accepts_integral_floats_and_null_target(tmp_path):
+def test_replay_accepts_integral_floats_and_null_target(tmp_path, capsys):
     out = tmp_path / "i.csv"
     assert main(["index", "--case", CHAIN3, "--out", str(out)]) == 0
     fresh = out.read_bytes()
     manifest = tmp_path / "i.csv.manifest.json"
     doc = json.loads(_read(manifest))
-    assert doc["target"] is None
+    doc["cost_integrity"] = 1
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest)]) == 0
+    assert out.read_bytes() == fresh
+
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-max", "1",
+                 "--mu-points", "3", "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
     doc["mu_max"] = 1
     manifest.write_text(json.dumps(doc))
     assert main(["replay", str(manifest)]) == 0
     assert out.read_bytes() == fresh
+    # a null target is well typed, and detect then asks for --target
+    doc["target"] = None
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 2
+    _one_error_line(capsys, "requires --target")
+
+
+# A 0.5.0 manifest: every command recorded all 13 flags, --mu among them,
+# and risk's cost availability defaulted to 1.0.
+MANIFEST_0_5_0 = {"version": "0.5.0", "case": CHAIN3, "target": 1, "mu": 0.1,
+                  "mu_max": 0.5, "mu_points": 200, "alpha": 0.05,
+                  "cost_integrity": 1.0, "cost_availability": 0.5,
+                  "perturb": 0.2, "seed": 0, "runs": 1000, "empirical": False}
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("index", {"target": None}),
+    ("detect", {}),
+    ("risk", {"cost_availability": 1.0}),
+    # 0.5.0 rejected unequal costs for risk
+    ("risk", {}),
+    # the magnitude only rescales, so the default run matches in full here
+    ("detect", {"mu": 2.0}),
+], ids=["index", "detect", "risk", "risk-unequal-costs", "detect-mu-2"])
+def test_replay_of_a_0_5_0_manifest(tmp_path, capsys, command, changes):
+    target = [] if command == "index" else ["--target", "1"]
+    fresh = tmp_path / "fresh.csv"
+    assert main([command, "--case", CHAIN3, *target, "--out", str(fresh)]) == 0
+    out = tmp_path / "old.csv"
+    doc = dict(MANIFEST_0_5_0, command=command, out=str(out), **changes)
+    assert len(doc) == 15
+    manifest = tmp_path / "old.csv.manifest.json"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "0.5.0" in err
+    assert out.read_bytes() == fresh.read_bytes()
+    # the rewritten manifest records only the command's own flags
+    assert _read(manifest) == _read(tmp_path / "fresh.csv.manifest.json").replace(
+        str(fresh), str(out))
 
 
 def test_negative_costs_rejected(tmp_path):

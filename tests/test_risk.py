@@ -35,7 +35,7 @@ from oracles import (
 @pytest.fixture(scope="module")
 def chain_variants(chain3):
     perturbed = perturb_model(chain3, 0.2, seed=21)
-    return tuple_attack_variants(perturbed, target_j=1, mu=0.1)
+    return tuple_attack_variants(perturbed, target_j=1)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,9 @@ def test_default_mu_grid():
     np.testing.assert_array_equal(default_mu_grid(0.0, 3), np.zeros(3))
     with pytest.raises(ValueError):
         default_mu_grid(0.5, 0)
+    # a negative mu_max once gave the mirror image of the positive grid
+    with pytest.raises(ValueError, match="mu_max"):
+        default_mu_grid(-0.5)
 
 
 def test_variant_family_shape(chain_variants):
@@ -296,7 +299,8 @@ def test_closed_form_sweep_matches_per_point(request, case, mu_max):
     model = request.getfixturevalue(case)
     variants = request.getfixturevalue(
         "chain_variants" if case == "chain3" else "ieee_variants")
-    grid = np.r_[0.0, default_mu_grid(mu_max, 12)]
+    # risk_sweep takes magnitudes of either sign; the default grid does not
+    grid = np.r_[0.0, np.sign(mu_max) * default_mu_grid(abs(mu_max), 12)]
     curves = risk_sweep(model, variants, grid, alpha=0.05)
     for curve, (_, attack) in zip(curves, variants):
         for i, mu in enumerate(grid):
