@@ -174,8 +174,12 @@ def _sweep(args, mapper) -> list:
     variants = tuple_attack_variants(perturbed, target)
     grid = default_mu_grid(args.mu_max, args.mu_points)
     runs = args.runs if args.empirical else 0
-    return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
-                      seed=args.seed, mapper=mapper)
+    try:
+        return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
+                          seed=args.seed, mapper=mapper)
+    except ValueError as exc:
+        # a grid on which some column of the sweep leaves the float range
+        raise CliError(2, f"{exc}; lower --mu-max") from exc
 
 
 def _detect_csv(args, mapper) -> str:

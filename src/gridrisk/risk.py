@@ -40,8 +40,8 @@ _Z95 = 1.959963984540054
 # Monte Carlo runs drawn and tested together: memory stays O(block * m)
 # for any run count, and the default 1000 runs are a single block.
 MC_BLOCK = 4096
-# Grid points per mapped Monte Carlo task; a task's points share one noise
-# buffer and one residual buffer instead of allocating a pair each.
+# Grid points per mapped Monte Carlo task; a task's points share one
+# residual buffer instead of allocating one each.
 _SLICE_POINTS = 16
 
 
@@ -130,33 +130,42 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _count_alarms(noise_op: np.ndarray, points: Sequence[tuple], tau: float,
-                  runs: int) -> list:
-    """Alarm count of each (shift, seed) point: the runs out of `runs`
-    whose weighted residual e @ noise_op + shift has squared norm above
-    tau, e being the run's m unscaled standard normals.
+def _count_alarms(noise_op: np.ndarray, shifts: np.ndarray, seed, tau: float,
+                  runs: int, mapper: Optional[Callable] = None) -> list:
+    """Alarm count of each row of shifts: the runs out of `runs` whose
+    weighted residual e @ noise_op + shift has squared norm above tau, e
+    being the run's m unscaled standard normals.
 
-    Run i of a point is the i-th row of m normals drawn from
-    default_rng(seed), so its count depends neither on MC_BLOCK, the
-    number of runs drawn and tested together, nor on the other points.
-    The points share one noise buffer and one residual buffer, allocated
-    once per call.
+    Every shift is tested on the same runs: run i is the i-th row of m
+    normals drawn from default_rng(seed).  The runs go in blocks of up to
+    MC_BLOCK; each block's normals are drawn once and its base residual
+    e @ noise_op formed once, then the mapper fans out over slices of
+    _SLICE_POINTS shifts, and each slice adds its shifts to the base
+    through one residual buffer, so memory stays O(MC_BLOCK * m) per
+    thread.  The counts depend neither on MC_BLOCK nor on the slice
+    length nor on the mapper.
     """
+    rng = np.random.default_rng(seed)
     block = min(runs, MC_BLOCK)
     e = np.empty((block, noise_op.shape[0]))
-    r = np.empty((block, noise_op.shape[1]))
-    counts = []
-    for shift, seed in points:
-        rng = np.random.default_rng(seed)
-        alarms = 0
-        for start in range(0, runs, MC_BLOCK):
-            n = min(runs - start, block)
-            rng.standard_normal(out=e[:n])
-            np.matmul(e[:n], noise_op, out=r[:n])
-            r[:n] += shift
-            alarms += int(np.count_nonzero(np.einsum("ij,ij->i", r[:n], r[:n]) > tau))
-        counts.append(alarms)
-    return counts
+    base = np.empty((block, noise_op.shape[1]))
+    counts = np.zeros(len(shifts), dtype=np.int64)
+    for start in range(0, runs, MC_BLOCK):
+        n = min(runs - start, block)
+        rng.standard_normal(out=e[:n])
+        rows = np.matmul(e[:n], noise_op, out=base[:n])
+
+        def slice_alarms(first: int) -> list:
+            r = np.empty_like(rows)
+            alarms = []
+            for shift in shifts[first:first + _SLICE_POINTS]:
+                np.add(rows, shift, out=r)
+                alarms.append(np.count_nonzero(np.einsum("ij,ij->i", r, r) > tau))
+            return alarms
+
+        counts += list(chain.from_iterable((mapper or map)(
+            slice_alarms, range(0, len(shifts), _SLICE_POINTS))))
+    return counts.tolist()
 
 
 def empirical_detection(
@@ -169,16 +178,17 @@ def empirical_detection(
     """Alarm rate of the residual test over seeded Monte Carlo noise draws.
 
     One stream, np.random.default_rng(seed), feeds all runs: run i is the
-    i-th block of m normals drawn from it, so the report does not depend
+    i-th row of m normals drawn from it, so the report does not depend
     on how the runs are grouped.  The statistic's distribution does not
     depend on the operating state, so runs test noise plus the attack
     around the zero state.  The noise is drawn unscaled: sigma and the
     withdrawal mask live in the operator diag(sigma) W (W being the gains'
     weighted residual operator), and the attack adds the fixed shift
-    a @ W.  The attack is counted as a single point of _count_alarms:
-    runs are tested in blocks of MC_BLOCK, one product and one row-wise
-    dot per block.  The gains are those of the attack's availability
-    mask, the empty mask for a pure FDI attack.
+    a @ W.  The attack is the single shift of _count_alarms, so the
+    alarm count is Binomial(runs, delta) and equals risk_sweep's count
+    at this attack's magnitude when seed is (sweep seed, variant index).
+    The gains are those of the attack's availability mask, the empty
+    mask for a pure FDI attack.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -189,7 +199,7 @@ def empirical_detection(
         )
     base = _seed_tuple(seed)
     (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W,
-                              [(attack.a @ gains.W, base)], config.tau, runs)
+                              (attack.a @ gains.W)[None], base, config.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -228,20 +238,28 @@ def risk_sweep(
     and one vectorised noncentral CDF gives delta.  At mu = 0 nothing is
     corrupted, so k_a is 0 there.
 
-    runs > 0 adds a Monte Carlo alarm count per point.  Each point draws
-    its runs in order from one stream seeded by (seed, attack index,
-    point index) and tests them serially, as empirical_detection does:
-    unscaled normals through the variant's operator diag(sigma) W, plus the
-    point's shift (mu/mu0) a0 @ W, so no rescaled attack is built.  The
-    mapper fans out over contiguous slices of _SLICE_POINTS grid points,
-    and each slice's points reuse one noise buffer and one residual
-    buffer; the counts are concatenated in grid order.  Every point keeps
-    its own stream, so the counts depend neither on the slice length nor
-    on the thread count.
+    runs > 0 adds a Monte Carlo alarm count per point.  Each variant
+    draws its runs from one stream seeded by (seed, attack index), and
+    every point of the variant is tested on those same runs (common
+    random numbers): unscaled normals through the variant's operator
+    diag(sigma) W, plus the point's shift (mu/mu0) a0 @ W, so no rescaled
+    attack is built.  The points of a curve are therefore correlated,
+    while each point's count is still Binomial(runs, delta(mu)) and
+    equals empirical_detection's count for the rescaled attack with seed
+    (seed, attack index).  _count_alarms draws each block of runs once
+    and the mapper fans out over slices of _SLICE_POINTS points, so the
+    counts depend neither on the block size, the slice length nor the
+    thread count.
+
+    Raises ValueError when a magnitude, lambda, impact or risk is not
+    finite: (mu/mu0)^2 lambda0 may overflow, and the noncentral CDF is
+    nan past lambda ~ 1e19.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
     mu = np.array(mu_grid, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("attack magnitudes must be finite")
     tuples = {_tuple_rows(atk) for _, atk in base_attacks}
     budgets = {atk.k_a + atk.k_d for _, atk in base_attacks}
     if len(tuples) != 1 or len(budgets) != 1:
@@ -255,27 +273,27 @@ def risk_sweep(
             raise ValueError("attack has no nonzero magnitude to scale from")
         gains = compute_reduced_gains(model, attack.d)
         det = detection_probability(gains, attack.a, alpha)
-        scale = mu / attack.mu
-        lam = scale * scale * det.lam
+        # past the float range these products are inf or nan: rejected
+        # below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = mu / attack.mu
+            lam = scale * scale * det.lam
+            impact = np.abs(scale) * impact_metric(model, gains, attack).impact
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(impact))):
+            raise ValueError(f"lambda or impact of {attack_id} is not finite "
+                             "on this magnitude grid")
         # 1 - delta straight from the CDF keeps risk accurate where delta
         # rounds to 1
         missed = noncentral_cdf(det.tau, det.dof, lam)
-        impact = np.abs(scale) * impact_metric(model, gains, attack).impact
+        # the CDF is nan, not 0, once lambda passes about 1e19
+        if not np.all(np.isfinite(missed)):
+            raise ValueError(f"delta and risk of {attack_id} are not finite "
+                             "on this magnitude grid")
         alarms = None
         if runs > 0:
-            noise_op = gains.sigma[:, None] * gains.W
-            shift0 = attack.a @ gains.W
-
-            scales = scale.tolist()
-
-            def slice_alarms(start: int) -> list:
-                points = [(scale_i * shift0, _seed_tuple((seed, ai, pi)))
-                          for pi, scale_i in enumerate(
-                              scales[start:start + _SLICE_POINTS], start)]
-                return _count_alarms(noise_op, points, det.tau, runs)
-
-            alarms = np.array(list(chain.from_iterable((mapper or map)(
-                slice_alarms, range(0, len(scales), _SLICE_POINTS)))))
+            alarms = np.array(_count_alarms(
+                gains.sigma[:, None] * gains.W, np.outer(scale, attack.a @ gains.W),
+                (seed, ai), det.tau, runs, mapper))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,
@@ -292,12 +310,16 @@ def risk_sweep(
 
 
 def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
-    """Uniform magnitudes in (0, mu_max]; mu_max = 0 collapses to a zero grid."""
+    """Uniform magnitudes in (0, mu_max]; mu_max = 0 collapses to a zero grid.
+
+    Magnitudes past the float range come out inf, which risk_sweep rejects.
+    """
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
     if mu_max < 0:
         raise ValueError("mu_max must be >= 0")
-    return mu_max * np.arange(1, mu_points + 1) / mu_points
+    with np.errstate(over="ignore"):
+        return mu_max * np.arange(1, mu_points + 1) / mu_points
 
 
 def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = None) -> list:

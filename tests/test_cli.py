@@ -306,6 +306,44 @@ def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
     assert not out.exists()
 
 
+IEEE14 = str(resources.files("gridrisk") / "cases" / "ieee14.json")
+
+
+# each once wrote a CSV with non-finite columns and exited 0: 1e308 gave
+# mu = inf, 1e200 overflowed lambda = (mu/mu0)^2 lambda0 to inf, and 1e150
+# gave a finite lambda past the noncentral CDF's range, so delta = nan
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["detect", "risk"])
+@pytest.mark.parametrize("mu_max, words", [
+    ("1e308", ["magnitudes"]),
+    ("1e200", ["lambda", "combined_1_10"]),
+    ("1e150", ["delta", "combined_1_10"]),
+])
+def test_non_finite_sweep_exits_2(tmp_path, capsys, command, mu_max, words):
+    out = tmp_path / "o.csv"
+    rc = main([command, "--case", IEEE14, "--target", "9", "--mu-points", "2",
+               "--mu-max", mu_max, "--empirical", "--runs", "10", "--out", str(out)])
+    assert rc == 2
+    _one_error_line(capsys, "--mu-max", *words)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_replay_of_non_finite_sweep_exits_2(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["risk", "--case", IEEE14, "--target", "9", "--mu-points", "2",
+                 "--out", str(out)]) == 0
+    manifest = tmp_path / "o.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc["mu_max"] = 1e200
+    manifest.write_text(json.dumps(doc))
+    out.unlink()
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 2
+    _one_error_line(capsys, "lambda", "combined_1_10")
+    assert not out.exists()
+
+
 SWEEP_FLAGS = {"--case", "--out", "--target", "--mu-max", "--mu-points", "--alpha",
                "--perturb", "--seed", "--runs", "--empirical"}
 FLAG_SETS = {

@@ -198,8 +198,8 @@ def test_batched_noise_rows_are_the_per_run_draws(ieee14, monkeypatch):
     norms = np.sort(np.sum(rows**2, axis=1))
     cuts = np.r_[0.0, (norms[:-1] + norms[1:]) / 2, 2.0 * norms[-1]]
     monkeypatch.setattr(risk, "MC_BLOCK", 3)
-    eye, zero = np.eye(ieee14.m), np.zeros(ieee14.m)
-    counts = [_count_alarms(eye, [(zero, base)], tau, 5)[0] for tau in cuts]
+    eye, zero = np.eye(ieee14.m), np.zeros((1, ieee14.m))
+    counts = [_count_alarms(eye, zero, base, tau, 5)[0] for tau in cuts]
     assert counts == [5, 4, 3, 2, 1, 0]
 
 
@@ -350,9 +350,10 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
     assert np.all((0.0 <= curve.delta_empirical) & (curve.delta_empirical <= 1.0))
     _, attack = chain_variants[0]
     cfg = make_bdd_config(0.05, chain3.m - chain3.n - attack.k_d)
+    # both points are tested on the variant's one stream
     for pi, mu in enumerate((0.1, 0.3)):
         report = empirical_detection(chain3, scale_attack(attack, mu), cfg,
-                                     runs=200, seed=(3, 0, pi))
+                                     runs=200, seed=(3, 0))
         assert curve.alarms[pi] == report.alarms
     assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
 
@@ -369,14 +370,32 @@ def family14(variants14):
 
 def test_sweep_alarms_equal_oracle(ieee14, family14):
     # full gains (fdi_11) and reduced gains (combined_1_10, combined_2_9),
-    # on one slice of grid points and on several
+    # on one slice of grid points and on several; every point of a
+    # variant is tested on the runs of the variant's one stream
     for grid in (GRID_WITH_ZERO, LONG_GRID):
         curves = risk_sweep(ieee14, family14, grid, alpha=0.05, runs=1000, seed=21)
         for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
             expected = [mc_alarm_count(ieee14, scale_attack(attack, mu), 0.05, 1000,
-                                       (21, ai, pi))
-                        for pi, mu in enumerate(grid)]
+                                       (21, ai))
+                        for mu in grid]
             assert curve.alarms.tolist() == expected
+
+
+def test_sweep_alarms_equal_empirical_detection(ieee14, family14):
+    # each point's count is empirical_detection's for the rescaled attack
+    # on the variant's stream (seed, variant index)
+    curves = risk_sweep(ieee14, family14, LONG_GRID, alpha=0.05, runs=500, seed=24)
+    for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
+        cfg = make_bdd_config(0.05, ieee14.m - ieee14.n - attack.k_d)
+        expected = [empirical_detection(ieee14, scale_attack(attack, mu), cfg,
+                                        runs=500, seed=(24, ai)).alarms
+                    for mu in LONG_GRID]
+        assert curve.alarms.tolist() == expected
+    # common runs: the exactly stealthy variant shifts no run's statistic
+    # past tau, so its count is the same at every magnitude
+    stealth = curves[0]
+    assert stealth.attack_id == "combined_1_10"
+    assert len(set(stealth.alarms.tolist())) == 1
 
 
 def _long_grid_alarms(model, family, mapper=None) -> list:
@@ -393,6 +412,13 @@ def test_sweep_alarms_do_not_depend_on_slice_length(ieee14, family14, monkeypatc
     assert _long_grid_alarms(ieee14, family14) == default
 
 
+def test_sweep_alarms_do_not_depend_on_block_size(ieee14, family14, monkeypatch):
+    # every point sums its counts over the blocks of the one stream
+    default = _long_grid_alarms(ieee14, family14)
+    monkeypatch.setattr(risk, "MC_BLOCK", 7)
+    assert _long_grid_alarms(ieee14, family14) == default
+
+
 def test_sweep_alarms_do_not_depend_on_threads(ieee14, family14):
     with ThreadPoolExecutor(max_workers=2) as pool:
         threaded = _long_grid_alarms(ieee14, family14, pool.map)
@@ -404,7 +430,7 @@ def test_sweep_alarms_equal_oracle_across_block_boundary(ieee14, family14):
     curves = risk_sweep(ieee14, family14, [0.25], alpha=0.05, runs=runs, seed=22)
     for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
         expected = mc_alarm_count(ieee14, scale_attack(attack, 0.25), 0.05, runs,
-                                  (22, ai, 0))
+                                  (22, ai))
         assert curve.runs == runs
         assert curve.alarms.tolist() == [expected]
 
