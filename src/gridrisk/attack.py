@@ -3,19 +3,20 @@
 A combined attack pairs an additive integrity vector a with a binary
 availability mask d.  Under full knowledge a = H_d c is invisible to the
 residual test by construction.  A limited-knowledge attacker builds the
-same vector from a perturbed matrix H-tilde whose line weights carry
-bounded multiplicative errors; against the true model such attacks
-generally shift the residual and become detectable.
+same vector from its own model: the true topology and measurement plan
+with line weights off by bounded factors, hence another matrix H-tilde.
+Against the true model such attacks generally shift the residual and
+become detectable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .network import GridModel, UnobservableError, _assemble_matrix, matrix_rank
+from .network import GridModel, UnobservableError, matrix_rank, measurement_matrix
 
 SNAP_TOL = 1e-9  # relative floor below which attack entries are exact zeros
 
@@ -67,41 +68,22 @@ class AttackVector:
         return int(self.d.sum())
 
 
-@dataclass(frozen=True)
-class PerturbedModel:
-    """Attacker's model: true topology, line weights off by bounded factors.
-
-    H is rebuilt through the same selector/incidence stack as the true
-    model, so H - H_true is exactly the structured uncertainty the weight
-    errors induce.
-    """
-
-    H: np.ndarray
-    W: np.ndarray  # perturbed diag(1/reactance)
-    fraction: float
-    seed: int
-
-    def __post_init__(self):
-        self.H.setflags(write=False)
-        self.W.setflags(write=False)
-
-
-def perturb_model(model: GridModel, fraction: float, seed: int) -> PerturbedModel:
-    """Structured-uncertainty model: each line weight scaled by a factor
-    drawn uniformly from [1-fraction, 1+fraction], deterministically."""
+def perturb_model(model: GridModel, fraction: float, seed: int) -> GridModel:
+    """The attacker's model: the true one with each line weight scaled by
+    a factor drawn uniformly from [1-fraction, 1+fraction], deterministically,
+    and H reassembled from the true line_map and incidence."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-fraction, fraction, size=model.n_t)
-    w = model.line_weights * factors[None, :]  # diagonal times diagonal
-    h = _assemble_matrix(model.selector, model.incidence_full,
-                         model.incidence_truncated, w)
-    return PerturbedModel(H=h, W=w, fraction=fraction, seed=seed)
+    w = model.line_weights * factors
+    return replace(model, line_weights=w,
+                   H=measurement_matrix(model.line_map, w, model.incidence))
 
 
-def build_limited_knowledge_attack(perturbed: PerturbedModel, c, d=None,
+def build_limited_knowledge_attack(perturbed: GridModel, c, d=None,
                                    target_j: Optional[int] = None) -> AttackVector:
-    """a = (I - diag(d)) H-tilde c from the perturbed model.
+    """a = (I - diag(d)) H-tilde c from the attacker's (perturbed) model.
 
     Against the true model the residual shift is generally nonzero; the
     detector module turns it into a detection probability.

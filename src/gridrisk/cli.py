@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
             if kind is bool:
                 sub.add_argument(flag, action="store_true", help=help_text)
             else:
-                sub.add_argument(flag, type=int if kind is Optional[int] else kind,
+                # ==, not is: typing's bounded cache may rebuild Optional[int]
+                sub.add_argument(flag, type=int if kind == Optional[int] else kind,
                                  default=default, required=kind is str,
                                  help=help_text)
     replay = subs.add_parser("replay", help="re-run a recorded manifest")

@@ -15,7 +15,7 @@ import importlib.resources
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,34 +229,27 @@ def load_bundled_case(name: str) -> GridCase:
 class GridModel:
     """Immutable DC measurement model built from a case.
 
-    Fields follow the construction H = P @ stack(W B^T; -W B^T; B0 W B^T):
-    incidence_full is the (n+1) x n_t directed incidence B0 (+1 at the from
-    bus, -1 at the to bus), incidence_truncated drops the reference-bus row,
-    line_weights is diag(1/reactance), and selector is the 0/1 row-selection
-    matrix P picking the measured subset of the 2 n_t + n + 1 candidate rows.
+    H = line_map @ diag(line_weights) @ incidence^T.  incidence is the
+    n x n_t directed incidence of the non-reference buses (+1 at the from
+    bus, -1 at the to bus), line_weights holds 1/reactance per line, and
+    line_map is the m x n_t signed map from line flows to measurements: a
+    flow row is +1 (from end) or -1 (to end) on its line, an injection
+    row is its bus's row of the full incidence.
     """
 
     n: int
     n_t: int
     m: int
     H: np.ndarray
-    incidence_full: np.ndarray
-    incidence_truncated: np.ndarray
+    line_map: np.ndarray
+    incidence: np.ndarray
     line_weights: np.ndarray
-    selector: np.ndarray
+    sigma: np.ndarray
     measurement_labels: tuple[tuple[str, int], ...]
-    state_bus_ids: tuple[int, ...]
-    sigma: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for arr in (
-            self.H,
-            self.incidence_full,
-            self.incidence_truncated,
-            self.line_weights,
-            self.selector,
-            self.sigma,
-        ):
+        for arr in (self.H, self.line_map, self.incidence, self.line_weights,
+                    self.sigma):
             arr.setflags(write=False)
 
     def injection_rows(self) -> np.ndarray:
@@ -267,18 +260,11 @@ class GridModel:
         )
 
 
-def _assemble_matrix(selector, incidence_full, incidence_truncated, weights):
-    """H = P @ stack(W B^T; -W B^T; B0 W B^T).
-
-    The candidate rows come in fixed stacking order: flows at the from
-    ends, flows at the to ends, then injections at every bus.  The true
-    model and every perturbed one are assembled here, in one order of
-    operations, so a zero perturbation gives the true H bit for bit.
-    """
-    b_t = incidence_truncated.T
-    return selector @ np.vstack(
-        [weights @ b_t, -(weights @ b_t), incidence_full @ weights @ b_t]
-    )
+def measurement_matrix(line_map, line_weights, incidence) -> np.ndarray:
+    """H = line_map @ diag(line_weights) @ incidence^T, for the true model
+    and every perturbed one, so a zero perturbation gives the true H bit
+    for bit."""
+    return (line_map * line_weights) @ incidence.T
 
 
 def build_model(case: GridCase) -> GridModel:
@@ -289,49 +275,37 @@ def build_model(case: GridCase) -> GridModel:
 
     bus_pos = {b.id: k for k, b in enumerate(case.buses)}
     line_pos = {ln.id: k for k, ln in enumerate(case.lines)}
-    ref_pos = bus_pos[case.reference_bus]
 
-    b0 = np.zeros((n_bus, n_t))
+    full = np.zeros((n_bus, n_t))
     for k, ln in enumerate(case.lines):
-        b0[bus_pos[ln.from_bus], k] = 1.0
-        b0[bus_pos[ln.to_bus], k] = -1.0
-    b_trunc = np.delete(b0, ref_pos, axis=0)
-    weights = np.diag([1.0 / ln.reactance for ln in case.lines])
+        full[bus_pos[ln.from_bus], k] = 1.0
+        full[bus_pos[ln.to_bus], k] = -1.0
+    incidence = np.delete(full, bus_pos[case.reference_bus], axis=0)
+    weights = np.array([1.0 / ln.reactance for ln in case.lines])
 
-    selector = np.zeros((m, 2 * n_t + n_bus))
-    sigma = np.zeros(m)
-    labels = []
+    line_map = np.zeros((m, n_t))
     for i, meas in enumerate(case.measurements):
-        if meas.kind == "flow_from":
-            selector[i, line_pos[meas.element]] = 1.0
-        elif meas.kind == "flow_to":
-            selector[i, n_t + line_pos[meas.element]] = 1.0
+        if meas.kind == "injection":
+            line_map[i] = full[bus_pos[meas.element]]
         else:
-            selector[i, 2 * n_t + bus_pos[meas.element]] = 1.0
-        sigma[i] = meas.sigma
-        labels.append((meas.kind, meas.element))
+            line_map[i, line_pos[meas.element]] = 1.0 if meas.kind == "flow_from" else -1.0
 
-    h = _assemble_matrix(selector, b0, b_trunc, weights)
-
+    h = measurement_matrix(line_map, weights, incidence)
     rank = matrix_rank(h)
     if rank < n:
         raise UnobservableError(
             f"measurement plan leaves the state unobservable (rank {rank} < {n})"
         )
-
-    state_bus_ids = tuple(b.id for k, b in enumerate(case.buses) if k != ref_pos)
     return GridModel(
         n=n,
         n_t=n_t,
         m=m,
         H=h,
-        incidence_full=b0,
-        incidence_truncated=b_trunc,
+        line_map=line_map,
+        incidence=incidence,
         line_weights=weights,
-        selector=selector,
-        measurement_labels=tuple(labels),
-        state_bus_ids=state_bus_ids,
-        sigma=sigma,
+        sigma=np.array([meas.sigma for meas in case.measurements]),
+        measurement_labels=tuple((meas.kind, meas.element) for meas in case.measurements),
     )
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attack import AttackVector, PerturbedModel
+from .attack import AttackVector
 from .attack import build_limited_knowledge_attack
 from .chi2 import noncentral_cdf
 from .detector import BddConfig, detection_probability
@@ -251,9 +251,10 @@ def risk_sweep(
     counts depend neither on the block size, the slice length nor the
     thread count.
 
-    Raises ValueError when a magnitude, lambda, impact or risk is not
-    finite: (mu/mu0)^2 lambda0 may overflow, and the noncentral CDF is
-    nan past lambda ~ 1e19.
+    Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
+    above the threshold, so delta is 1 and risk 0.  Raises ValueError
+    when a magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0
+    and |mu/mu0| impact0 may overflow.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -283,12 +284,10 @@ def risk_sweep(
             raise ValueError(f"lambda or impact of {attack_id} is not finite "
                              "on this magnitude grid")
         # 1 - delta straight from the CDF keeps risk accurate where delta
-        # rounds to 1
+        # rounds to 1.  The CDF is nan, not 0, past lambda ~ 1e19, where
+        # tau lies billions of standard deviations below lambda.
         missed = noncentral_cdf(det.tau, det.dof, lam)
-        # the CDF is nan, not 0, once lambda passes about 1e19
-        if not np.all(np.isfinite(missed)):
-            raise ValueError(f"delta and risk of {attack_id} are not finite "
-                             "on this magnitude grid")
+        missed[np.isnan(missed) & (lam > det.tau)] = 0.0
         alarms = None
         if runs > 0:
             alarms = np.array(_count_alarms(
@@ -359,7 +358,7 @@ def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = Non
     return rows
 
 
-def tuple_attack_variants(perturbed: PerturbedModel, target_j: int) -> list:
+def tuple_attack_variants(perturbed: GridModel, target_j: int) -> list:
     """FDI and combined attacks on the target's critical tuple, as the
     attacker would build them from their own (perturbed) model.
 

@@ -3,8 +3,8 @@
 Everything here avoids the package's own solver machinery: indices come
 from rank arithmetic over explicit subset enumeration or from a per-row
 program handed straight to scipy's HiGHS, certificates from dense least
-squares, distributions from sampling or from series summed in high
-precision.
+squares, measurement matrices row by row from the case document,
+distributions from sampling or from series summed in high precision.
 """
 
 import itertools
@@ -244,6 +244,43 @@ def noncentral_cdf_mp(x: float, dof: int, lam: float, digits: int = 40) -> float
             weight *= half / i
             if i > half and weight < tol:
                 return float(total)
+
+
+def dc_matrix(doc: dict, reactances=None) -> np.ndarray:
+    """DC measurement matrix of a case document, one row per measurement
+    of its plan, written out from line flows: a flow on line (f, t) of
+    reactance x is (theta_f - theta_t) / x at its from end and the
+    negation at its to end, and a bus injection is the sum of the flows
+    leaving the bus.  Columns are the non-reference buses in document
+    order.  reactances, one per line in document order, replace the
+    document's own."""
+    states = [b["id"] for b in doc["buses"] if not b.get("reference", False)]
+    col = {bus: k for k, bus in enumerate(states)}
+    lines = {}
+    for i, ln in enumerate(doc["lines"]):
+        x = ln["reactance"] if reactances is None else reactances[i]
+        lines[ln["id"]] = (ln["from"], ln["to"], x)
+
+    def flow(f, t, x):
+        row = np.zeros(len(states))
+        if f in col:
+            row[col[f]] += 1.0 / x
+        if t in col:
+            row[col[t]] -= 1.0 / x
+        return row
+
+    rows = []
+    for meas in doc["measurements"]:
+        if meas["kind"] == "flow_from":
+            rows.append(flow(*lines[meas["element"]]))
+        elif meas["kind"] == "flow_to":
+            rows.append(-flow(*lines[meas["element"]]))
+        else:
+            bus = meas["element"]
+            rows.append(sum((flow(f, t, x) if f == bus else flow(t, f, x)
+                             for f, t, x in lines.values() if bus in (f, t)),
+                            np.zeros(len(states))))
+    return np.array(rows)
 
 
 def random_observable_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

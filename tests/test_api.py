@@ -9,7 +9,11 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 import gridrisk
+from gridrisk.attack import perturb_model
+from gridrisk.network import GridModel
 from gridrisk.security import IndexQuery, cost_weighted_index, index_sweep
 
 PACKAGE = Path(gridrisk.__file__).resolve().parent
@@ -63,6 +67,22 @@ def test_index_knobs_are_pinned():
         "model_or_h", "cost_integrity", "cost_availability", "mapper"]
     assert list(inspect.signature(cost_weighted_index).parameters) == [
         "query", "cost_integrity", "cost_availability"]
+
+
+def test_model_layout_is_pinned(ieee14):
+    # H is stored with the three factors it is assembled from; the
+    # attacker's model is the same type with other line weights
+    assert [f.name for f in fields(GridModel)] == [
+        "n", "n_t", "m", "H", "line_map", "incidence", "line_weights", "sigma",
+        "measurement_labels"]
+    attacker = perturb_model(ieee14, 0.2, seed=0)
+    assert type(attacker) is GridModel
+    for name in ("line_map", "incidence", "sigma"):
+        shared = getattr(attacker, name)
+        assert shared is getattr(ieee14, name), name
+        assert not shared.flags.writeable, name
+    assert not attacker.line_weights.flags.writeable
+    assert not np.array_equal(attacker.line_weights, ieee14.line_weights)
 
 
 def _unused_imports(tree) -> set:

@@ -62,7 +62,7 @@ def test_tiny_entries_are_snapped_to_zero():
 
 def test_perturb_bounds_and_determinism(ieee14):
     p = perturb_model(ieee14, 0.2, seed=40)
-    ratios = np.diag(p.W) / np.diag(ieee14.line_weights)
+    ratios = p.line_weights / ieee14.line_weights
     assert np.all(ratios > 0.8) and np.all(ratios < 1.2)
     assert not np.allclose(ratios, 1.0)
     q = perturb_model(ieee14, 0.2, seed=40)
@@ -77,11 +77,12 @@ def test_perturb_zero_fraction_is_exact(ieee14):
 
 
 def test_perturb_keeps_stacking_structure(ieee14):
-    # H-tilde must come from the same selector over the same incidences
+    # H-tilde must come from the same line map over the same incidence,
+    # with only the line weights changed
     p = perturb_model(ieee14, 0.3, seed=5)
-    b_t = ieee14.incidence_truncated.T
-    stacked = np.vstack([p.W @ b_t, -(p.W @ b_t), ieee14.incidence_full @ p.W @ b_t])
-    np.testing.assert_allclose(p.H, ieee14.selector @ stacked, atol=1e-14)
+    assert p.line_map is ieee14.line_map and p.incidence is ieee14.incidence
+    flows = p.line_weights[:, None] * ieee14.incidence.T
+    np.testing.assert_allclose(p.H, ieee14.line_map @ flows, atol=1e-14)
 
 
 def test_perturb_fraction_validation(ieee14):
@@ -161,7 +162,7 @@ def test_perturbation_is_always_bounded_and_positive(seed, fraction):
 
     model = build_model(load_bundled_case("chain3"))
     p = perturb_model(model, fraction, seed)
-    ratios = np.diag(p.W) / np.diag(model.line_weights)
+    ratios = p.line_weights / model.line_weights
     assert np.all(ratios > 0.0)
     assert np.all(np.abs(ratios - 1.0) <= fraction + 1e-12)
 

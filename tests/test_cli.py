@@ -7,6 +7,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -310,14 +311,12 @@ IEEE14 = str(resources.files("gridrisk") / "cases" / "ieee14.json")
 
 
 # each once wrote a CSV with non-finite columns and exited 0: 1e308 gave
-# mu = inf, 1e200 overflowed lambda = (mu/mu0)^2 lambda0 to inf, and 1e150
-# gave a finite lambda past the noncentral CDF's range, so delta = nan
+# mu = inf, and 1e200 overflowed lambda = (mu/mu0)^2 lambda0 to inf
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["detect", "risk"])
 @pytest.mark.parametrize("mu_max, words", [
     ("1e308", ["magnitudes"]),
     ("1e200", ["lambda", "combined_1_10"]),
-    ("1e150", ["delta", "combined_1_10"]),
 ])
 def test_non_finite_sweep_exits_2(tmp_path, capsys, command, mu_max, words):
     out = tmp_path / "o.csv"
@@ -326,6 +325,34 @@ def test_non_finite_sweep_exits_2(tmp_path, capsys, command, mu_max, words):
     assert rc == 2
     _one_error_line(capsys, "--mu-max", *words)
     assert list(tmp_path.iterdir()) == []
+
+
+# past lambda ~ 1e19 the noncentral CDF is nan, and these grids once exited
+# 2; lambda is finite there and far above tau, so delta is 1 and risk 0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["detect", "risk"])
+@pytest.mark.parametrize("mu_max", ["1e9", "1e150"])
+def test_sweep_past_the_cdf_range_is_finite(tmp_path, command, mu_max):
+    out = tmp_path / "o.csv"
+    assert main([command, "--case", IEEE14, "--target", "9", "--mu-points", "2",
+                 "--mu-max", mu_max, "--out", str(out)]) == 0
+    rows = _rows(out)
+    past = [r for r in rows if float(r["lambda"]) > 1e19]
+    assert len(rows) == 6 and past
+    assert all(r["delta_theory"] == "1" for r in past)
+    if command == "risk":
+        assert all(r["risk"] == "0" for r in past)
+    assert "nan" not in _read(out)
+
+
+def test_target_parses_after_typing_cache_eviction(tmp_path):
+    # typing keeps Optional[...] in a bounded cache: once it is evicted, a
+    # new Optional[int] is equal to the --target kind but another object
+    for i in range(300):
+        Optional[type(f"Kind{i}", (), {})]
+    out = tmp_path / "o.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--out", str(out)]) == 0
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,10 +2,13 @@
 
 import copy
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
+from oracles import dc_matrix
 
+from gridrisk.attack import perturb_model
 from gridrisk.network import (
     CaseValidationError,
     UnobservableError,
@@ -79,9 +82,25 @@ def test_ieee14_shape_and_plan(ieee14):
 def test_injection_rows_sum_incident_flows(ieee14):
     # a bus injection equals the sum of from-end flows on incident lines,
     # signed by orientation; spot-check via the incidence structure
-    recon = ieee14.incidence_full @ ieee14.line_weights @ ieee14.incidence_truncated.T
-    inj = ieee14.H[ieee14.injection_rows()]
-    np.testing.assert_allclose(inj, recon, atol=1e-12)
+    flows = ieee14.line_weights[:, None] * ieee14.incidence.T
+    inj = ieee14.injection_rows()
+    np.testing.assert_allclose(ieee14.H[inj], ieee14.line_map[inj] @ flows, atol=1e-12)
+
+
+def test_model_matrices_match_per_row_builder():
+    # the true and the attacker's H against a row-by-row DC build from the
+    # case document, at the document's and at the perturbed reactances
+    for name in bundled_case_names():
+        doc = json.loads(
+            resources.files("gridrisk.cases").joinpath(f"{name}.json").read_text())
+        model = build_model(load_case(doc))
+        np.testing.assert_allclose(model.H, dc_matrix(doc), rtol=1e-13, atol=0)
+        for fraction, seed in ((0.2, 0), (0.5, 7), (0.9, 12)):
+            factors = 1.0 + np.random.default_rng(seed).uniform(
+                -fraction, fraction, size=len(doc["lines"]))
+            reactances = [ln["reactance"] / f for ln, f in zip(doc["lines"], factors)]
+            np.testing.assert_allclose(perturb_model(model, fraction, seed).H,
+                                       dc_matrix(doc, reactances), rtol=1e-13, atol=0)
 
 
 def test_bundled_names():
