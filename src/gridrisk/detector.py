@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attack import SNAP_TOL
 from .chi2 import detection_delta, threshold
 
 
@@ -68,9 +69,22 @@ def j_test(gains, z, config: BddConfig) -> BddOutcome:
     return BddOutcome(statistic=statistic, tau=config.tau, bad=statistic > config.tau)
 
 
+def snapped_residual(r, a, sigma):
+    """The weighted attack residual r with every entry at most SNAP_TOL
+    times the largest |a_i / sigma_i| set to exactly zero.
+
+    An exactly stealthy attack leaves only rounding residue in r, and a
+    rescaled attack would scale that residue up with it: at mu = 1e150
+    it reads as a certain detection.
+    """
+    floor = SNAP_TOL * np.max(np.abs(a / sigma), initial=0.0)
+    return np.where(np.abs(r) <= floor, 0.0, r)
+
+
 def noncentrality(gains, a) -> float:
     """Noncentrality lambda = ||R^-1/2 S a||^2 induced by attack vector a
-    over the kept rows.
+    over the kept rows, rounding residue snapped to zero
+    (`snapped_residual`).
 
     S's withdrawn rows are unit rows that the detector never sees, so
     their terms are zeroed, not dropped: the sum keeps its grouping.
@@ -80,7 +94,7 @@ def noncentrality(gains, a) -> float:
         raise ValueError(f"attack vector must have shape ({gains.m},)")
     r = gains.S @ a / gains.sigma
     r[gains.d == 1.0] = 0.0
-    return float(np.sum(r ** 2))
+    return float(np.sum(snapped_residual(r, a, gains.sigma) ** 2))
 
 
 @dataclass(frozen=True)

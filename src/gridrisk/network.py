@@ -231,7 +231,9 @@ class GridModel:
 
     H = line_map @ diag(line_weights) @ incidence^T.  incidence is the
     n x n_t directed incidence of the non-reference buses (+1 at the from
-    bus, -1 at the to bus), line_weights holds 1/reactance per line, and
+    bus, -1 at the to bus), in case order; reference is the position in
+    that order at which the reference bus's row was left out.
+    line_weights holds 1/reactance per line, and
     line_map is the m x n_t signed map from line flows to measurements: a
     flow row is +1 (from end) or -1 (to end) on its line, an injection
     row is its bus's row of the full incidence.
@@ -243,6 +245,7 @@ class GridModel:
     H: np.ndarray
     line_map: np.ndarray
     incidence: np.ndarray
+    reference: int
     line_weights: np.ndarray
     sigma: np.ndarray
     measurement_labels: tuple[tuple[str, int], ...]
@@ -303,6 +306,7 @@ def build_model(case: GridCase) -> GridModel:
         H=h,
         line_map=line_map,
         incidence=incidence,
+        reference=bus_pos[case.reference_bus],
         line_weights=weights,
         sigma=np.array([meas.sigma for meas in case.measurements]),
         measurement_labels=tuple((meas.kind, meas.element) for meas in case.measurements),

@@ -21,10 +21,10 @@ import numpy as np
 from .attack import AttackVector
 from .attack import build_limited_knowledge_attack
 from .chi2 import noncentral_cdf
-from .detector import BddConfig, detection_probability
+from .detector import BddConfig, detection_probability, snapped_residual
 from .estimator import compute_reduced_gains
 from .network import GridModel
-from .security import IndexQuery, combined_index
+from .security import IndexQuery, combined_index, row_structure
 
 # Unused here since the Monte Carlo below tests whole blocks through the
 # gains' weighted residual operator, without rescaled attacks or
@@ -184,9 +184,10 @@ def empirical_detection(
     around the zero state.  The noise is drawn unscaled: sigma and the
     withdrawal mask live in the operator diag(sigma) W (W being the gains'
     weighted residual operator), and the attack adds the fixed shift
-    a @ W.  The attack is the single shift of _count_alarms, so the
-    alarm count is Binomial(runs, delta) and equals risk_sweep's count
-    at this attack's magnitude when seed is (sweep seed, variant index).
+    a @ W, its rounding residue snapped to zero.  The attack is the
+    single shift of _count_alarms, so the alarm count is
+    Binomial(runs, delta) and equals risk_sweep's count at this attack's
+    magnitude when seed is (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
     mask for a pure FDI attack.
     """
@@ -199,7 +200,7 @@ def empirical_detection(
         )
     base = _seed_tuple(seed)
     (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W,
-                              (attack.a @ gains.W)[None], base, config.tau, runs)
+                              _shift(gains, attack)[None], base, config.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -209,6 +210,13 @@ def empirical_detection(
         ci_high=high,
         seed=base,
     )
+
+
+def _shift(gains, attack: AttackVector) -> np.ndarray:
+    """The attack's weighted residual a @ W over the kept rows, rounding
+    residue snapped to zero as in `detector.noncentrality`, so an exactly
+    stealthy attack adds nothing to the noise at any magnitude."""
+    return snapped_residual(attack.a @ gains.W, attack.a, gains.sigma)
 
 
 def _tuple_rows(attack: AttackVector) -> tuple:
@@ -243,8 +251,11 @@ def risk_sweep(
     every point of the variant is tested on those same runs (common
     random numbers): unscaled normals through the variant's operator
     diag(sigma) W, plus the point's shift (mu/mu0) a0 @ W, so no rescaled
-    attack is built.  The points of a curve are therefore correlated,
-    while each point's count is still Binomial(runs, delta(mu)) and
+    attack is built.  lambda0 and a0 @ W have their rounding residue
+    snapped to zero, so an exactly stealthy variant stays at the
+    false-alarm rate at every magnitude.  The points of a curve are
+    therefore correlated, while each point's count is still
+    Binomial(runs, delta(mu)) and
     equals empirical_detection's count for the rescaled attack with seed
     (seed, attack index).  _count_alarms draws each block of runs once
     and the mapper fans out over slices of _SLICE_POINTS points, so the
@@ -291,7 +302,7 @@ def risk_sweep(
         alarms = None
         if runs > 0:
             alarms = np.array(_count_alarms(
-                gains.sigma[:, None] * gains.W, np.outer(scale, attack.a @ gains.W),
+                gains.sigma[:, None] * gains.W, np.outer(scale, _shift(gains, attack)),
                 (seed, ai), det.tau, runs, mapper))
         curves.append(RiskCurve(
             attack_id=attack_id,
@@ -367,10 +378,14 @@ def tuple_attack_variants(perturbed: GridModel, target_j: int) -> list:
     whole tuple, the combined variants keep one or two rows corrupted and
     withdraw the rest.  Any other magnitude is a rescaling, which
     risk_sweep does.  The tuple is alpha's support in the attacker's
-    model, as `combined_index` reports it.  Returned as (attack_id,
-    AttackVector) pairs in increasing k_a order.
+    model, as `combined_index` reports it given the model's
+    `row_structure`: on a cut-exact plan the smallest minimum cut's,
+    which depends only on the plan and so not on the attacker's line
+    weights.  Returned as (attack_id, AttackVector) pairs in increasing
+    k_a order.
     """
-    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j))
+    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j),
+                         row_structure(perturbed))
     support = list(res.support)
     beta = len(support)
     others = [i for i in support if i != target_j]

@@ -3,15 +3,55 @@ stealth attack on one target measurement.
 
 A stealth attack adds a = Hc to the measurements, so its footprint is the
 support of Hc under the constraint H[j]c = mu.  alpha, the fewest
-integrity corruptions, is a sparsest-support program solved exactly as a
-big-M MILP by HiGHS; beta and gamma follow from its support.  A withdrawn
+integrity corruptions, is a sparsest-support program, solved exactly as
+a minimum cut on a grid model whose plan allows it and as a big-M MILP
+by HiGHS otherwise; beta and gamma follow from its support.  A withdrawn
 row leaves the stealth condition just as a corrupted one does, so
 beta = alpha.  The cheapest split writes the target at C_I and takes the
 cheaper action on every other row, so gamma = C_I + (alpha - 1) min(C_I, C_A).
 
+Minimum cuts (Hendrickx, Johansson, Jungers, Sandberg & Sou, "Efficient
+computations of a security index for false data attacks in power
+networks", IEEE TAC 2014).  Give every bus an angle theta; then a flow
+row is nonzero exactly when its line joins buses of unequal angle, and
+an injection row when its bus's flows do not balance.  Moving one side
+U of a bus bipartition by a constant touches the flow rows of the lines
+across the cut and the injection rows of every bus at their ends.  In
+the flow network each line is an edge whose capacity is its number of
+flow rows, and each bus with injection rows is a Lawler hyperedge over
+the bus and its neighbours, weighted by that count: a node pair joined
+by an edge of that weight, which every member feeds and which feeds
+every member at a capacity above any cut.  A cut pays the hyperedge
+exactly when it splits the members.  A flow target separates its line's
+from bus (the source) from its to bus; an injection target separates its
+bus from the neighbour it is cheapest to cut it from, the first in case
+order on a tie.  The tuple is the rows touched by the unique smallest
+source side of a minimum cut: the buses a maximum flow's residual
+network reaches from the source.  It depends only on the plan, so every
+model with the same plan, the attacker's perturbed one included, gets
+the same tuple.
+
+The cut is exact when the plan is cut-exact: every line carries at
+least as many flow rows as its two end buses carry injection rows
+together.  Take any stealth attack theta through the target and any
+threshold cut U = {theta >= t}.  Every line across U joins unequal
+angles, so its flow rows are in theta's support.  A bus at the end of
+such a line whose injection theta leaves at zero must have neighbours
+strictly above and strictly below its own angle, so one of its lines
+joins unequal angles on the same side of U: that line's rows are in
+theta's support but not in the cut's.  Charge the bus's injection rows
+to that line; a line is charged by at most its two end buses, and it
+carries at least as many flow rows as they carry injection rows.  So no
+threshold cut costs more than theta.  A threshold between the target
+line's end angles, or between the target bus's angle and a neighbour's
+that differs, gives a cut through the target, and so the minimum cut is
+alpha.  On a plan that is not cut-exact a cut can cost more: a bus
+whose flows balance hides a line that carries too few flow rows.  Those
+plans, and bare matrices, take the MILP.
+
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary.
-Every support the solver reports is refit with exact zeros off the
+Every support either path reports is refit with exact zeros off the
 support and checked for stealth before it is returned.
 
 The big-M relaxation alone bounds alpha weakly (2 against 11 at the root
@@ -32,8 +72,8 @@ the refit uses the query's mu.  Every check on a candidate (stealth, the
 big-M guard, an idle class) reads the refit's row values rescaled to the
 program's magnitude, so it passes the same verdict at every mu.  The
 support is therefore the same for every mu, and the certificate scales
-with mu.  Among equally sparse supports, the one reported is the one
-HiGHS proves optimal first; it is fixed for a given scipy build and
+with mu.  Among equally sparse supports, the one the MILP reports is the
+one HiGHS proves optimal first; it is fixed for a given scipy build and
 solver options, but follows no ordering of the rows.
 """
 
@@ -42,9 +82,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.spatial.distance import cdist
 
 from .milp import MilpProblem, solve_milp
+from .network import GridModel
 
 PARALLEL_ATOL = 1e-8
 _PROGRAM_MU = 0.1        # the magnitude every index program is solved at
@@ -174,24 +217,126 @@ def three_circuits(rows) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class CutNetwork:
+    """A cut-exact plan as a flow network.  Nodes 0..buses-1 are the
+    buses in case order; each bus with injection rows adds two more, the
+    Lawler pair of its hyperedge.  ends holds each line's (from, to) bus,
+    row_line each flow row's line and row_bus each injection row's bus
+    (-1 where a row is of the other kind), and neighbours each bus's
+    adjacent buses in case order."""
+
+    capacity: csr_matrix
+    buses: int
+    ends: np.ndarray
+    row_line: np.ndarray
+    row_bus: np.ndarray
+    neighbours: tuple
+
+
+def _cut_network(model: GridModel):
+    """The model's plan as a CutNetwork, or None unless it is cut-exact:
+    every line carries at least as many flow rows as its two end buses
+    carry injection rows together."""
+    full = np.insert(model.incidence, model.reference,
+                     -model.incidence.sum(axis=0), axis=0)
+    buses = full.shape[0]
+    ends = np.column_stack([np.argmax(full == 1.0, axis=0),
+                            np.argmax(full == -1.0, axis=0)])
+    injection = np.array([kind == "injection" for kind, _ in model.measurement_labels])
+    # a flow row is +-1 on its line; an injection row is +1 on the lines
+    # leaving its bus and -1 on those entering it
+    first = np.argmax(model.line_map != 0.0, axis=1)
+    leaves = model.line_map[np.arange(model.m), first] > 0.0
+    row_line = np.where(injection, -1, first)
+    row_bus = np.where(injection, np.where(leaves, ends[first, 0], ends[first, 1]), -1)
+    flows = np.bincount(row_line[~injection], minlength=model.n_t)
+    injections = np.bincount(row_bus[injection], minlength=buses)
+    if np.any(flows < injections[ends[:, 0]] + injections[ends[:, 1]]):
+        return None
+
+    neighbours = [set() for _ in range(buses)]
+    for f, t in ends.tolist():
+        neighbours[f].add(t)
+        neighbours[t].add(f)
+    # a capacity above every cut's row count stands for infinity
+    big = model.m + 1
+    tails, heads, caps = [ends[:, 0], ends[:, 1]], [ends[:, 1], ends[:, 0]], [flows, flows]
+    for k, b in enumerate(np.flatnonzero(injections)):
+        # the hyperedge {b} + neighbours costs its rows once it is split
+        inner, outer = buses + 2 * k, buses + 2 * k + 1
+        members = np.array([b, *neighbours[b]])
+        tails += [members, [inner], np.full(len(members), outer)]
+        heads += [np.full(len(members), inner), [outer], members]
+        caps += [np.full(len(members), big), [injections[b]], np.full(len(members), big)]
+    nodes = buses + 2 * np.count_nonzero(injections)
+    capacity = coo_matrix(
+        (np.concatenate(caps).astype(np.int32),
+         (np.concatenate(tails), np.concatenate(heads))), shape=(nodes, nodes)).tocsr()
+    capacity.eliminate_zeros()  # lines without flow rows
+    return CutNetwork(capacity, buses, ends, row_line, row_bus,
+                      tuple(sorted(nb) for nb in neighbours))
+
+
+def _source_side(network: CutNetwork, source: int, sink: int):
+    """The value of a minimum source-sink cut and its smallest source
+    side, as a bus mask: the buses a maximum flow's residual network
+    still reaches from the source."""
+    flow = maximum_flow(network.capacity, source, sink)
+    residual = network.capacity - flow.flow
+    residual.eliminate_zeros()  # saturated edges
+    reached = breadth_first_order(residual, source, return_predecessors=False)
+    side = np.zeros(network.buses, dtype=bool)
+    side[reached[reached < network.buses]] = True
+    return flow.flow_value, side
+
+
+def _cut_support(network: CutNetwork, j0: int):
+    """The rows (0-based) a minimum cut through row j0 touches, and the
+    cut's value.  A flow row's cut separates its line's from bus from its
+    to bus; an injection row's separates its bus from the neighbour that
+    is cheapest to cut it from, the first in case order on a tie."""
+    line, bus = network.row_line[j0], network.row_bus[j0]
+    if line >= 0:
+        value, side = _source_side(network, *network.ends[line])
+    else:
+        value, side = min((_source_side(network, bus, u) for u in network.neighbours[bus]),
+                          key=lambda cut: cut[0])
+    crossing = side[network.ends[:, 0]] != side[network.ends[:, 1]]
+    touched = np.zeros(network.buses, dtype=bool)
+    touched[network.ends[crossing].ravel()] = True
+    rows = np.flatnonzero(np.where(network.row_line >= 0, crossing[network.row_line],
+                                   touched[network.row_bus]))
+    return rows, value
+
+
+@dataclass(frozen=True, eq=False)
 class RowStructure:
     """What every index program on one matrix shares: its parallel
-    classes (as `parallel_classes` returns them), each class's
-    representative (its largest-norm row) and the 3-circuits among the
-    representatives, as class ids."""
+    classes (as `parallel_classes` returns them) and each class's
+    representative (its largest-norm row).  A model whose plan is
+    cut-exact carries its CutNetwork, and every program on it is a
+    minimum cut; any other input carries the 3-circuits among the
+    representatives, as class ids, for its MILPs."""
 
     classes: list
     row_class: np.ndarray
     reps: np.ndarray
-    circuits: np.ndarray
+    circuits: np.ndarray | None
+    network: CutNetwork | None = None
 
 
-def row_structure(h) -> RowStructure:
-    """The structure of h, found once for every index program posed on it."""
-    h = _matrix(h)
+def row_structure(model_or_h) -> RowStructure:
+    """The structure of a model or bare matrix, found once for every
+    index program posed on it.  This is where the path is chosen: a
+    GridModel with a cut-exact plan gets minimum cuts, and everything
+    else the MILP."""
+    h = _matrix(model_or_h)
     classes, row_class = parallel_classes(h)
     norms = np.linalg.norm(h, axis=1)
     reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
+    network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
+    if network is not None:
+        return RowStructure(classes, row_class, reps, None, network)
     return RowStructure(classes, row_class, reps, three_circuits(h[reps]))
 
 
@@ -269,19 +414,46 @@ def _rows_of(classes, on):
 def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """Sparsest stealth support through the target, with its certificate.
 
-    HiGHS accepts a binary within its integrality tolerance of 0 while the
-    big-M row still carries up to M times that tolerance, so its support
-    is only a candidate.  The candidate is refit with exact zeros off the
-    support and tested for stealth at the program's magnitude.  A
-    candidate that fails cannot contain a stealthy subset, so a cut
-    forcing some class outside it into the support is added and the
-    program solved again.  Cuts remove no stealthy support, so the first
-    candidate that passes is optimal.
+    On a cut-exact plan the support is the rows its minimum cut touches.
+    Otherwise it comes from the MILP: HiGHS accepts a binary within its
+    integrality tolerance of 0 while the big-M row still carries up to M
+    times that tolerance, so its support is only a candidate.  The
+    candidate is refit with exact zeros off the support and tested for
+    stealth at the program's magnitude.  A candidate that fails cannot
+    contain a stealthy subset, so a cut forcing some class outside it
+    into the support is added and the program solved again.  Cuts remove
+    no stealthy support, so the first candidate that passes is optimal.
+    Either way the answer must pass the same refit, idle-class and
+    objective checks.
     """
     h, j0, mu = query.h, query.target_j - 1, query.mu
-    n = h.shape[1]
     if structure is None:
         structure = row_structure(h)
+    if structure.network is not None:
+        rows, objective = _cut_support(structure.network, j0)
+        on = np.zeros(len(structure.classes), dtype=bool)
+        on[structure.row_class[rows]] = True
+        cert, v, stealth = _refit(h, j0, mu, _rows_of(structure.classes, on))
+        if not stealth:
+            raise SecurityIndexError("minimum cut support failed the stealth check")
+    else:
+        objective, on, cert, v = _solve_milp_index(h, structure, j0, mu)
+
+    # Every class costs at least one row, so dropping a class the verified
+    # certificate leaves at zero would undercut an optimal support
+    if np.any(np.abs(v[structure.reps[on]]) <= _VAL_TOL):
+        raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
+    support = tuple(int(i) + 1 for i in _rows_of(structure.classes, on))
+    if abs(objective - len(support)) > 1e-6 * len(support):
+        raise SecurityIndexError("objective inconsistent with reported support")
+    return SecurityIndexResult(float(len(support)), support, (), cert, True)
+
+
+def _solve_milp_index(h, structure, j0, mu):
+    """The MILP's optimal objective, the classes of its first support
+    that passes the stealth test, and that support's refit (certificate
+    and row values at the program's magnitude)."""
+    n = h.shape[1]
     classes = structure.classes
     big = _BIG_M
     enlargements = 0
@@ -305,35 +477,28 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
             big *= 10.0
             enlargements += 1
         else:
-            break
-
-    # Every class costs at least one row, so dropping a class the verified
-    # certificate leaves at zero would undercut an optimal support
-    if np.any(np.abs(v[structure.reps[on]]) <= _VAL_TOL):
-        raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
-    support = tuple(int(i) + 1 for i in _rows_of(classes, on))
-    if abs(sol.objective - len(support)) > 1e-6 * len(support):
-        raise SecurityIndexError("objective inconsistent with reported support")
-    return SecurityIndexResult(float(len(support)), support, (), cert, True)
+            return sol.objective, on, cert, v
 
 
 def fdi_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """alpha: fewest integrity corruptions for a stealth attack on j.
 
-    structure is `row_structure(query.h)` when the caller already has it.
+    structure is `row_structure` of query.h, or of the model query.h
+    belongs to, when the caller already has it; only a model's structure
+    can take the minimum cut.
     """
     return _solve_index(query, structure)
 
 
-def combined_index(query: IndexQuery) -> SecurityIndexResult:
+def combined_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """beta: fewest corruptions when availability attacks may substitute.
 
     A withdrawn row leaves the stealth condition just as a corrupted one
     does, so beta is alpha: this is alpha's program and support, reported
     with every row written.  `risk.tuple_attack_variants` builds its
-    variants on that support.
+    variants on that support.  structure is as for `fdi_index`.
     """
-    return _solve_index(query)
+    return _solve_index(query, structure)
 
 
 def cost_weighted_index(query: IndexQuery, cost_integrity: float = 1.0,
@@ -357,16 +522,17 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     """Per-measurement index table for j = 1..m.
 
     Parallel rows share their index and support family, so one alpha
-    program is solved per class and its result replicated to the members;
-    the classes and 3-circuits are found once and shared by every program;
-    beta, gamma and the split follow from alpha's support, and only the
+    program is solved per class, for its first row, and its result
+    replicated to the members.  `row_structure(model_or_h)` is found once
+    and shared by every program: a GridModel with a cut-exact plan is
+    swept by minimum cuts, anything else by MILPs.  beta, gamma and the split follow from alpha's support, and only the
     split is member-specific.  Classes are independent tasks, so a
     parallel mapper changes nothing but time.
     """
     ci, ca = cost_integrity, cost_availability
     _check_costs(ci, ca)
     h = _matrix(model_or_h)
-    structure = row_structure(h)
+    structure = row_structure(model_or_h)
 
     def solve_class(cls):
         return fdi_index(IndexQuery(h, int(cls.min()) + 1), structure)

@@ -7,10 +7,14 @@ from gridrisk.attack import perturb_model
 from gridrisk.network import build_model, load_bundled_case
 from gridrisk.risk import tuple_attack_variants
 
-# One of the equally sparse critical tuples of ieee14 measurement 9 (alpha
-# = 11).  Which one the index program reports is the solver's tie choice,
-# so the tests that pin figures of the seed-7 attacker model name it.
+# The two equally sparse critical tuples of ieee14 measurement 9 (alpha =
+# 11).  TUPLE14_9 is the one the MILP reports on the bare matrix, where
+# the pick among equally sparse supports is HiGHS's tie choice; the tests
+# that pin figures of the seed-7 attacker model name it.  CUT_TUPLE14_9
+# is the one the minimum cut reports on every ieee14 model, true or
+# perturbed: the rows its smallest minimum cut touches.
 TUPLE14_9 = (9, 10, 15, 29, 30, 35, 44, 45, 46, 47, 49)
+CUT_TUPLE14_9 = (8, 9, 10, 28, 29, 30, 44, 45, 46, 47, 49)
 
 
 @pytest.fixture(scope="session")

@@ -283,6 +283,83 @@ def dc_matrix(doc: dict, reactances=None) -> np.ndarray:
     return np.array(rows)
 
 
+def bipartition_index(doc: dict, j0: int):
+    """Row j0's index and tuple under the minimum-cut rule, by brute force
+    over every bus subset of a case document.
+
+    A source side U of the buses touches the flow rows of each line with
+    one end in U and the injection rows of every end bus of such a line.
+    A flow row's cut keeps its line's from bus in U and its to bus out;
+    an injection row's keeps its bus in U and one neighbour out, the
+    cheapest neighbour, the first in document order on a tie.  Of the
+    cheapest sides, the tuple is the rows of the smallest: the
+    intersection of them all, which must itself be one of them.  Returns
+    (cost, sorted 0-based rows)."""
+    buses = [b["id"] for b in doc["buses"]]
+    ends = {ln["id"]: (ln["from"], ln["to"]) for ln in doc["lines"]}
+    plan = doc["measurements"]
+
+    def touched(side):
+        crossing = {k for k, (f, t) in ends.items() if (f in side) != (t in side)}
+        hit = {b for k in crossing for b in ends[k]}
+        return tuple(i for i, ms in enumerate(plan)
+                     if (ms["element"] in hit if ms["kind"] == "injection"
+                         else ms["element"] in crossing))
+
+    target = plan[j0]
+    if target["kind"] == "injection":
+        bus = target["element"]
+        near = {b for f, t in ends.values() if bus in (f, t) for b in (f, t)} - {bus}
+        pairs = [(bus, u) for u in buses if u in near]
+    else:
+        pairs = [ends[target["element"]]]
+    best = None
+    for source, sink in pairs:
+        free = [b for b in buses if b not in (source, sink)]
+        sides = [frozenset(extra) | {source} for size in range(len(free) + 1)
+                 for extra in itertools.combinations(free, size)]
+        costs = [len(touched(side)) for side in sides]
+        low = min(costs)
+        cheapest = [side for side, cost in zip(sides, costs) if cost == low]
+        smallest = frozenset.intersection(*cheapest)
+        assert smallest in cheapest
+        if best is None or low < best[0]:
+            best = (low, touched(smallest))
+    return best
+
+
+def random_cut_exact_case(rng: np.random.Generator, buses: int) -> dict:
+    """A case document on a random connected grid whose plan is
+    cut-exact: a random tree plus random extra lines, the reference at a
+    random bus, up to two injection rows per bus and on every line
+    between 0 and 1 more flow rows than its two ends carry injection rows,
+    in a shuffled order.  Observability is not checked."""
+    reference = int(rng.integers(buses))
+    lines = []
+    for b in range(1, buses):
+        lines.append((int(rng.integers(b)), b))
+    for _ in range(int(rng.integers(0, buses))):
+        f, t = (int(x) for x in rng.choice(buses, 2, replace=False))
+        lines.append((f, t))
+    injections = rng.choice([0, 0, 1, 1, 2], size=buses)
+    plan = [{"kind": "injection", "element": b + 1, "sigma": 0.02}
+            for b in range(buses) for _ in range(injections[b])]
+    for k, (f, t) in enumerate(lines):
+        for _ in range(injections[f] + injections[t] + int(rng.integers(0, 2))):
+            kind = "flow_from" if rng.random() < 0.5 else "flow_to"
+            plan.append({"kind": kind, "element": k + 1, "sigma": 0.02})
+    order = rng.permutation(len(plan))
+    return {
+        "base_mva": 100.0,
+        "buses": [dict({"id": b + 1}, **({"reference": True} if b == reference else {}))
+                  for b in range(buses)],
+        "lines": [{"id": k + 1, "from": f + 1, "to": t + 1,
+                   "reactance": float(rng.uniform(0.05, 0.5))}
+                  for k, (f, t) in enumerate(lines)],
+        "measurements": [plan[i] for i in order],
+    }
+
+
 def random_observable_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Dense random matrix with full column rank (resampled if degenerate)."""
     while True:

@@ -73,8 +73,8 @@ def test_model_layout_is_pinned(ieee14):
     # H is stored with the three factors it is assembled from; the
     # attacker's model is the same type with other line weights
     assert [f.name for f in fields(GridModel)] == [
-        "n", "n_t", "m", "H", "line_map", "incidence", "line_weights", "sigma",
-        "measurement_labels"]
+        "n", "n_t", "m", "H", "line_map", "incidence", "reference", "line_weights",
+        "sigma", "measurement_labels"]
     attacker = perturb_model(ieee14, 0.2, seed=0)
     assert type(attacker) is GridModel
     for name in ("line_map", "incidence", "sigma"):

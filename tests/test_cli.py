@@ -9,13 +9,18 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 
 import gridrisk
 from gridrisk import cli
+from gridrisk.attack import AttackVector, perturb_model
 from gridrisk.cli import main
 from gridrisk.network import build_model, load_bundled_case, load_case_file
+from gridrisk.risk import tuple_attack_variants
 from gridrisk.security import IndexQuery, fdi_index, format_index_csv, index_sweep
+
+from oracles import mc_alarm_count
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
 RING4 = str(resources.files("gridrisk") / "cases" / "ring4.json")
@@ -343,6 +348,37 @@ def test_sweep_past_the_cdf_range_is_finite(tmp_path, command, mu_max):
     if command == "risk":
         assert all(r["risk"] == "0" for r in past)
     assert "nan" not in _read(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stealthy_variant_stays_at_false_alarm_rate_at_huge_magnitude(tmp_path):
+    # combined_1_10's weighted residual is rounding residue, which a
+    # magnitude of 1e150 once scaled into lambda ~ 1e276 and delta 1
+    out = tmp_path / "o.csv"
+    assert main(["detect", "--case", IEEE14, "--target", "9", "--mu-points", "2",
+                 "--mu-max", "1e150", "--empirical", "--runs", "10",
+                 "--out", str(out)]) == 0
+    rows = [r for r in _rows(out) if r["attack_id"] == "combined_1_10"]
+    assert len(rows) == 2
+    model = build_model(load_bundled_case("ieee14"))
+    variants = tuple_attack_variants(perturb_model(model, 0.2, 0), 9)
+    ids = [attack_id for attack_id, _ in variants]
+    withdrawn = dict(variants)["combined_1_10"].d
+    # the variant's runs with nothing added: its noise-only alarm count
+    noise = AttackVector(np.zeros(model.m), withdrawn, None, None)
+    alarms = mc_alarm_count(model, noise, 0.05, 10, (0, ids.index("combined_1_10")))
+    for row in rows:
+        assert row["lambda"] == "0"
+        assert float(row["delta_theory"]) == pytest.approx(0.05, abs=1e-12)
+        assert float(row["delta_empirical"]) * 10 == pytest.approx(alarms, abs=1e-9)
+
+
+def test_default_risk_of_stealthy_variant_has_zero_lambda(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["risk", "--case", CHAIN3, "--target", "1", "--out", str(out)]) == 0
+    rows = [r for r in _rows(out) if r["attack_id"] == "combined_1_3"]
+    assert len(rows) == 200
+    assert {r["lambda"] for r in rows} == {"0"}
 
 
 def test_target_parses_after_typing_cache_eviction(tmp_path):

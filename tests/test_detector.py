@@ -95,6 +95,18 @@ def test_noncentrality_zero_in_column_space(ieee14):
         assert noncentrality(g, a) <= 1e-18
 
 
+def test_noncentrality_snaps_rounding_residue(ieee14):
+    # a stealth attack leaves only rounding residue in S a, which a huge
+    # magnitude must not scale into a detection
+    rng = np.random.default_rng(12)
+    g = compute_gains(ieee14)
+    for scale in (1.0, 1e150):
+        a = scale * (ieee14.H @ rng.normal(size=ieee14.n))
+        assert np.max(np.abs(g.S @ a)) > 0.0
+        assert noncentrality(g, a) == 0.0
+        assert detection_probability(g, a, 0.05).delta == pytest.approx(0.05, abs=1e-12)
+
+
 def test_noncentrality_formula_and_scaling(ieee14):
     rng = np.random.default_rng(13)
     g = compute_gains(ieee14)

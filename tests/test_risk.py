@@ -21,7 +21,9 @@ from gridrisk.risk import (
     risk_sweep,
     tuple_attack_variants,
 )
-from gridrisk.security import IndexQuery, combined_index
+from gridrisk.security import IndexQuery, combined_index, fdi_index
+
+from conftest import CUT_TUPLE14_9, TUPLE14_9
 
 from oracles import (
     enumeration_alpha,
@@ -489,3 +491,14 @@ def test_risk_csv_format(chain3, chain_variants):
     # no empirical runs requested: the column stays empty
     assert lines[1].split(",")[6] == ""
     assert text.endswith("\n") and "\r" not in text
+
+
+def test_reported_tuple_does_not_depend_on_attacker_seed(ieee14, reported_variants14):
+    # every attacker model shares the plan, and the minimum cut reads
+    # only the plan
+    for seed, (perturbed, variants) in reported_variants14.items():
+        support = tuple(np.flatnonzero(dict(variants)["fdi_11"].a) + 1)
+        assert support == CUT_TUPLE14_9, seed
+        assert fdi_index(IndexQuery(perturbed.H, 9)).objective == len(support), seed
+    # a bare matrix still takes the MILP, and its tie choice
+    assert fdi_index(IndexQuery(ieee14.H, 9)).support == TUPLE14_9

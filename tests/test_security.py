@@ -1,9 +1,11 @@
 """Security indices against enumeration oracles and their paper-level
 structure."""
 
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from hypothesis import strategies as st
 import gridrisk.security as security
 from gridrisk.attack import perturb_model
 from gridrisk.milp import MilpProblem, MilpSolution, solve_milp
-from gridrisk.network import build_model, load_bundled_case, load_case
+from gridrisk.network import (
+    CaseValidationError,
+    UnobservableError,
+    build_model,
+    load_bundled_case,
+    load_case,
+)
 from gridrisk.security import (
     IndexQuery,
     SecurityIndexError,
@@ -23,13 +31,16 @@ from gridrisk.security import (
     format_index_csv,
     index_sweep,
     parallel_classes,
+    row_structure,
 )
 
 from oracles import (
+    bipartition_index,
     certificate_for_set,
     enumeration_alpha,
     enumeration_family,
     parallel_classes_by_row,
+    random_cut_exact_case,
     random_observable_matrix,
     set_admits_target,
     three_circuits,
@@ -394,7 +405,8 @@ def test_index_sweep_consistent_with_single_solves(chain3):
 
 
 def test_sweep_solves_one_program_per_class(chain3, ring4, monkeypatch):
-    # beta, gamma and the split come from alpha's support: no other program
+    # beta, gamma and the split come from alpha's support: no other
+    # program.  A bare matrix takes the MILP.
     calls = []
 
     def counted(problem):
@@ -404,11 +416,11 @@ def test_sweep_solves_one_program_per_class(chain3, ring4, monkeypatch):
     monkeypatch.setattr(security, "solve_milp", counted)
     for model in (chain3, ring4):
         calls.clear()
-        index_sweep(model)
+        index_sweep(model.H)
         assert len(calls) == len(parallel_classes(model.H)[0])
 
 
-def test_sweep_finds_classes_and_circuits_once(chain3, ring4, monkeypatch):
+def _count_calls(monkeypatch, names) -> list:
     calls = []
 
     def counted(name):
@@ -419,12 +431,29 @@ def test_sweep_finds_classes_and_circuits_once(chain3, ring4, monkeypatch):
             return orig(*args)
         return spy
 
-    for name in ("parallel_classes", "three_circuits"):
+    for name in names:
         monkeypatch.setattr(security, name, counted(name))
+    return calls
+
+
+def test_sweep_finds_classes_and_circuits_once(chain3, ring4, monkeypatch):
+    calls = _count_calls(monkeypatch, ("parallel_classes", "three_circuits"))
     for model in (chain3, ring4):
         calls.clear()
-        index_sweep(model)
+        index_sweep(model.H)
         assert sorted(calls) == ["parallel_classes", "three_circuits"]
+
+
+def test_cut_exact_sweep_solves_no_milp(chain3, ring4, ieee14, monkeypatch):
+    # on a cut-exact model every program is a minimum cut: no MILP is
+    # posed and no 3-circuit is looked for
+    calls = _count_calls(monkeypatch, ("solve_milp", "three_circuits",
+                                       "parallel_classes"))
+    for model in (chain3, ring4, ieee14):
+        calls.clear()
+        rows = index_sweep(model)
+        assert calls == ["parallel_classes"]
+        assert [r["alpha"] for r in rows] == [r["alpha"] for r in index_sweep(model.H)]
 
 
 def _without_circuit_rows(problem):
@@ -616,3 +645,71 @@ def test_plan_where_presolve_overshoots():
         res = index(IndexQuery(h, 4))
         assert res.objective == 7
         assert set_admits_target(h, [i - 1 for i in res.support], 3)
+
+
+def _bundled_doc(name):
+    return json.loads((resources.files("gridrisk") / "cases" / f"{name}.json").read_text())
+
+
+def _cut_exact_grids(seed, count, max_rows=None):
+    """(document, model) of `count` observable random cut-exact grids of
+    3 to 8 buses, at most max_rows measurements each if given."""
+    rng = np.random.default_rng(seed)
+    while count:
+        doc = random_cut_exact_case(rng, int(rng.integers(3, 9)))
+        try:
+            model = build_model(load_case(doc))
+        except (CaseValidationError, UnobservableError):
+            continue
+        if max_rows is None or model.m <= max_rows:
+            count -= 1
+            yield doc, model
+
+
+def test_cut_matches_bipartition_oracle():
+    # alpha and the tuple of every row, against brute force over every
+    # bus subset under the smallest-source-side rule
+    grids = [(_bundled_doc(name), build_model(load_bundled_case(name)))
+             for name in ("chain3", "ring4")]
+    for doc, model in grids + list(_cut_exact_grids(3, 30)):
+        structure = row_structure(model)
+        assert structure.network is not None
+        for j0 in range(model.m):
+            alpha, rows = bipartition_index(doc, j0)
+            res = fdi_index(IndexQuery(model.H, j0 + 1), structure)
+            assert res.objective == alpha, j0
+            assert res.support == tuple(i + 1 for i in rows), j0
+            _assert_result_shape(res, model.H, j0 + 1, 0.1)
+
+
+def test_cut_matches_enumeration_on_cut_exact_grids():
+    for _, model in _cut_exact_grids(7, 20, max_rows=12):
+        structure = row_structure(model)
+        for j0 in range(model.m):
+            res = fdi_index(IndexQuery(model.H, j0 + 1), structure)
+            assert res.objective == enumeration_alpha(model.H, j0)[0], j0
+
+
+@pytest.mark.parametrize("flows, alpha", [(0, 1), (1, 2)])
+def test_cut_needs_flows_to_cover_injections(flows, alpha):
+    # chain 1-2-3 (reference 1, lines 2->1 and 3->2) metered by the
+    # injections at buses 1 and 2 and `flows` flow rows on line 1.  Bus 2
+    # can balance its two flows, so row 1 moves with line 1's flow rows
+    # alone, but every cut that moves it crosses line 1 and also touches
+    # the injection at bus 2.  Line 1 carries fewer flow rows than the two
+    # injections at its ends, one fewer in the second plan, so the plan is
+    # not cut-exact and the cut would overstate alpha by one.
+    doc = {
+        "base_mva": 100.0,
+        "buses": [{"id": 1, "reference": True}, {"id": 2}, {"id": 3}],
+        "lines": [{"id": 1, "from": 2, "to": 1, "reactance": 0.1},
+                  {"id": 2, "from": 3, "to": 2, "reactance": 0.2}],
+        "measurements": [{"kind": "injection", "element": 1, "sigma": 0.02},
+                         {"kind": "injection", "element": 2, "sigma": 0.02}]
+                        + [{"kind": "flow_from", "element": 1, "sigma": 0.02}] * flows,
+    }
+    model = build_model(load_case(doc))
+    assert enumeration_alpha(model.H, 0)[0] == alpha
+    assert bipartition_index(doc, 0)[0] == alpha + 1
+    assert row_structure(model).network is None
+    assert index_sweep(model)[0]["alpha"] == alpha
