@@ -24,7 +24,7 @@ from .chi2 import noncentral_cdf
 from .detector import BddConfig, detection_probability, snapped_residual
 from .estimator import compute_reduced_gains
 from .network import GridModel
-from .security import IndexQuery, combined_index, row_structure
+from .security import IndexQuery, combined_index
 
 # Unused here since the Monte Carlo below tests whole blocks through the
 # gains' weighted residual operator, without rescaled attacks or
@@ -265,7 +265,8 @@ def risk_sweep(
     Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
     above the threshold, so delta is 1 and risk 0.  Raises ValueError
     when a magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0
-    and |mu/mu0| impact0 may overflow.
+    and |mu/mu0| impact0 may overflow, though lambda0 = 0 gives lambda 0
+    at every finite magnitude.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -289,7 +290,7 @@ def risk_sweep(
         # below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             scale = mu / attack.mu
-            lam = scale * scale * det.lam
+            lam = scale * scale * det.lam if det.lam else np.zeros_like(mu)
             impact = np.abs(scale) * impact_metric(model, gains, attack).impact
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(impact))):
             raise ValueError(f"lambda or impact of {attack_id} is not finite "
@@ -378,14 +379,12 @@ def tuple_attack_variants(perturbed: GridModel, target_j: int) -> list:
     whole tuple, the combined variants keep one or two rows corrupted and
     withdraw the rest.  Any other magnitude is a rescaling, which
     risk_sweep does.  The tuple is alpha's support in the attacker's
-    model, as `combined_index` reports it given the model's
-    `row_structure`: on a cut-exact plan the smallest minimum cut's,
-    which depends only on the plan and so not on the attacker's line
-    weights.  Returned as (attack_id, AttackVector) pairs in increasing
-    k_a order.
+    model, as `combined_index` reports it: on a cut-exact plan the
+    smallest minimum cut's, which depends only on the plan and so not on
+    the attacker's line weights.  Returned as (attack_id, AttackVector)
+    pairs in increasing k_a order.
     """
-    res = combined_index(IndexQuery(h=perturbed.H, target_j=target_j),
-                         row_structure(perturbed))
+    res = combined_index(IndexQuery(perturbed, target_j))
     support = list(res.support)
     beta = len(support)
     others = [i for i in support if i != target_j]

@@ -32,25 +32,30 @@ model with the same plan, the attacker's perturbed one included, gets
 the same tuple.
 
 The cut is exact when the plan is cut-exact: every line carries at
-least as many flow rows as its two end buses carry injection rows
-together.  Take any stealth attack theta through the target and any
+least as many flow rows as either of its end buses carries injection
+rows.  Take any stealth attack theta through the target and any
 threshold cut U = {theta >= t}.  Every line across U joins unequal
 angles, so its flow rows are in theta's support.  A bus at the end of
 such a line whose injection theta leaves at zero must have neighbours
 strictly above and strictly below its own angle, so one of its lines
 joins unequal angles on the same side of U: that line's rows are in
 theta's support but not in the cut's.  Charge the bus's injection rows
-to that line; a line is charged by at most its two end buses, and it
-carries at least as many flow rows as they carry injection rows.  So no
-threshold cut costs more than theta.  A threshold between the target
-line's end angles, or between the target bus's angle and a neighbour's
-that differs, gives a cut through the target, and so the minimum cut is
-alpha.  On a plan that is not cut-exact a cut can cost more: a bus
-whose flows balance hides a line that carries too few flow rows.  Those
-plans, and bare matrices, take the MILP.
+to that line: a bus inside U to a line up to a strictly higher
+neighbour, a bus outside to a line down to a strictly lower one.  A
+line charged by both its ends would join two buses each strictly above
+the other, so each line is charged by at most one end bus, and it
+carries at least as many flow rows as that bus carries injection rows.
+So no threshold cut costs more than theta.  A threshold between the
+target line's end angles, or between the target bus's angle and a
+neighbour's that differs, gives a cut through the target, and so the
+minimum cut is alpha.  On a plan that is not cut-exact a cut can cost
+more: a bus whose flows balance hides a line that carries too few flow
+rows.  Those plans, and bare matrices, take the MILP.
 
 Rows that are scalar multiples of one another vanish together for every
-certificate c, so each parallel row class gets a single indicator binary.
+certificate c, so each parallel row class gets a single indicator binary,
+and a target takes the cut or program of its class's first row: every
+member of a class gets one support, the one `index_sweep` reports.
 Every support either path reports is refit with exact zeros off the
 support and checked for stealth before it is returned.
 
@@ -67,14 +72,11 @@ found once per matrix and no minimal stealth support is cut off, so
 alpha is unchanged; only which of several equally sparse supports is
 reported can move.
 
-Every program is solved at the magnitude 0.1 in one big-M box, and only
-the refit uses the query's mu.  Every check on a candidate (stealth, the
-big-M guard, an idle class) reads the refit's row values rescaled to the
-program's magnitude, so it passes the same verdict at every mu.  The
-support is therefore the same for every mu, and the certificate scales
-with mu.  Among equally sparse supports, the one the MILP reports is the
-one HiGHS proves optimal first; it is fixed for a given scipy build and
-solver options, but follows no ordering of the rows.
+Every program is solved, and every certificate built, at the magnitude
+0.1 in one big-M box; a certificate is linear in the magnitude, so scale
+it for another.  Among equally sparse supports, the one the MILP reports
+is the one HiGHS proves optimal first; it is fixed for a given scipy
+build and solver options, but follows no ordering of the rows.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from .milp import MilpProblem, solve_milp
 from .network import GridModel
 
 PARALLEL_ATOL = 1e-8
-_PROGRAM_MU = 0.1        # the magnitude every index program is solved at
+_PROGRAM_MU = 0.1        # the target move of every program and certificate
 _BIG_M = 1e3             # the box every index program starts with
 _M_GUARD = 0.99
 _MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
@@ -106,22 +108,21 @@ class SecurityIndexError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class IndexQuery:
-    """One security-index question: which measurement, at what magnitude,
-    against which model matrix."""
+    """One security-index question: which measurement of which model.
+    model is a GridModel or a bare 2-D matrix; `row_structure(model)`
+    picks the path that answers it."""
 
-    h: np.ndarray
+    model: GridModel | np.ndarray
     target_j: int  # 1-based measurement index
-    mu: float = 0.1
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h)
-        if h.ndim != 2:
-            raise SecurityIndexError("model matrix must be 2-D")
-        if not 1 <= self.target_j <= h.shape[0]:
-            raise SecurityIndexError(f"target_j {self.target_j} outside 1..{h.shape[0]}")
-        if self.mu == 0.0 or not np.isfinite(self.mu):
-            raise SecurityIndexError("mu must be nonzero and finite")
+        if not isinstance(self.model, GridModel):
+            object.__setattr__(self, "model", np.asarray(self.model, dtype=float))
+            if self.model.ndim != 2:
+                raise SecurityIndexError("model matrix must be 2-D")
+        m = _matrix(self.model).shape[0]
+        if not 1 <= self.target_j <= m:
+            raise SecurityIndexError(f"target_j {self.target_j} outside 1..{m}")
 
 
 def _check_costs(ci, ca):
@@ -235,8 +236,8 @@ class CutNetwork:
 
 def _cut_network(model: GridModel):
     """The model's plan as a CutNetwork, or None unless it is cut-exact:
-    every line carries at least as many flow rows as its two end buses
-    carry injection rows together."""
+    every line carries at least as many flow rows as either of its end
+    buses carries injection rows."""
     full = np.insert(model.incidence, model.reference,
                      -model.incidence.sum(axis=0), axis=0)
     buses = full.shape[0]
@@ -251,7 +252,7 @@ def _cut_network(model: GridModel):
     row_bus = np.where(injection, np.where(leaves, ends[first, 0], ends[first, 1]), -1)
     flows = np.bincount(row_line[~injection], minlength=model.n_t)
     injections = np.bincount(row_bus[injection], minlength=buses)
-    if np.any(flows < injections[ends[:, 0]] + injections[ends[:, 1]]):
+    if np.any(flows < np.maximum(injections[ends[:, 0]], injections[ends[:, 1]])):
         return None
 
     neighbours = [set() for _ in range(buses)]
@@ -335,12 +336,11 @@ def row_structure(model_or_h) -> RowStructure:
     norms = np.linalg.norm(h, axis=1)
     reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
     network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
-    if network is not None:
-        return RowStructure(classes, row_class, reps, None, network)
-    return RowStructure(classes, row_class, reps, three_circuits(h[reps]))
+    circuits = None if network is not None else three_circuits(h[reps])
+    return RowStructure(classes, row_class, reps, circuits, network)
 
 
-def _build_problem(h, structure, j0, mu, big_m, cuts):
+def _build_problem(h, structure, j0, big_m, cuts):
     n = h.shape[1]
     ncls = len(structure.classes)
     circuits = structure.circuits
@@ -364,7 +364,7 @@ def _build_problem(h, structure, j0, mu, big_m, cuts):
         b_ub[2 * ncls + n_circ :] = -1.0
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = h[j0]
-    b_eq = np.array([mu])
+    b_eq = np.array([_PROGRAM_MU])
 
     binary = np.zeros(nv, dtype=bool)
     binary[n:] = True
@@ -392,16 +392,16 @@ def _gamma(alpha, ci, ca):
     return ci + (alpha - 1) * min(ci, ca)
 
 
-def _refit(h, j0, mu, support_rows):
+def _refit(h, j0, support_rows):
     """Least-squares certificate that zeroes every row off the support and
-    moves the target by mu; its row values rescaled to the program's
-    magnitude; and whether those do both to rounding error."""
+    moves the target by the program's magnitude; its row values; and
+    whether those do both to rounding error."""
     comp = np.setdiff1d(np.arange(h.shape[0]), support_rows)
     a = np.vstack([h[comp], h[j0][None, :]])
     b = np.zeros(a.shape[0])
-    b[-1] = mu
+    b[-1] = _PROGRAM_MU
     c, *_ = np.linalg.lstsq(a, b, rcond=None)
-    v = (h @ c) * (_PROGRAM_MU / mu)
+    v = h @ c
     stealth = (abs(v[j0] - _PROGRAM_MU) <= 1e-7
                and np.max(np.abs(v[comp]), initial=0.0) <= 1e-9)
     return c, v, stealth
@@ -419,25 +419,25 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     integrality tolerance of 0 while the big-M row still carries up to M
     times that tolerance, so its support is only a candidate.  The
     candidate is refit with exact zeros off the support and tested for
-    stealth at the program's magnitude.  A candidate that fails cannot
-    contain a stealthy subset, so a cut forcing some class outside it
-    into the support is added and the program solved again.  Cuts remove
-    no stealthy support, so the first candidate that passes is optimal.
-    Either way the answer must pass the same refit, idle-class and
-    objective checks.
+    stealth.  A candidate that fails cannot contain a stealthy subset, so
+    a cut forcing some class outside it into the support is added and the
+    program solved again.  Cuts remove no stealthy support, so the first
+    candidate that passes is optimal.  Either way the answer must pass
+    the same refit, idle-class and objective checks.
     """
-    h, j0, mu = query.h, query.target_j - 1, query.mu
+    h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
-        structure = row_structure(h)
+        structure = row_structure(query.model)
+    first = structure.classes[structure.row_class[j0]][0]  # one support per class
     if structure.network is not None:
-        rows, objective = _cut_support(structure.network, j0)
+        rows, objective = _cut_support(structure.network, first)
         on = np.zeros(len(structure.classes), dtype=bool)
         on[structure.row_class[rows]] = True
-        cert, v, stealth = _refit(h, j0, mu, _rows_of(structure.classes, on))
+        cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))
         if not stealth:
             raise SecurityIndexError("minimum cut support failed the stealth check")
     else:
-        objective, on, cert, v = _solve_milp_index(h, structure, j0, mu)
+        objective, on, cert, v = _solve_milp_index(h, structure, j0, first)
 
     # Every class costs at least one row, so dropping a class the verified
     # certificate leaves at zero would undercut an optimal support
@@ -449,21 +449,22 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
 
-def _solve_milp_index(h, structure, j0, mu):
+def _solve_milp_index(h, structure, j0, first):
     """The MILP's optimal objective, the classes of its first support
     that passes the stealth test, and that support's refit (certificate
-    and row values at the program's magnitude)."""
+    and row values).  The program moves row `first`, of j0's class; the
+    refit moves j0."""
     n = h.shape[1]
     classes = structure.classes
     big = _BIG_M
     enlargements = 0
     cuts = []
     while True:
-        sol = solve_milp(_build_problem(h, structure, j0, _PROGRAM_MU, big, cuts))
+        sol = solve_milp(_build_problem(h, structure, first, big, cuts))
         if sol.status != "optimal":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
         on = sol.x[n : n + len(classes)] > 0.5
-        cert, v, stealth = _refit(h, j0, mu, _rows_of(classes, on))
+        cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
         if not stealth:
             if len(cuts) == _MAX_CUTS:
                 raise SecurityIndexError(
@@ -483,22 +484,21 @@ def _solve_milp_index(h, structure, j0, mu):
 def fdi_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """alpha: fewest integrity corruptions for a stealth attack on j.
 
-    structure is `row_structure` of query.h, or of the model query.h
-    belongs to, when the caller already has it; only a model's structure
-    can take the minimum cut.
+    structure is the `row_structure(query.model)` the caller already has;
+    it saves time and changes nothing else.
     """
     return _solve_index(query, structure)
 
 
-def combined_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
+def combined_index(query: IndexQuery) -> SecurityIndexResult:
     """beta: fewest corruptions when availability attacks may substitute.
 
     A withdrawn row leaves the stealth condition just as a corrupted one
     does, so beta is alpha: this is alpha's program and support, reported
     with every row written.  `risk.tuple_attack_variants` builds its
-    variants on that support.  structure is as for `fdi_index`.
+    variants on that support.
     """
-    return _solve_index(query, structure)
+    return _solve_index(query)
 
 
 def cost_weighted_index(query: IndexQuery, cost_integrity: float = 1.0,
@@ -525,20 +525,20 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     program is solved per class, for its first row, and its result
     replicated to the members.  `row_structure(model_or_h)` is found once
     and shared by every program: a GridModel with a cut-exact plan is
-    swept by minimum cuts, anything else by MILPs.  beta, gamma and the split follow from alpha's support, and only the
-    split is member-specific.  Classes are independent tasks, so a
-    parallel mapper changes nothing but time.
+    swept by minimum cuts, anything else by MILPs.  beta, gamma and the
+    split follow from alpha's support, and only the split is
+    member-specific.  Classes are independent tasks, so a parallel
+    mapper changes nothing but time.
     """
     ci, ca = cost_integrity, cost_availability
     _check_costs(ci, ca)
-    h = _matrix(model_or_h)
     structure = row_structure(model_or_h)
 
     def solve_class(cls):
-        return fdi_index(IndexQuery(h, int(cls.min()) + 1), structure)
+        return fdi_index(IndexQuery(model_or_h, int(cls.min()) + 1), structure)
 
-    rows = [None] * h.shape[0]
     classes = structure.classes
+    rows = [None] * len(structure.row_class)
     for cls, res in zip(classes, (mapper or map)(solve_class, classes)):
         for j0 in cls:
             # the whole class sits inside the support, so members differ
@@ -559,14 +559,11 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
 
 
 def format_index_csv(rows) -> str:
-    def num(x):
-        return f"{x:.12g}"
-
     lines = ["j,alpha,beta,gamma_fdi,gamma_combined,k_a,k_d,integrity_set,availability_set"]
     for r in rows:
         lines.append(",".join([
             str(r["j"]), str(r["alpha"]), str(r["beta"]),
-            num(r["gamma_fdi"]), num(r["gamma_combined"]),
+            f"{r['gamma_fdi']:.12g}", f"{r['gamma_combined']:.12g}",
             str(r["k_a"]), str(r["k_d"]),
             ";".join(str(i) for i in r["integrity_set"]),
             ";".join(str(i) for i in r["availability_set"]),

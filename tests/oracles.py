@@ -332,8 +332,9 @@ def random_cut_exact_case(rng: np.random.Generator, buses: int) -> dict:
     """A case document on a random connected grid whose plan is
     cut-exact: a random tree plus random extra lines, the reference at a
     random bus, up to two injection rows per bus and on every line
-    between 0 and 1 more flow rows than its two ends carry injection rows,
-    in a shuffled order.  Observability is not checked."""
+    between as many flow rows as either end carries injection rows and
+    one more than both ends carry together, in a shuffled order.
+    Observability is not checked."""
     reference = int(rng.integers(buses))
     lines = []
     for b in range(1, buses):
@@ -345,7 +346,8 @@ def random_cut_exact_case(rng: np.random.Generator, buses: int) -> dict:
     plan = [{"kind": "injection", "element": b + 1, "sigma": 0.02}
             for b in range(buses) for _ in range(injections[b])]
     for k, (f, t) in enumerate(lines):
-        for _ in range(injections[f] + injections[t] + int(rng.integers(0, 2))):
+        low = max(injections[f], injections[t])
+        for _ in range(int(rng.integers(low, injections[f] + injections[t] + 2))):
             kind = "flow_from" if rng.random() < 0.5 else "flow_to"
             plan.append({"kind": kind, "element": k + 1, "sigma": 0.02})
     order = rng.permutation(len(plan))

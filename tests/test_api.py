@@ -14,7 +14,9 @@ import numpy as np
 import gridrisk
 from gridrisk.attack import perturb_model
 from gridrisk.network import GridModel
-from gridrisk.security import IndexQuery, cost_weighted_index, index_sweep
+from gridrisk.security import (
+    IndexQuery, combined_index, cost_weighted_index, fdi_index, index_sweep,
+)
 
 PACKAGE = Path(gridrisk.__file__).resolve().parent
 
@@ -60,13 +62,32 @@ def test_public_api_is_pinned():
 
 
 def test_index_knobs_are_pinned():
-    # every program is solved in one box at one magnitude, and the costs
-    # only price alpha's support: none of them belongs in the query
-    assert [f.name for f in fields(IndexQuery)] == ["h", "target_j", "mu"]
+    # a query is a model and a target: every program is solved in one box
+    # at one magnitude, the model picks the path, and the costs only price
+    # alpha's support
+    assert [f.name for f in fields(IndexQuery)] == ["model", "target_j"]
     assert list(inspect.signature(index_sweep).parameters) == [
         "model_or_h", "cost_integrity", "cost_availability", "mapper"]
+    assert list(inspect.signature(fdi_index).parameters) == ["query", "structure"]
+    assert list(inspect.signature(combined_index).parameters) == ["query"]
     assert list(inspect.signature(cost_weighted_index).parameters) == [
         "query", "cost_integrity", "cost_availability"]
+
+
+def test_only_security_picks_the_index_path():
+    # row_structure chooses between the minimum cut and the MILP; every
+    # other module reaches it through an IndexQuery
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.asname or alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            if (isinstance(node, ast.Name) and node.id == "row_structure"
+                    or isinstance(node, ast.Attribute) and node.attr == "row_structure"
+                    or "row_structure" in names):
+                naming.add(path.name)
+    assert naming == {"security.py"}
 
 
 def test_model_layout_is_pinned(ieee14):

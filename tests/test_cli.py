@@ -18,7 +18,9 @@ from gridrisk.attack import AttackVector, perturb_model
 from gridrisk.cli import main
 from gridrisk.network import build_model, load_bundled_case, load_case_file
 from gridrisk.risk import tuple_attack_variants
-from gridrisk.security import IndexQuery, fdi_index, format_index_csv, index_sweep
+from gridrisk.security import (
+    IndexQuery, fdi_index, format_index_csv, index_sweep, row_structure,
+)
 
 from oracles import mc_alarm_count
 
@@ -64,20 +66,23 @@ PLAN35_ROWS = [1, 2, 3, 5, 6, 7, 10, 12, 14, 15, 17, 19, 22, 23, 24, 26, 27, 29,
                30, 31, 32, 33, 35, 38, 39, 40, 43, 45, 46, 47, 49, 51, 52, 53, 54]
 
 
-def test_index_rows_do_not_depend_on_mu(tmp_path):
+def test_index_rows_match_the_model_query(tmp_path):
     doc = json.loads((resources.files("gridrisk") / "cases" / "ieee14.json").read_text())
     doc["measurements"] = [doc["measurements"][i - 1] for i in PLAN35_ROWS]
     plan = tmp_path / "plan35.json"
     plan.write_text(json.dumps(doc))
     out = tmp_path / "plan35.csv"
     assert main(["index", "--case", str(plan), "--out", str(out)]) == 0
-    alphas = {int(r["j"]): int(r["alpha"]) for r in _rows(out)}
-    assert alphas[6] == alphas[17] == 8
-    # a query at a tiny or huge magnitude finds the rows index reports
-    h = build_model(load_case_file(str(plan))).H
+    rows = {int(r["j"]): r for r in _rows(out)}
+    assert int(rows[6]["alpha"]) == int(rows[17]["alpha"]) == 8
+    # the plan is not cut-exact, so a query on its model takes the MILP,
+    # as index does, and finds the rows index reports
+    model = build_model(load_case_file(str(plan)))
+    assert row_structure(model).network is None
     for j in (6, 17):
-        for mu in (1e-9, 1e3):
-            assert fdi_index(IndexQuery(h, j, mu=mu)).objective == alphas[j]
+        support = sorted(int(i) for key in ("integrity_set", "availability_set")
+                         for i in rows[j][key].split(";") if i)
+        assert fdi_index(IndexQuery(model, j)).support == tuple(support)
 
 
 def test_replay_restores_output_bytes(tmp_path):
@@ -321,7 +326,7 @@ IEEE14 = str(resources.files("gridrisk") / "cases" / "ieee14.json")
 @pytest.mark.parametrize("command", ["detect", "risk"])
 @pytest.mark.parametrize("mu_max, words", [
     ("1e308", ["magnitudes"]),
-    ("1e200", ["lambda", "combined_1_10"]),
+    ("1e200", ["lambda", "combined_2_9"]),
 ])
 def test_non_finite_sweep_exits_2(tmp_path, capsys, command, mu_max, words):
     out = tmp_path / "o.csv"
@@ -403,7 +408,7 @@ def test_replay_of_non_finite_sweep_exits_2(tmp_path, capsys):
     out.unlink()
     capsys.readouterr()
     assert main(["replay", str(manifest)]) == 2
-    _one_error_line(capsys, "lambda", "combined_1_10")
+    _one_error_line(capsys, "lambda", "combined_2_9")
     assert not out.exists()
 
 

@@ -38,11 +38,12 @@ def _traced(argv, case, tmp_path, monkeypatch) -> dict:
     ["detect", "--target", "5", "--mu-points", "4"],
 ])
 def test_traced_command_runs(argv, tmp_path, monkeypatch):
-    # ring4 without its first flow row: line 1 then carries fewer flow
-    # rows than its end buses carry injections, so the plan is not
+    # ring4 without line 1's two flow rows: line 1 then carries fewer flow
+    # rows than either end bus carries injections, so the plan is not
     # cut-exact and every index program goes through the MILP
     doc = json.loads(Path(RING4).read_text())
-    doc["measurements"] = doc["measurements"][1:]
+    doc["measurements"] = [ms for ms in doc["measurements"]
+                           if ms["kind"] == "injection" or ms["element"] != 1]
     case = tmp_path / "ring4_milp.json"
     case.write_text(json.dumps(doc))
     metrics = _traced(argv, str(case), tmp_path, monkeypatch)

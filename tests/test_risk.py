@@ -334,6 +334,24 @@ def test_stealth_variant_constant_delta(chain3, chain_variants):
     assert np.all(np.diff(stealth.risk) > 0)
 
 
+def test_zero_lambda_survives_an_overflowing_scale(ieee14, reported_variants14):
+    # (mu/mu0)^2 overflows to inf at 1e200; inf * 0 would be nan, so a
+    # variant with lambda0 = 0 must keep lambda 0, and the error must name
+    # the variant whose lambda really overflows
+    variants = dict(reported_variants14[0][1])
+    stealth, caught = variants["combined_1_10"], variants["combined_2_9"]
+    grid = [0.1, 1e200]
+    (curve,) = risk_sweep(ieee14, [("combined_1_10", stealth)], grid, alpha=0.05)
+    assert detection_probability(compute_reduced_gains(ieee14, stealth.d),
+                                 stealth.a, 0.05).lam == 0.0
+    np.testing.assert_array_equal(curve.lam, [0.0, 0.0])
+    np.testing.assert_allclose(curve.delta, 0.05, rtol=0, atol=1e-9)
+    assert np.all(np.isfinite(curve.impact))
+    with pytest.raises(ValueError, match="combined_2_9"):
+        risk_sweep(ieee14, [("combined_1_10", stealth), ("combined_2_9", caught)],
+                   grid, alpha=0.05)
+
+
 def test_mixed_attack_family_rejected(chain3, chain_variants):
     res = combined_index(IndexQuery(chain3.H, 2))
     other = full_knowledge_attack(chain3, res.certificate_c, None, target_j=2)

@@ -3,6 +3,7 @@ structure."""
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from importlib import resources
@@ -34,6 +35,7 @@ from gridrisk.security import (
     row_structure,
 )
 
+from conftest import CUT_TUPLE14_9, TUPLE14_9
 from oracles import (
     bipartition_index,
     certificate_for_set,
@@ -52,17 +54,17 @@ CHAIN3_ALPHA = 4
 RING4_ALPHA = 7
 
 
-def _assert_result_shape(res, h, j, mu):
+def _assert_result_shape(res, h, j):
     assert j in res.integrity_set
     assert not set(res.integrity_set) & set(res.availability_set)
     assert res.support == tuple(sorted(res.integrity_set + res.availability_set))
     assert res.verified_stealth
-    # the certificate moves the target by exactly mu and nothing off-support
+    # the certificate moves the target by exactly 0.1 and nothing off-support
     a = h @ res.certificate_c
-    assert a[j - 1] == pytest.approx(mu, rel=1e-7)
+    assert a[j - 1] == pytest.approx(0.1, rel=1e-7)
     comp = [i for i in range(h.shape[0]) if i + 1 not in res.support]
     if comp:
-        assert np.max(np.abs(a[comp])) <= 1e-6 * abs(mu) * 1e4
+        assert np.max(np.abs(a[comp])) <= 1e-3
 
 
 def test_chain3_all_measurements(chain3):
@@ -71,7 +73,7 @@ def test_chain3_all_measurements(chain3):
         res_a = fdi_index(q)
         res_b = combined_index(q)
         assert res_a.objective == res_b.objective == CHAIN3_ALPHA
-        _assert_result_shape(res_b, chain3.H, j, q.mu)
+        _assert_result_shape(res_b, chain3.H, j)
 
 
 def test_ring4_all_measurements(ring4):
@@ -101,7 +103,7 @@ def test_ieee14_target_nine_values(ieee14):
     assert res_g.objective == pytest.approx(6.0)
     assert len(res_g.integrity_set) == 1 and len(res_g.availability_set) == 10
     assert res_a.support == (9, 10, 15, 29, 30, 35, 44, 45, 46, 47, 49)
-    _assert_result_shape(res_a, ieee14.H, 9, q.mu)
+    _assert_result_shape(res_a, ieee14.H, 9)
 
 
 def test_injection_target_has_smaller_index(ieee14):
@@ -118,7 +120,7 @@ def test_random_matrices_match_oracle():
         h = random_observable_matrix(rng, m, n)
         for j in range(1, m + 1):
             size, _ = enumeration_alpha(h, j - 1)
-            q = IndexQuery(h, j, mu=0.3)
+            q = IndexQuery(h, j)
             assert fdi_index(q).objective == size, f"trial {trial} j {j}"
             assert combined_index(q).objective == size
 
@@ -159,24 +161,14 @@ def test_free_action_costs(ring4):
         res = cost_weighted_index(IndexQuery(ring4.H, 1), cost_integrity=ci,
                                   cost_availability=ca)
         assert res.objective == pytest.approx(expected)
-        _assert_result_shape(res, ring4.H, 1, 0.1)
+        _assert_result_shape(res, ring4.H, 1)
         assert len(res.support) >= RING4_ALPHA
-
-
-def test_magnitude_homogeneity(ring4):
-    small = combined_index(IndexQuery(ring4.H, 5, mu=0.1))
-    large = combined_index(IndexQuery(ring4.H, 5, mu=1.0))
-    assert small.objective == large.objective
-    assert small.support == large.support
-    np.testing.assert_allclose(
-        large.certificate_c, 10.0 * small.certificate_c, rtol=1e-6
-    )
 
 
 def _refuted_programs():
     """The (h, j, result) on the matrices of
-    test_random_matrices_match_oracle whose program at mu = 0.1 refutes a
-    candidate support before one passes."""
+    test_random_matrices_match_oracle whose program refutes a candidate
+    support before one passes."""
     posed = []
 
     def spy(problem):
@@ -200,32 +192,16 @@ def _refuted_programs():
     return found
 
 
-def test_support_does_not_depend_on_magnitude(ring4, ieee14):
-    # every program is solved and checked at one magnitude, so mu only
-    # scales the certificate, whatever its size or sign
-    for model, targets in ((ring4, range(1, ring4.m + 1)), (ieee14, (1, 9, 44))):
-        for index in (fdi_index, combined_index):
-            for j in targets:
-                ref = index(IndexQuery(model.H, j, mu=0.1))
-                for mu in (1e-3, -0.5, 25.0):
-                    res = index(IndexQuery(model.H, j, mu=mu))
-                    assert res.support == ref.support
-                    assert res.objective == ref.objective
-                    np.testing.assert_allclose(
-                        res.certificate_c, (mu / 0.1) * ref.certificate_c,
-                        rtol=1e-9, atol=1e-12 * abs(mu))
-                    _assert_result_shape(res, model.H, j, mu)
-    # where a candidate fails the stealth check, a tiny or huge mu must
-    # fail it too
+def test_refuted_candidates_end_at_alpha():
+    # where a candidate fails the stealth check, the program goes on to a
+    # stealthy support of the enumerated size
     refuted = _refuted_programs()
     assert len(refuted) >= 10
-    for h, j, ref in refuted:
+    for h, j, res in refuted:
         size, _ = enumeration_alpha(h, j - 1)
-        for mu in (1e-12, 1e-9, 1e-6, 1e3, 1e9):
-            res = fdi_index(IndexQuery(h, j, mu=mu))
-            assert res.objective == size, (j, mu)
-            assert res.support == ref.support, (j, mu)
-            assert set_admits_target(h, [i - 1 for i in res.support], j - 1)
+        assert res.objective == size, j
+        assert set_admits_target(h, [i - 1 for i in res.support], j - 1)
+        _assert_result_shape(res, h, j)
 
 
 def test_fdi_and_combined_pose_one_program(chain3, ring4, ieee14, monkeypatch):
@@ -538,9 +514,9 @@ def test_csv_shape(chain3):
 
 
 def test_certificate_matches_oracle_refit(chain3):
-    res = combined_index(IndexQuery(chain3.H, 1, mu=0.2))
+    res = combined_index(IndexQuery(chain3.H, 1))
     rows0 = [i - 1 for i in res.support]
-    c_ref = certificate_for_set(chain3.H, rows0, 0, 0.2)
+    c_ref = certificate_for_set(chain3.H, rows0, 0, 0.1)
     np.testing.assert_allclose(
         chain3.H @ res.certificate_c, chain3.H @ c_ref, atol=1e-9
     )
@@ -552,8 +528,10 @@ def test_query_validation(chain3):
     with pytest.raises(SecurityIndexError):
         IndexQuery(chain3.H, 8)
     with pytest.raises(SecurityIndexError):
-        IndexQuery(chain3.H, 1, mu=0.0)
-    query = IndexQuery(chain3.H, 1)
+        IndexQuery(chain3, 8)
+    with pytest.raises(SecurityIndexError, match="2-D"):
+        IndexQuery(chain3.H[0], 1)
+    query = IndexQuery(chain3, 1)
     for bad in (-1.0, np.nan, np.inf):
         for costs in ({"cost_integrity": bad}, {"cost_availability": bad}):
             with pytest.raises(SecurityIndexError, match="costs"):
@@ -612,7 +590,7 @@ def test_program_beyond_128_binaries():
     assert len(parallel_classes(model.H)[0]) == 130
     res = combined_index(IndexQuery(model.H, 1))
     assert res.objective == 7
-    _assert_result_shape(res, model.H, 1, 0.1)
+    _assert_result_shape(res, model.H, 1)
     support0 = [i - 1 for i in res.support]
     assert set_admits_target(model.H, support0, 0)
     for drop in set(support0) - {0}:
@@ -674,20 +652,63 @@ def test_cut_matches_bipartition_oracle():
     for doc, model in grids + list(_cut_exact_grids(3, 30)):
         structure = row_structure(model)
         assert structure.network is not None
+        classes, row_class = parallel_classes_by_row(model.H, security.PARALLEL_ATOL)
         for j0 in range(model.m):
-            alpha, rows = bipartition_index(doc, j0)
-            res = fdi_index(IndexQuery(model.H, j0 + 1), structure)
+            # a target takes the cut of its parallel class's first row
+            alpha, rows = bipartition_index(doc, int(classes[row_class[j0]][0]))
+            res = fdi_index(IndexQuery(model, j0 + 1), structure)
             assert res.objective == alpha, j0
             assert res.support == tuple(i + 1 for i in rows), j0
-            _assert_result_shape(res, model.H, j0 + 1, 0.1)
+            _assert_result_shape(res, model.H, j0 + 1)
+
+
+def _short_of_both_ends(doc) -> bool:
+    """Whether some line carries fewer flow rows than its two end buses
+    carry injection rows together, which 0.8.0 took for not cut-exact."""
+    count = Counter((ms["kind"] == "injection", ms["element"]) for ms in doc["measurements"])
+    return any(count[False, ln["id"]] < count[True, ln["from"]] + count[True, ln["to"]]
+               for ln in doc["lines"])
 
 
 def test_cut_matches_enumeration_on_cut_exact_grids():
-    for _, model in _cut_exact_grids(7, 20, max_rows=12):
+    short = 0
+    for doc, model in _cut_exact_grids(7, 20, max_rows=12):
         structure = row_structure(model)
+        assert structure.network is not None
+        short += _short_of_both_ends(doc)
         for j0 in range(model.m):
-            res = fdi_index(IndexQuery(model.H, j0 + 1), structure)
+            res = fdi_index(IndexQuery(model, j0 + 1), structure)
             assert res.objective == enumeration_alpha(model.H, j0)[0], j0
+    # the grids include plans that only the either-end condition admits
+    assert short >= 5
+
+
+def test_model_queries_match_the_sweep(chain3, ring4, ieee14):
+    # a query on a model takes the path index_sweep takes, so all three
+    # indices give the sweep's row: support, split and gamma
+    grids = [model for _, model in _cut_exact_grids(3, 30)]
+    for model in (chain3, ring4, ieee14, *grids):
+        for row in index_sweep(model):
+            query = IndexQuery(model, row["j"])
+            support = tuple(sorted(row["integrity_set"] + row["availability_set"]))
+            for res in (fdi_index(query), combined_index(query)):
+                assert res.support == res.integrity_set == support, row["j"]
+                assert res.objective == row["alpha"] == row["beta"]
+            res = cost_weighted_index(query)
+            assert res.integrity_set == row["integrity_set"], row["j"]
+            assert res.availability_set == row["availability_set"], row["j"]
+            assert res.objective == row["gamma_combined"]
+
+
+def test_model_query_takes_the_cut_and_matrix_query_the_milp(ieee14, monkeypatch):
+    calls = _count_calls(monkeypatch, ("solve_milp",))
+    for seed in range(13):
+        res = combined_index(IndexQuery(perturb_model(ieee14, 0.2, seed=seed), 9))
+        assert res.support == CUT_TUPLE14_9, seed
+    assert calls == []
+    # a bare matrix still takes the MILP, and its tie choice
+    assert combined_index(IndexQuery(ieee14.H, 9)).support == TUPLE14_9
+    assert calls
 
 
 @pytest.mark.parametrize("flows, alpha", [(0, 1), (1, 2)])
@@ -696,9 +717,9 @@ def test_cut_needs_flows_to_cover_injections(flows, alpha):
     # injections at buses 1 and 2 and `flows` flow rows on line 1.  Bus 2
     # can balance its two flows, so row 1 moves with line 1's flow rows
     # alone, but every cut that moves it crosses line 1 and also touches
-    # the injection at bus 2.  Line 1 carries fewer flow rows than the two
-    # injections at its ends, one fewer in the second plan, so the plan is
-    # not cut-exact and the cut would overstate alpha by one.
+    # the injection at bus 2.  Line 2, the line bus 2 balances through,
+    # carries no flow row against that injection, so neither plan is
+    # cut-exact and the cut would overstate alpha by one.
     doc = {
         "base_mva": 100.0,
         "buses": [{"id": 1, "reference": True}, {"id": 2}, {"id": 3}],
