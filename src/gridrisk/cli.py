@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 from . import __version__
 from .attack import perturb_model
@@ -53,11 +52,10 @@ class CliError(Exception):
 
 
 # Every flag a command may take, by its manifest field: the field's type,
-# the default (None where the flag is required or may stay unset) and
-# help.  A str flag without a default is required.
+# the default and help.  A flag without a default is required.
 _FLAGS = {
     "case": (str, None, "path to a grid case JSON file"),
-    "target": (Optional[int], None, "measurement index j (1-based)"),
+    "target": (int, None, "measurement index j (1-based)"),
     "mu_max": (float, 0.5, "largest attack magnitude of the sweep"),
     "mu_points": (int, 200, "number of magnitudes in (0, mu_max]"),
     "alpha": (float, 0.05, "false-alarm rate of the residual test"),
@@ -78,7 +76,6 @@ _MANIFEST_VALUES = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     bool: ((bool,), "true or false"),
-    Optional[int]: ((int, type(None)), "an integer or null"),
 }
 
 
@@ -124,8 +121,6 @@ def _load(path: str):
 
 
 def _require_target(args, m: int) -> int:
-    if args.target is None:
-        raise CliError(2, "this command requires --target")
     if not 1 <= args.target <= m:
         raise CliError(2, f"--target must lie in 1..{m}")
     return args.target
@@ -266,10 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             if kind is bool:
                 sub.add_argument(flag, action="store_true", help=help_text)
             else:
-                # ==, not is: typing's bounded cache may rebuild Optional[int]
-                sub.add_argument(flag, type=int if kind == Optional[int] else kind,
-                                 default=default, required=kind is str,
-                                 help=help_text)
+                sub.add_argument(flag, type=kind, default=default,
+                                 required=default is None, help=help_text)
     replay = subs.add_parser("replay", help="re-run a recorded manifest")
     replay.add_argument("manifest", help="path to a .manifest.json file")
     return parser

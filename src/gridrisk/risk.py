@@ -333,43 +333,6 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
         return mu_max * np.arange(1, mu_points + 1) / mu_points
 
 
-def compare_attacks(curves: Sequence[RiskCurve], fixed_mu: Optional[float] = None) -> list:
-    """Rank attack variants by peak risk, then risk at a fixed magnitude.
-
-    Ties break toward fewer corrupted measurements, then by id.  A row's
-    k_a is its variant's count off the zero magnitudes, where nothing is
-    corrupted.  Returns table rows as dicts, rank 1 first.
-    """
-    if not curves:
-        raise ValueError("no risk curves to compare")
-    grid = curves[0].mu
-    if any(not np.array_equal(c.mu, grid) for c in curves):
-        raise ValueError("risk curves must share one mu grid")
-    if fixed_mu is None:
-        fixed_mu = grid[len(grid) // 2]
-    at = int(np.argmin(np.abs(grid - fixed_mu)))
-    rows = []
-    for c in curves:
-        peak = int(np.argmax(c.risk))
-        rows.append(
-            {
-                "attack_id": c.attack_id,
-                "k_a": int(c.k_a.max()),
-                "k_d": c.k_d,
-                "peak_risk": float(c.risk[peak]),
-                "peak_mu": float(grid[peak]),
-                "fixed_mu": float(grid[at]),
-                "risk_at_fixed_mu": float(c.risk[at]),
-            }
-        )
-    rows.sort(
-        key=lambda r: (-r["peak_risk"], -r["risk_at_fixed_mu"], r["k_a"], r["attack_id"])
-    )
-    for rank, row in enumerate(rows, start=1):
-        row["rank"] = rank
-    return rows
-
-
 def tuple_attack_variants(perturbed: GridModel, target_j: int) -> list:
     """FDI and combined attacks on the target's critical tuple, as the
     attacker would build them from their own (perturbed) model.
@@ -385,40 +348,18 @@ def tuple_attack_variants(perturbed: GridModel, target_j: int) -> list:
     pairs in increasing k_a order.
     """
     res = combined_index(IndexQuery(perturbed, target_j))
-    support = list(res.support)
-    beta = len(support)
-    others = [i for i in support if i != target_j]
-    m = perturbed.H.shape[0]
+    beta = len(res.support)
+    others = [i for i in res.support if i != target_j]
+    # combined_k keeps the target and the k - 1 lowest-numbered other rows
+    # corrupted and withdraws the rest
+    family = [(f"combined_{k}_{beta - k}", others[k - 1:]) for k in (1, 2) if beta > k]
+    family.append((f"fdi_{beta}", []))
     variants = []
-
-    def mask(withdrawn) -> np.ndarray:
-        d = np.zeros(m)
-        for i in withdrawn:
-            d[i - 1] = 1.0
-        return d
-
-    if beta >= 2:
-        d1 = mask(others)
-        variants.append(
-            (
-                f"combined_1_{beta - 1}",
-                build_limited_knowledge_attack(perturbed, res.certificate_c, d1, target_j),
-            )
-        )
-    if beta >= 3:
-        d2 = mask(others[1:])  # keep the lowest-numbered other row corrupted
-        variants.append(
-            (
-                f"combined_2_{beta - 2}",
-                build_limited_knowledge_attack(perturbed, res.certificate_c, d2, target_j),
-            )
-        )
-    variants.append(
-        (
-            f"fdi_{beta}",
-            build_limited_knowledge_attack(perturbed, res.certificate_c, None, target_j),
-        )
-    )
+    for attack_id, withdrawn in family:
+        d = np.zeros(perturbed.m)
+        d[[i - 1 for i in withdrawn]] = 1.0
+        variants.append((attack_id, build_limited_knowledge_attack(
+            perturbed, res.certificate_c, d, target_j)))
     return variants
 
 

@@ -23,7 +23,6 @@ from gridrisk.detector import (
 )
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.risk import (
-    compare_attacks,
     default_mu_grid,
     empirical_detection,
     risk_sweep,
@@ -185,10 +184,9 @@ def test_criterion_08_risk_ordering(ieee14, variants14, reported_variants14):
     # tuple (conftest.TUPLE14_9) of the seed-7 attacker model
     curves = risk_sweep(ieee14, list(variants14.items()),
                         default_mu_grid(0.5, 200), alpha=0.05)
-    table = compare_attacks(curves)
-    peaks = {row["attack_id"]: row["peak_risk"] for row in table}
+    peaks = {c.attack_id: c.risk.max() for c in curves}
     assert peaks["combined_1_10"] >= peaks["combined_2_9"] >= peaks["fdi_11"]
-    assert [row["attack_id"] for row in table][0] == "combined_1_10"
+    assert max(peaks, key=peaks.get) == "combined_1_10"
     fdi = next(c for c in curves if c.attack_id == "fdi_11")
     _assert_rises_then_falls(fdi.risk)
     # on whichever tuple the index program reports, every combined variant

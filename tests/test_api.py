@@ -130,3 +130,69 @@ def test_no_unused_imports():
         if unused:
             flagged[path.name] = unused
     assert flagged == TRACER_IMPORTS
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _module_scopes() -> dict:
+    """Each module's top-level definitions, the (module, name) each name
+    it imports from a sibling stands for, and its other top-level
+    statements: its tables."""
+    scopes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs, imports, tables = {}, {}, []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 1 and node.module:
+                    imports.update({alias.asname or alias.name: (node.module, alias.name)
+                                    for alias in node.names})
+            elif not isinstance(node, ast.Import):
+                tables.append(node)
+        scopes[path.stem] = (defs, imports, tables)
+    return scopes
+
+
+def _resolve(scopes, module, name):
+    """The top-level definition (module, name) that a name used in module
+    stands for, following imports, or None."""
+    while module in scopes:
+        defs, imports, _ = scopes[module]
+        if name in defs:
+            return module, name
+        module, name = imports.get(name, (None, None))
+    return None
+
+
+def _referenced(scopes, module, node) -> set:
+    return {_resolve(scopes, module, sub.id) for sub in ast.walk(node)
+            if isinstance(sub, ast.Name)} - {None}
+
+
+def test_every_definition_is_reached():
+    # roots: the entry point, the public API, module-level tables, and
+    # every name the benchmark's tracer patches on the modules it imports;
+    # code that only tests call belongs in tests/
+    scopes = _module_scopes()
+    tracer = ast.parse(TRACER.read_text())
+    patched = {node.value for node in ast.walk(tracer) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and node.value.isidentifier()}
+    traced = {alias.name for node in ast.walk(tracer)
+              if isinstance(node, ast.ImportFrom) and node.module == "gridrisk"
+              for alias in node.names}
+    roots = {("cli", "main")}
+    roots |= {_resolve(scopes, "__init__", name) for name in gridrisk.__all__}
+    roots |= {_resolve(scopes, module, name) for module in traced for name in patched}
+    for module, (_, _, tables) in scopes.items():
+        for node in tables:
+            roots |= _referenced(scopes, module, node)
+    reached, todo = set(), roots - {None}
+    while todo:
+        module, name = todo.pop()
+        reached.add((module, name))
+        todo |= _referenced(scopes, module, scopes[module][0][name]) - reached
+    defined = {(module, name) for module, (defs, _, _) in scopes.items() for name in defs}
+    assert defined - reached == set()

@@ -1,7 +1,6 @@
-"""Impact, Monte Carlo detection rates, risk sweeps, and attack ranking."""
+"""Impact, Monte Carlo detection rates, risk sweeps, and the attack family."""
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from gridrisk import risk
 from gridrisk.risk import (
     MC_BLOCK,
     _count_alarms,
-    compare_attacks,
     default_mu_grid,
     empirical_detection,
     format_risk_csv,
@@ -453,49 +451,6 @@ def test_sweep_alarms_equal_oracle_across_block_boundary(ieee14, family14):
                                   (22, ai))
         assert curve.runs == runs
         assert curve.alarms.tolist() == [expected]
-
-
-def test_compare_attacks_ranking(chain3, chain_variants):
-    grid = default_mu_grid(0.5, 30)
-    curves = risk_sweep(chain3, chain_variants, grid, alpha=0.05)
-    table = compare_attacks(curves)
-    assert [row["rank"] for row in table] == [1, 2, 3]
-    peaks = [row["peak_risk"] for row in table]
-    assert peaks == sorted(peaks, reverse=True)
-    single = compare_attacks(curves[:1])
-    assert single[0]["rank"] == 1
-    with pytest.raises(ValueError):
-        compare_attacks([])
-
-
-def test_compare_attacks_identical_keys(chain3, chain_variants):
-    grid = [0.1, 0.2]
-    vid, atk = chain_variants[0]
-    curves = risk_sweep(chain3, [("first", atk), ("second", atk)], grid, alpha=0.05)
-    table = compare_attacks(curves)
-    assert table[0]["peak_risk"] == table[1]["peak_risk"]
-    assert table[0]["risk_at_fixed_mu"] == table[1]["risk_at_fixed_mu"]
-    assert [row["attack_id"] for row in table] == ["first", "second"]
-
-
-def test_compare_attacks_k_a_off_zero_magnitude(ieee14, family14):
-    curves = risk_sweep(ieee14, family14, GRID_WITH_ZERO, alpha=0.05)
-    table = compare_attacks(curves)
-    assert {row["attack_id"]: row["k_a"] for row in table} == {
-        vid: atk.k_a for vid, atk in family14}
-    # equal risk everywhere: the narrower attack ranks first despite its id
-    wide = replace(curves[2], attack_id="a_wide")
-    narrow = replace(wide, attack_id="b_narrow", k_a=curves[0].k_a)
-    table = compare_attacks([wide, narrow])
-    assert [(row["attack_id"], row["k_a"]) for row in table] == [
-        ("b_narrow", family14[0][1].k_a), ("a_wide", family14[2][1].k_a)]
-
-
-def test_compare_attacks_grid_mismatch(chain3, chain_variants):
-    a = risk_sweep(chain3, chain_variants[:1], [0.1, 0.2], alpha=0.05)
-    b = risk_sweep(chain3, chain_variants[1:2], [0.1, 0.3], alpha=0.05)
-    with pytest.raises(ValueError):
-        compare_attacks(a + b)
 
 
 def test_risk_csv_format(chain3, chain_variants):
