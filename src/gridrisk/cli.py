@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 from . import __version__
 from .attack import perturb_model
@@ -83,9 +84,13 @@ def _check_manifest_values(doc: dict, kinds: dict):
     for name, kind in kinds.items():
         admitted, label = _MANIFEST_VALUES[kind]
         value = doc.get(name)
-        if name in doc and (not isinstance(value, admitted)
-                            or isinstance(value, bool) != (kind is bool)):
+        if name not in doc:
+            continue
+        if not isinstance(value, admitted) or isinstance(value, bool) != (kind is bool):
             raise TypeError(f"{name} must be {label}, got {value!r}")
+        if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            # JSON integers are unbounded; a float flag's must convert
+            raise TypeError(f"{name} must be {label} in the float range")
 
 
 def _reason(exc: Exception) -> str:
@@ -143,23 +148,25 @@ def _check_sweep_args(args):
         raise CliError(2, "--runs must be >= 1 with --empirical")
 
 
-def _index_csv(args, mapper) -> str:
+def _index_csv(args) -> str:
     for flag, cost in (("--cost-integrity", args.cost_integrity),
                        ("--cost-availability", args.cost_availability)):
         if not (math.isfinite(cost) and cost >= 0):
             raise CliError(2, f"{flag} must be finite and nonnegative")
     _check_out(args)
     model = _load(args.case)
-    rows = index_sweep(
-        model,
-        cost_integrity=args.cost_integrity,
-        cost_availability=args.cost_availability,
-        mapper=mapper,
-    )
+    threads = _thread_count()
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        rows = index_sweep(
+            model,
+            cost_integrity=args.cost_integrity,
+            cost_availability=args.cost_availability,
+            mapper=pool and pool.map,
+        )
     return format_index_csv(rows)
 
 
-def _sweep(args, mapper) -> list:
+def _sweep(args) -> list:
     """Curves of the variants on the target's tuple, shared by detect and risk."""
     _check_sweep_args(args)
     _check_out(args)
@@ -171,18 +178,18 @@ def _sweep(args, mapper) -> list:
     runs = args.runs if args.empirical else 0
     try:
         return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
-                          seed=args.seed, mapper=mapper)
+                          seed=args.seed)
     except ValueError as exc:
         # a grid on which some column of the sweep leaves the float range
         raise CliError(2, f"{exc}; lower --mu-max") from exc
 
 
-def _detect_csv(args, mapper) -> str:
-    return format_detect_csv(_sweep(args, mapper))
+def _detect_csv(args) -> str:
+    return format_detect_csv(_sweep(args))
 
 
-def _risk_csv(args, mapper) -> str:
-    return format_risk_csv(_sweep(args, mapper))
+def _risk_csv(args) -> str:
+    return format_risk_csv(_sweep(args))
 
 
 _SWEEP_FLAGS = ("case", "target", "mu_max", "mu_points", "alpha", "perturb",
@@ -200,10 +207,10 @@ _COMMANDS = {
 }
 
 
-def _run(args, mapper=None) -> int:
+def _run(args) -> int:
     """Write the CSV of args.command, then its manifest."""
     csv, _, flags = _COMMANDS[args.command]
-    _write_text(args.out, csv(args, mapper))
+    _write_text(args.out, csv(args))
     manifest = {"command": args.command, "version": __version__,
                 **{name: getattr(args, name) for name in flags}}
     _write_text(args.out + ".manifest.json",
@@ -211,7 +218,7 @@ def _run(args, mapper=None) -> int:
     return 0
 
 
-def _replay(args, mapper=None) -> int:
+def _replay(args) -> int:
     """Run a manifest's command with the flags it records; keys the
     command does not read, such as those of older versions, are ignored."""
     if not os.path.exists(args.manifest):
@@ -241,7 +248,7 @@ def _replay(args, mapper=None) -> int:
     if version != __version__:
         print(f"warning: manifest written by gridrisk {version}, replaying "
               f"with {__version__}; output may differ", file=sys.stderr)
-    return _run(replay_args, mapper)
+    return _run(replay_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _thread_count() -> int:
-    """GRIDRISK_THREADS, capped at the machine's CPU count."""
+    """GRIDRISK_THREADS, capped at the machine's CPU count: the threads
+    that index fans its classes out to."""
     raw = os.environ.get("GRIDRISK_THREADS", "1")
     try:
         count = int(raw)
@@ -284,11 +292,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _replay if args.command == "replay" else _run
     try:
-        threads = _thread_count()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return handler(args, pool.map)
-        return handler(args, None)
+        _thread_count()  # a bad value is a usage error for every command
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -160,7 +160,8 @@ def load_case(document) -> GridCase:
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer literal too long to convert
             raise CaseValidationError(f"case file is not valid JSON: {exc}") from exc
     else:
         doc = document
@@ -176,7 +177,11 @@ def load_case(document) -> GridCase:
         return int(_checked(entry[key], numbers.Integral, f"{where}.{key}"))
 
     def number(entry, key, where):
-        return float(_checked(entry[key], numbers.Real, f"{where}.{key}"))
+        value = _checked(entry[key], numbers.Real, f"{where}.{key}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise CaseValidationError(f"{where}.{key} is out of the float range") from None
 
     buses = [
         Bus(id=integer(b, "id", where),

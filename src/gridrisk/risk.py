@@ -40,9 +40,6 @@ _Z95 = 1.959963984540054
 # Monte Carlo runs drawn and tested together: memory stays O(block * m)
 # for any run count, and the default 1000 runs are a single block.
 MC_BLOCK = 4096
-# Grid points per mapped Monte Carlo task; a task's points share one
-# residual buffer instead of allocating one each.
-_SLICE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -130,41 +127,30 @@ def _seed_tuple(seed) -> tuple:
     return tuple(int(s) for s in seed)
 
 
-def _count_alarms(noise_op: np.ndarray, shifts: np.ndarray, seed, tau: float,
-                  runs: int, mapper: Optional[Callable] = None) -> list:
-    """Alarm count of each row of shifts: the runs out of `runs` whose
-    weighted residual e @ noise_op + shift has squared norm above tau, e
-    being the run's m unscaled standard normals.
+def _count_alarms(noise_op: np.ndarray, shift: np.ndarray, scales, seed,
+                  tau: float, runs: int) -> list:
+    """Alarm count at each scale s of scales: the runs out of `runs` whose
+    weighted residual e @ noise_op + s * shift has squared norm above tau,
+    e being the run's m unscaled standard normals.
 
-    Every shift is tested on the same runs: run i is the i-th row of m
-    normals drawn from default_rng(seed).  The runs go in blocks of up to
-    MC_BLOCK; each block's normals are drawn once and its base residual
-    e @ noise_op formed once, then the mapper fans out over slices of
-    _SLICE_POINTS shifts, and each slice adds its shifts to the base
-    through one residual buffer, so memory stays O(MC_BLOCK * m) per
-    thread.  The counts depend neither on MC_BLOCK nor on the slice
-    length nor on the mapper.
+    Every scale is tested on the same runs: run i is the i-th row of m
+    normals drawn from default_rng(seed), in blocks of up to MC_BLOCK
+    runs.  A run's squared norm is a quadratic in s,
+    ||b + s shift||^2 = q + s (2p + s lam), with b = e @ noise_op its base
+    residual, q = b.b, p = b.shift and lam = shift.shift.  So a block costs
+    one product and two dots, each scale is then counted from q and p
+    alone, and memory stays O(MC_BLOCK * m).  The counts do not depend on
+    MC_BLOCK.
     """
     rng = np.random.default_rng(seed)
-    block = min(runs, MC_BLOCK)
-    e = np.empty((block, noise_op.shape[0]))
-    base = np.empty((block, noise_op.shape[1]))
-    counts = np.zeros(len(shifts), dtype=np.int64)
+    lam = float(shift @ shift)
+    counts = np.zeros(len(scales), dtype=np.int64)
     for start in range(0, runs, MC_BLOCK):
-        n = min(runs - start, block)
-        rng.standard_normal(out=e[:n])
-        rows = np.matmul(e[:n], noise_op, out=base[:n])
-
-        def slice_alarms(first: int) -> list:
-            r = np.empty_like(rows)
-            alarms = []
-            for shift in shifts[first:first + _SLICE_POINTS]:
-                np.add(rows, shift, out=r)
-                alarms.append(np.count_nonzero(np.einsum("ij,ij->i", r, r) > tau))
-            return alarms
-
-        counts += list(chain.from_iterable((mapper or map)(
-            slice_alarms, range(0, len(shifts), _SLICE_POINTS))))
+        e = rng.standard_normal((min(runs - start, MC_BLOCK), noise_op.shape[0]))
+        base = e @ noise_op
+        q = np.einsum("ij,ij->i", base, base)
+        two_p = 2.0 * (base @ shift)
+        counts += [np.count_nonzero(q + s * (two_p + s * lam) > tau) for s in scales]
     return counts.tolist()
 
 
@@ -184,8 +170,8 @@ def empirical_detection(
     around the zero state.  The noise is drawn unscaled: sigma and the
     withdrawal mask live in the operator diag(sigma) W (W being the gains'
     weighted residual operator), and the attack adds the fixed shift
-    a @ W, its rounding residue snapped to zero.  The attack is the
-    single shift of _count_alarms, so the alarm count is
+    a @ W, its rounding residue snapped to zero.  The attack is
+    _count_alarms's shift at the single scale 1, so the alarm count is
     Binomial(runs, delta) and equals risk_sweep's count at this attack's
     magnitude when seed is (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
@@ -199,8 +185,8 @@ def empirical_detection(
             f"config dof {config.dof} does not match gains dof {gains.dof}"
         )
     base = _seed_tuple(seed)
-    (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W,
-                              _shift(gains, attack)[None], base, config.tau, runs)
+    (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W, _shift(gains, attack),
+                              [1.0], base, config.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -231,7 +217,6 @@ def risk_sweep(
     alpha: float,
     runs: int = 0,
     seed: int = 0,
-    mapper: Optional[Callable] = None,
 ) -> list:
     """Detection and risk curves over an attack-magnitude grid.
 
@@ -258,9 +243,8 @@ def risk_sweep(
     Binomial(runs, delta(mu)) and
     equals empirical_detection's count for the rescaled attack with seed
     (seed, attack index).  _count_alarms draws each block of runs once
-    and the mapper fans out over slices of _SLICE_POINTS points, so the
-    counts depend neither on the block size, the slice length nor the
-    thread count.
+    and counts every point from two numbers per run, so the counts do not
+    depend on the block size.
 
     Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
     above the threshold, so delta is 1 and risk 0.  Raises ValueError
@@ -303,8 +287,8 @@ def risk_sweep(
         alarms = None
         if runs > 0:
             alarms = np.array(_count_alarms(
-                gains.sigma[:, None] * gains.W, np.outer(scale, _shift(gains, attack)),
-                (seed, ai), det.tau, runs, mapper))
+                gains.sigma[:, None] * gains.W, _shift(gains, attack), scale,
+                (seed, ai), det.tau, runs))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,

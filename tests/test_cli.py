@@ -731,6 +731,62 @@ def test_non_finite_sigma_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def _with_integer_literal(path, doc, digits):
+    """Write doc with its one "HUGE" value spelled as a digits-long integer."""
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+    return path
+
+
+@pytest.mark.parametrize("where, key", [
+    (("lines", 2), "reactance"), (("measurements", 3), "sigma"), ((), "base_mva"),
+])
+def test_case_number_beyond_float_range_exits_2(tmp_path, capsys, where, key):
+    # 1e400 spelled as an integer is valid JSON that float() cannot convert
+    doc = json.loads(_read(Path(RING4)))
+    entry = doc[where[0]][where[1]] if where else doc
+    entry[key] = "HUGE"
+    case = _with_integer_literal(tmp_path / "huge.json", doc, 401)
+    out = tmp_path / "o.csv"
+    assert main(["index", "--case", str(case), "--out", str(out)]) == 2
+    _one_error_line(capsys, "invalid case:", key, "float range")
+    assert not out.exists()
+
+
+def test_case_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer literal longer than the interpreter converts
+    doc = json.loads(_read(Path(RING4)))
+    doc["lines"][0]["reactance"] = "HUGE"
+    case = _with_integer_literal(tmp_path / "long.json", doc,
+                                 sys.get_int_max_str_digits() + 1)
+    out = tmp_path / "o.csv"
+    assert main(["index", "--case", str(case), "--out", str(out)]) == 2
+    _one_error_line(capsys, "invalid case:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (argv, name)
+    for argv in (["index", "--case", CHAIN3],
+                 ["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2"])
+    for name in cli._COMMANDS[argv[0]][2] if cli._FLAGS[name][0] is float
+])
+def test_replay_rejects_integer_beyond_float_range(tmp_path, capsys, argv, field):
+    # "mu_max" passed the argument checks, an int comparing below inf, and
+    # overflowed in numpy; a cost failed in math.isfinite
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "o.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc[field] = "HUGE"
+    _with_integer_literal(manifest, doc, 401)
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 2
+    _one_error_line(capsys, "malformed manifest", field, "float range")
+    assert out.read_bytes() == fresh
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,7 +1,5 @@
 """Impact, Monte Carlo detection rates, risk sweeps, and the attack family."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -198,9 +196,27 @@ def test_batched_noise_rows_are_the_per_run_draws(ieee14, monkeypatch):
     norms = np.sort(np.sum(rows**2, axis=1))
     cuts = np.r_[0.0, (norms[:-1] + norms[1:]) / 2, 2.0 * norms[-1]]
     monkeypatch.setattr(risk, "MC_BLOCK", 3)
-    eye, zero = np.eye(ieee14.m), np.zeros((1, ieee14.m))
-    counts = [_count_alarms(eye, zero, base, tau, 5)[0] for tau in cuts]
+    eye, zero = np.eye(ieee14.m), np.zeros(ieee14.m)
+    counts = [_count_alarms(eye, zero, [1.0], base, tau, 5)[0] for tau in cuts]
     assert counts == [5, 4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_alarm_counts_equal_per_run_norms(ieee14, monkeypatch, shifted):
+    # each scale's count is the runs whose residual e @ noise_op + s * shift,
+    # formed directly, has squared norm above tau; 17 runs go in blocks of
+    # 7, 7 and 3, and the scales take either sign, zero and a fraction
+    rng = np.random.default_rng(99)
+    noise_op = rng.standard_normal((ieee14.m, 40)) / 8
+    shift = rng.standard_normal(40) / 10 if shifted else np.zeros(40)
+    scales, tau, seed = [-2.0, 0.0, 0.37, 5.0], 30.0, (5, 2)
+    e = np.random.default_rng(seed).standard_normal((17, ieee14.m))
+    expected = [int(np.sum(np.sum((e @ noise_op + s * shift) ** 2, axis=1) > tau))
+                for s in scales]
+    monkeypatch.setattr(risk, "MC_BLOCK", 7)
+    assert _count_alarms(noise_op, shift, scales, seed, tau, 17) == expected
+    # the counts are neither all runs nor none, so tau separates them
+    assert 0 < min(expected) and max(expected) < 17
 
 
 @pytest.mark.parametrize("kind", ["stealth", "fdi", "none"])
@@ -377,8 +393,8 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
 
 
 GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]
-# more than two slices of grid points, the last one short
-LONG_GRID = np.r_[0.0, default_mu_grid(0.5, 2 * risk._SLICE_POINTS + 2)].tolist()
+# zero and 34 magnitudes up to 0.5
+LONG_GRID = np.r_[0.0, default_mu_grid(0.5, 34)].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -388,8 +404,8 @@ def family14(variants14):
 
 def test_sweep_alarms_equal_oracle(ieee14, family14):
     # full gains (fdi_11) and reduced gains (combined_1_10, combined_2_9),
-    # on one slice of grid points and on several; every point of a
-    # variant is tested on the runs of the variant's one stream
+    # on a short grid and a long one; every point of a variant is tested
+    # on the runs of the variant's one stream
     for grid in (GRID_WITH_ZERO, LONG_GRID):
         curves = risk_sweep(ieee14, family14, grid, alpha=0.05, runs=1000, seed=21)
         for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
@@ -416,18 +432,9 @@ def test_sweep_alarms_equal_empirical_detection(ieee14, family14):
     assert len(set(stealth.alarms.tolist())) == 1
 
 
-def _long_grid_alarms(model, family, mapper=None) -> list:
-    curves = risk_sweep(model, family, LONG_GRID, alpha=0.05, runs=200, seed=23,
-                        mapper=mapper)
+def _long_grid_alarms(model, family) -> list:
+    curves = risk_sweep(model, family, LONG_GRID, alpha=0.05, runs=200, seed=23)
     return [c.alarms.tolist() for c in curves]
-
-
-@pytest.mark.parametrize("slice_points", [1, 5])
-def test_sweep_alarms_do_not_depend_on_slice_length(ieee14, family14, monkeypatch,
-                                                     slice_points):
-    default = _long_grid_alarms(ieee14, family14)
-    monkeypatch.setattr(risk, "_SLICE_POINTS", slice_points)
-    assert _long_grid_alarms(ieee14, family14) == default
 
 
 def test_sweep_alarms_do_not_depend_on_block_size(ieee14, family14, monkeypatch):
@@ -435,12 +442,6 @@ def test_sweep_alarms_do_not_depend_on_block_size(ieee14, family14, monkeypatch)
     default = _long_grid_alarms(ieee14, family14)
     monkeypatch.setattr(risk, "MC_BLOCK", 7)
     assert _long_grid_alarms(ieee14, family14) == default
-
-
-def test_sweep_alarms_do_not_depend_on_threads(ieee14, family14):
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = _long_grid_alarms(ieee14, family14, pool.map)
-    assert threaded == _long_grid_alarms(ieee14, family14)
 
 
 def test_sweep_alarms_equal_oracle_across_block_boundary(ieee14, family14):
