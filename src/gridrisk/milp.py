@@ -5,6 +5,11 @@ presolve off, then checks the answer itself: the point must meet every
 constraint at HiGHS's own tolerances, and the incumbent must sit within
 HiGHS's absolute gap of its dual bound.
 
+scipy.optimize loads on the first solve, not with this module: it takes
+about 0.2 s to import, and only bare matrices and plans that are not
+cut-exact pose a program, so ieee14 `detect`, `risk` and `index` never
+load it.
+
 HiGHS's feasibility-jump primal heuristic (Luteberget & Sartor, Math.
 Prog. Comp. 2023) is off.  It runs before the root LP, and on the index
 programs, which mostly close within a few branch-and-bound nodes, it took
@@ -40,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_array
 
 # HiGHS defaults of mip_feasibility_tolerance and mip_abs_gap
@@ -167,6 +171,8 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
     for malformed input, any other HiGHS outcome, or an optimum that fails
     the feasibility or gap check.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp  # see the module docstring
+
     if problem.node_hook is not None:
         raise MilpError("node hooks are not supported by the HiGHS backend")
     c = np.asarray(problem.objective, dtype=float)

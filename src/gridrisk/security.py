@@ -86,7 +86,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-from scipy.spatial.distance import cdist
 
 from .milp import MilpProblem, solve_milp
 from .network import GridModel
@@ -120,7 +119,10 @@ class IndexQuery:
             object.__setattr__(self, "model", np.asarray(self.model, dtype=float))
             if self.model.ndim != 2:
                 raise SecurityIndexError("model matrix must be 2-D")
-        m = _matrix(self.model).shape[0]
+        h = _matrix(self.model)
+        if not np.all(np.isfinite(h)):
+            raise SecurityIndexError("model matrix has a NaN or infinite entry")
+        m = h.shape[0]
         if not 1 <= self.target_j <= m:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{m}")
 
@@ -161,20 +163,22 @@ def parallel_classes(h):
     """
     h = _matrix(h)
     m = h.shape[0]
-    norms = np.linalg.norm(h, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = np.linalg.norm(h, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise SecurityIndexError("model matrix has a row that is not finite or too large")
     if np.any(norms < 1e-12):
         raise SecurityIndexError("model matrix has a zero row")
     units = h / norms[:, None]
     lead = np.argmax(np.abs(units) > PARALLEL_ATOL, axis=1)
     units[units[np.arange(m), lead] < 0] *= -1.0
-    close = cdist(units, units, "chebyshev") <= PARALLEL_ATOL
-    np.fill_diagonal(close, True)  # a row with a NaN still opens its own class
     classes = []
     row_class = np.full(m, -1)
     for i in range(m):
         if row_class[i] < 0:
             # no earlier class took row i, and none can take a row it matches
-            members = np.flatnonzero(close[i] & (row_class < 0))
+            rest = np.flatnonzero(row_class < 0)
+            members = rest[np.abs(units[rest] - units[i]).max(axis=1) <= PARALLEL_ATOL]
             row_class[members] = len(classes)
             classes.append(members)
     return classes, row_class

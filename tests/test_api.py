@@ -6,16 +6,21 @@ in for a linter's unused-import rule.
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gridrisk
 from gridrisk.attack import perturb_model
-from gridrisk.network import GridModel
+from gridrisk.network import GridModel, build_model, load_case_file
 from gridrisk.security import (
-    IndexQuery, combined_index, cost_weighted_index, fdi_index, index_sweep,
+    IndexQuery, combined_index, cost_weighted_index, fdi_index, index_sweep, row_structure,
 )
 
 PACKAGE = Path(gridrisk.__file__).resolve().parent
@@ -196,3 +201,82 @@ def test_every_definition_is_reached():
         todo |= _referenced(scopes, module, scopes[module][0][name]) - reached
     defined = {(module, name) for module, (defs, _, _) in scopes.items() for name in defs}
     assert defined - reached == set()
+
+
+# Loaded only where a command needs them: scipy.optimize by the first MILP
+# solve, and scipy.spatial by nothing.  Each takes about 0.2 s to import.
+LAZY_SCIPY = ("scipy.optimize", "scipy.spatial")
+IEEE14 = str(PACKAGE / "cases" / "ieee14.json")
+
+
+def _lazy_modules_after(code: str) -> dict:
+    """Which of LAZY_SCIPY a fresh interpreter holds after running code;
+    pytest's own process has imported scipy.optimize already."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = "\n".join([code, "import json, sys",
+                       f"print(json.dumps({{n: n in sys.modules for n in {LAZY_SCIPY!r}}}))"])
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def _milp_plan(tmp_path) -> str:
+    # chain3 without line 2's flow rows: bus 2 and 3 carry injection rows
+    # that line 2 cannot cover, so the plan is not cut-exact
+    doc = json.loads((PACKAGE / "cases" / "chain3.json").read_text())
+    doc["measurements"] = [meas for meas in doc["measurements"]
+                           if not (meas["kind"] != "injection" and meas["element"] == 2)]
+    path = tmp_path / "milp_plan.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["detect", "--case", IEEE14, "--target", "9"],
+    ["index", "--case", IEEE14],
+], ids=["import", "detect", "index"])
+def test_commands_without_a_milp_load_no_optimize_or_spatial(tmp_path, argv):
+    code = "import gridrisk.cli"
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "o.csv")]
+        code += f"\nassert gridrisk.cli.main({argv!r}) == 0"
+    assert _lazy_modules_after(code) == dict.fromkeys(LAZY_SCIPY, False)
+
+
+def test_first_milp_solve_loads_optimize(tmp_path):
+    plan = _milp_plan(tmp_path)
+    assert row_structure(build_model(load_case_file(plan))).network is None
+    argv = ["index", "--case", plan, "--out", str(tmp_path / "o.csv")]
+    code = f"import gridrisk.cli\nassert gridrisk.cli.main({argv!r}) == 0"
+    # scipy.optimize imports scipy.spatial itself, so only it is checked
+    assert _lazy_modules_after(code)["scipy.optimize"]
+
+
+def _imports(node, scope):
+    """(module imported, enclosing scope) for every import under node;
+    the scope is the module, or its function or class, dotted."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, scope) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            # `from scipy import spatial` imports scipy.spatial
+            module = child.module or ""
+            yield module, scope
+            yield from ((f"{module}.{alias.name}", scope) for alias in child.names)
+        inner = (f"{scope}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+        yield from _imports(child, inner)
+
+
+def test_optimize_is_imported_only_inside_solve_milp():
+    where = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, scope in _imports(tree, path.stem):
+            for lazy in LAZY_SCIPY:
+                if name == lazy or name.startswith(lazy + "."):
+                    where.setdefault(lazy, set()).add(scope)
+    assert where == {"scipy.optimize": {"milp.solve_milp"}}

@@ -307,6 +307,14 @@ def test_target_out_of_range(tmp_path, capsys):
     (["--perturb", "1.0"], "--perturb"),
     (["--perturb", "-0.1"], "--perturb"),
     (["--mu-max", "-0.5"], "--mu-max"),
+    # past the caps: 10^30 runs once looped without end, and 10^30
+    # magnitudes exited 1 with a traceback from np.arange
+    (["--mu-points", str(cli.MAX_MU_POINTS + 1)], "--mu-points"),
+    (["--mu-points", "1" + "0" * 30], "--mu-points"),
+    (["--empirical", "--runs", str(cli.MAX_RUNS + 1)], "--runs"),
+    (["--empirical", "--runs", "1" + "0" * 30], "--runs"),
+    (["--empirical", "--runs", str(cli.MAX_RUNS), "--mu-points", str(cli.MAX_MU_POINTS)],
+     "--runs times --mu-points"),
 ])
 def test_bad_sweep_values_exit_2(tmp_path, capsys, command, bad, flag):
     out = tmp_path / "o.csv"
@@ -490,6 +498,36 @@ def test_replay_rejects_bad_manifest_values(tmp_path, capsys):
     manifest.write_text(json.dumps(doc))
     assert main(["replay", str(manifest)]) == 2
     assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, flag", [
+    ({"mu_points": 10**30}, "--mu-points"),
+    ({"runs": 10**30}, "--runs"),
+    ({"runs": cli.MAX_RUNS, "mu_points": cli.MAX_RUN_POINTS // cli.MAX_RUNS + 1},
+     "--runs times --mu-points"),
+])
+def test_replay_rejects_sweeps_past_the_caps(tmp_path, capsys, changes, flag):
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--case", CHAIN3, "--target", "1", "--mu-points", "2",
+                 "--empirical", "--runs", "5", "--out", str(out)]) == 0
+    fresh = out.read_bytes()
+    manifest = tmp_path / "d.csv.manifest.json"
+    doc = json.loads(_read(manifest))
+    doc.update(changes)
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", str(manifest)]) == 2
+    _one_error_line(capsys, flag)
+    assert out.read_bytes() == fresh
+
+
+def test_benchmark_sweeps_are_within_the_caps():
+    # the largest sweeps the benchmark runs: detect-fine and risk-mc
+    for argv in (["detect", "--mu-points", "12000"],
+                 ["risk", "--empirical", "--runs", "1000", "--mu-points", "80"]):
+        args = cli.build_parser().parse_args(
+            [*argv, "--case", IEEE14, "--target", "9", "--out", "o.csv"])
+        cli._check_sweep_args(args)
 
 
 def test_replay_rejects_manifest_missing_a_field(tmp_path, capsys):

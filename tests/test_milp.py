@@ -7,9 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import LinearConstraint, OptimizeResult, milp as scipy_milp
 
-from gridrisk import milp as milp_module
 from gridrisk.milp import MilpError, MilpProblem, solve_milp
 
 
@@ -184,7 +184,8 @@ def _fake_highs(monkeypatch, x, fun, dual_bound):
     def fake(*args, **kwargs):
         return OptimizeResult(status=0, message="", x=np.asarray(x, dtype=float),
                               fun=fun, mip_node_count=1, mip_dual_bound=dual_bound)
-    monkeypatch.setattr(milp_module, "milp", fake)
+    # solve_milp imports scipy's milp when it runs, so the fake goes there
+    monkeypatch.setattr(scipy.optimize, "milp", fake)
 
 
 def _pick_two():

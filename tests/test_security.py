@@ -305,6 +305,23 @@ def test_parallel_classes_match_per_row_scan_on_planted_rows():
     assert max(sizes) > 2 and splits > 0 and flips > 0
 
 
+def test_non_finite_matrix_is_rejected():
+    # a NaN row once matched every row, so all rows formed one class and
+    # the refit failed inside LAPACK with numpy's LinAlgError
+    h = build_model(load_bundled_case("chain3")).H.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        h_bad = h.copy()
+        h_bad[2, 1] = bad
+        with pytest.raises(SecurityIndexError, match="NaN or infinite"):
+            IndexQuery(h_bad, 1)
+        for call in (index_sweep, parallel_classes):
+            with pytest.raises(SecurityIndexError, match="not finite"):
+                call(h_bad)
+    # finite entries whose row norm overflows cannot be made unit rows
+    with pytest.raises(SecurityIndexError, match="too large"):
+        parallel_classes(np.array([[1e200, 1e200], [1.0, 0.0]]))
+
+
 def _assert_same_circuits(h):
     found = [tuple(t) for t in security.row_structure(h).circuits.tolist()]
     assert found == three_circuits(h, security.PARALLEL_ATOL)
