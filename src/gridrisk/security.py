@@ -4,11 +4,12 @@ stealth attack on one target measurement.
 A stealth attack adds a = Hc to the measurements, so its footprint is the
 support of Hc under the constraint H[j]c = mu.  alpha, the fewest
 integrity corruptions, is a sparsest-support program, solved exactly as
-a minimum cut on a grid model whose plan allows it and as a big-M MILP
-by HiGHS otherwise; beta and gamma follow from its support.  A withdrawn
-row leaves the stealth condition just as a corrupted one does, so
-beta = alpha.  The cheapest split writes the target at C_I and takes the
-cheaper action on every other row, so gamma = C_I + (alpha - 1) min(C_I, C_A).
+a minimum cut wherever a grid model's plan proves the cut minimal and as
+a big-M MILP by HiGHS otherwise; beta and gamma follow from its support.
+A withdrawn row leaves the stealth condition just as a corrupted one
+does, so beta = alpha.  The cheapest split writes the target at C_I and
+takes the cheaper action on every other row, so
+gamma = C_I + (alpha - 1) min(C_I, C_A).
 
 Minimum cuts (Hendrickx, Johansson, Jungers, Sandberg & Sou, "Efficient
 computations of a security index for false data attacks in power
@@ -48,9 +49,22 @@ carries at least as many flow rows as that bus carries injection rows.
 So no threshold cut costs more than theta.  A threshold between the
 target line's end angles, or between the target bus's angle and a
 neighbour's that differs, gives a cut through the target, and so the
-minimum cut is alpha.  On a plan that is not cut-exact a cut can cost
-more: a bus whose flows balance hides a line that carries too few flow
-rows.  Those plans, and bare matrices, take the MILP.
+minimum cut is alpha.
+
+On any other plan two minimum cuts bound alpha.  Every bus bipartition's
+step is a stealth attack that touches exactly its cut's rows, so the
+plan's minimum cut through the target, U, is at least alpha; it can be
+more, since a bus whose flows balance hides a line that carries too few
+flow rows.  The floor keeps each bus's injection rows only up to the
+fewest flow rows on any of its lines: it is the plan's largest cut-exact
+sub-plan, so its minimum cut through the target, L, is its alpha.  A
+stealth attack on the plan, restricted to the floor's rows, is a stealth
+attack on the floor and touches no more rows, so L <= alpha <= U when
+the target is a row of the floor; an injection target whose bus keeps
+no row gets L = 0.  Where L = U the plan's cut support is optimal and is
+the answer, and no program is posed.  The other classes, and every row
+of a bare matrix, take the MILP.  On a cut-exact plan the floor is the
+plan, and one cut per target serves.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
@@ -223,25 +237,51 @@ def three_circuits(rows) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutNetwork:
-    """A cut-exact plan as a flow network.  Nodes 0..buses-1 are the
-    buses in case order; each bus with injection rows adds two more, the
-    Lawler pair of its hyperedge.  ends holds each line's (from, to) bus,
-    row_line each flow row's line and row_bus each injection row's bus
-    (-1 where a row is of the other kind), and neighbours each bus's
-    adjacent buses in case order."""
+    """A plan as a flow network.  Nodes 0..buses-1 are the buses in case
+    order; each bus with a hyperedge adds two more, the Lawler pair of
+    that hyperedge.  ends holds each line's (from, to) bus, injections
+    each bus's hyperedge weight, row_line each flow row's line and
+    row_bus each injection row's bus (-1 where a row is of the other
+    kind), and neighbours each bus's adjacent buses in case order."""
 
     capacity: csr_matrix
     buses: int
     ends: np.ndarray
+    injections: np.ndarray
     row_line: np.ndarray
     row_bus: np.ndarray
     neighbours: tuple
 
 
-def _cut_network(model: GridModel):
-    """The model's plan as a CutNetwork, or None unless it is cut-exact:
-    every line carries at least as many flow rows as either of its end
-    buses carries injection rows."""
+def _capacity(ends, flows, weights, neighbours, big) -> csr_matrix:
+    """Each line an edge of capacity its flow-row count both ways, and
+    each bus of nonzero weight a Lawler pair: every member of its
+    hyperedge feeds the inner node and the outer node feeds every member
+    at capacity big, and inner feeds outer at the bus's weight."""
+    buses = len(neighbours)
+    tails, heads, caps = [ends[:, 0], ends[:, 1]], [ends[:, 1], ends[:, 0]], [flows, flows]
+    for k, b in enumerate(np.flatnonzero(weights)):
+        # the hyperedge {b} + neighbours costs its weight once it is split
+        inner, outer = buses + 2 * k, buses + 2 * k + 1
+        members = np.array([b, *neighbours[b]])
+        tails += [members, [inner], np.full(len(members), outer)]
+        heads += [np.full(len(members), inner), [outer], members]
+        caps += [np.full(len(members), big), [weights[b]], np.full(len(members), big)]
+    nodes = buses + 2 * np.count_nonzero(weights)
+    capacity = coo_matrix(
+        (np.concatenate(caps).astype(np.int32),
+         (np.concatenate(tails), np.concatenate(heads))), shape=(nodes, nodes)).tocsr()
+    capacity.eliminate_zeros()  # lines without flow rows
+    return capacity
+
+
+def _cut_networks(model: GridModel):
+    """The model's plan as a CutNetwork, and its floor: the same network
+    with each bus's injection weight clipped to the fewest flow rows on
+    any of its lines, which is the plan's largest cut-exact sub-plan.
+    On a cut-exact plan, where every line carries at least as many flow
+    rows as either of its end buses carries injection rows, the floor is
+    the network itself."""
     full = np.insert(model.incidence, model.reference,
                      -model.incidence.sum(axis=0), axis=0)
     buses = full.shape[0]
@@ -256,30 +296,33 @@ def _cut_network(model: GridModel):
     row_bus = np.where(injection, np.where(leaves, ends[first, 0], ends[first, 1]), -1)
     flows = np.bincount(row_line[~injection], minlength=model.n_t)
     injections = np.bincount(row_bus[injection], minlength=buses)
-    if np.any(flows < np.maximum(injections[ends[:, 0]], injections[ends[:, 1]])):
-        return None
+    kept = injections.copy()
+    np.minimum.at(kept, ends[:, 0], flows)
+    np.minimum.at(kept, ends[:, 1], flows)
 
     neighbours = [set() for _ in range(buses)]
     for f, t in ends.tolist():
         neighbours[f].add(t)
         neighbours[t].add(f)
-    # a capacity above every cut's row count stands for infinity
-    big = model.m + 1
-    tails, heads, caps = [ends[:, 0], ends[:, 1]], [ends[:, 1], ends[:, 0]], [flows, flows]
-    for k, b in enumerate(np.flatnonzero(injections)):
-        # the hyperedge {b} + neighbours costs its rows once it is split
-        inner, outer = buses + 2 * k, buses + 2 * k + 1
-        members = np.array([b, *neighbours[b]])
-        tails += [members, [inner], np.full(len(members), outer)]
-        heads += [np.full(len(members), inner), [outer], members]
-        caps += [np.full(len(members), big), [injections[b]], np.full(len(members), big)]
-    nodes = buses + 2 * np.count_nonzero(injections)
-    capacity = coo_matrix(
-        (np.concatenate(caps).astype(np.int32),
-         (np.concatenate(tails), np.concatenate(heads))), shape=(nodes, nodes)).tocsr()
-    capacity.eliminate_zeros()  # lines without flow rows
-    return CutNetwork(capacity, buses, ends, row_line, row_bus,
-                      tuple(sorted(nb) for nb in neighbours))
+    neighbours = tuple(sorted(nb) for nb in neighbours)
+    big = model.m + 1  # a capacity above every cut's row count stands for infinity
+
+    def network(weights):
+        return CutNetwork(_capacity(ends, flows, weights, neighbours, big), buses, ends,
+                          weights, row_line, row_bus, neighbours)
+
+    plan = network(injections)
+    return plan, plan if np.array_equal(kept, injections) else network(kept)
+
+
+def _cut_ends(network: CutNetwork, j0: int):
+    """The (source, sink) bus pairs whose cuts move row j0: a flow row's
+    line's from and to bus, or an injection row's bus and each of its
+    neighbours in case order."""
+    line, bus = network.row_line[j0], network.row_bus[j0]
+    if line >= 0:
+        return [tuple(network.ends[line])]
+    return [(bus, u) for u in network.neighbours[bus]]
 
 
 def _source_side(network: CutNetwork, source: int, sink: int):
@@ -300,12 +343,8 @@ def _cut_support(network: CutNetwork, j0: int):
     cut's value.  A flow row's cut separates its line's from bus from its
     to bus; an injection row's separates its bus from the neighbour that
     is cheapest to cut it from, the first in case order on a tie."""
-    line, bus = network.row_line[j0], network.row_bus[j0]
-    if line >= 0:
-        value, side = _source_side(network, *network.ends[line])
-    else:
-        value, side = min((_source_side(network, bus, u) for u in network.neighbours[bus]),
-                          key=lambda cut: cut[0])
+    value, side = min((_source_side(network, s, t) for s, t in _cut_ends(network, j0)),
+                      key=lambda cut: cut[0])
     crossing = side[network.ends[:, 0]] != side[network.ends[:, 1]]
     touched = np.zeros(network.buses, dtype=bool)
     touched[network.ends[crossing].ravel()] = True
@@ -314,34 +353,55 @@ def _cut_support(network: CutNetwork, j0: int):
     return rows, value
 
 
+def _cut_bounds(structure, j0: int):
+    """(lower, upper, rows): bounds on alpha at row j0 of a GridModel,
+    and the rows of the cut that attains the upper one.  upper is the
+    minimum cut through j0 on the plan's network, lower the same cut on
+    its floor, or 0 where the floor drops j0's injection rows."""
+    rows, upper = _cut_support(structure.network, j0)
+    floor = structure.floor
+    if floor is structure.network:
+        return upper, upper, rows
+    bus = floor.row_bus[j0]
+    if bus >= 0 and floor.injections[bus] == 0:
+        return 0, upper, rows
+    lower = min(maximum_flow(floor.capacity, s, t).flow_value for s, t in _cut_ends(floor, j0))
+    return lower, upper, rows
+
+
 @dataclass(frozen=True, eq=False)
 class RowStructure:
     """What every index program on one matrix shares: its parallel
     classes (as `parallel_classes` returns them) and each class's
-    representative (its largest-norm row).  A model whose plan is
-    cut-exact carries its CutNetwork, and every program on it is a
-    minimum cut; any other input carries the 3-circuits among the
-    representatives, as class ids, for its MILPs."""
+    representative (its largest-norm row).  A GridModel carries its
+    plan's CutNetwork and that plan's floor, which is the network itself
+    on a cut-exact plan, where every program is a minimum cut.  Any
+    other input carries the 3-circuits among the representatives, as
+    class ids, for its MILPs."""
 
     classes: list
     row_class: np.ndarray
     reps: np.ndarray
     circuits: np.ndarray | None
     network: CutNetwork | None = None
+    floor: CutNetwork | None = None
 
 
 def row_structure(model_or_h) -> RowStructure:
     """The structure of a model or bare matrix, found once for every
     index program posed on it.  This is where the path is chosen: a
-    GridModel with a cut-exact plan gets minimum cuts, and everything
-    else the MILP."""
+    GridModel with a cut-exact plan gets minimum cuts; any other model
+    gets a minimum cut for every class whose floor cut meets it and the
+    MILP for the rest; a bare matrix gets the MILP."""
     h = _matrix(model_or_h)
     classes, row_class = parallel_classes(h)
     norms = np.linalg.norm(h, axis=1)
     reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
-    network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
-    circuits = None if network is not None else three_circuits(h[reps])
-    return RowStructure(classes, row_class, reps, circuits, network)
+    network = floor = None
+    if isinstance(model_or_h, GridModel):
+        network, floor = _cut_networks(model_or_h)
+    circuits = None if network is not None and floor is network else three_circuits(h[reps])
+    return RowStructure(classes, row_class, reps, circuits, network, floor)
 
 
 def _build_problem(h, structure, j0, big_m, cuts):
@@ -418,23 +478,27 @@ def _rows_of(classes, on):
 def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """Sparsest stealth support through the target, with its certificate.
 
-    On a cut-exact plan the support is the rows its minimum cut touches.
-    Otherwise it comes from the MILP: HiGHS accepts a binary within its
-    integrality tolerance of 0 while the big-M row still carries up to M
-    times that tolerance, so its support is only a candidate.  The
-    candidate is refit with exact zeros off the support and tested for
-    stealth.  A candidate that fails cannot contain a stealthy subset, so
-    a cut forcing some class outside it into the support is added and the
-    program solved again.  Cuts remove no stealthy support, so the first
-    candidate that passes is optimal.  Either way the answer must pass
-    the same refit, idle-class and objective checks.
+    Where the floor's minimum cut meets the plan's, the support is the
+    rows the plan's cut touches.  Otherwise it comes from the MILP:
+    HiGHS accepts a binary within its integrality tolerance of 0 while
+    the big-M row still carries up to M times that tolerance, so its
+    support is only a candidate.  The candidate is refit with exact
+    zeros off the support and tested for stealth.  A candidate that
+    fails cannot contain a stealthy subset, so a cut forcing some class
+    outside it into the support is added and the program solved again.
+    Cuts remove no stealthy support, so the first candidate that passes
+    is optimal.  Either way the answer must pass the same refit,
+    idle-class and objective checks.
     """
     h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
         structure = row_structure(query.model)
     first = structure.classes[structure.row_class[j0]][0]  # one support per class
+    closed = False
     if structure.network is not None:
-        rows, objective = _cut_support(structure.network, first)
+        lower, objective, rows = _cut_bounds(structure, first)
+        closed = lower == objective
+    if closed:
         on = np.zeros(len(structure.classes), dtype=bool)
         on[structure.row_class[rows]] = True
         cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))
@@ -528,11 +592,11 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     Parallel rows share their index and support family, so one alpha
     program is solved per class, for its first row, and its result
     replicated to the members.  `row_structure(model_or_h)` is found once
-    and shared by every program: a GridModel with a cut-exact plan is
-    swept by minimum cuts, anything else by MILPs.  beta, gamma and the
-    split follow from alpha's support, and only the split is
-    member-specific.  Classes are independent tasks, so a parallel
-    mapper changes nothing but time.
+    and shared by every program: a GridModel's classes take minimum cuts
+    wherever its floor proves them minimal and MILPs elsewhere, and a
+    bare matrix's take MILPs.  beta, gamma and the split follow from
+    alpha's support, and only the split is member-specific.  Classes are
+    independent tasks, so a parallel mapper changes nothing but time.
     """
     ci, ca = cost_integrity, cost_availability
     _check_costs(ci, ca)

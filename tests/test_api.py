@@ -20,7 +20,8 @@ import gridrisk
 from gridrisk.attack import perturb_model
 from gridrisk.network import GridModel, build_model, load_case_file
 from gridrisk.security import (
-    IndexQuery, combined_index, cost_weighted_index, fdi_index, index_sweep, row_structure,
+    IndexQuery, _cut_bounds, combined_index, cost_weighted_index, fdi_index, index_sweep,
+    row_structure,
 )
 
 PACKAGE = Path(gridrisk.__file__).resolve().parent
@@ -248,7 +249,11 @@ def test_commands_without_a_milp_load_no_optimize_or_spatial(tmp_path, argv):
 
 def test_first_milp_solve_loads_optimize(tmp_path):
     plan = _milp_plan(tmp_path)
-    assert row_structure(build_model(load_case_file(plan))).network is None
+    structure = row_structure(build_model(load_case_file(plan)))
+    # no cut-exact floor closes the first class, so index poses its MILP
+    assert structure.floor is not structure.network
+    lower, upper, _ = _cut_bounds(structure, 0)
+    assert lower < upper
     argv = ["index", "--case", plan, "--out", str(tmp_path / "o.csv")]
     code = f"import gridrisk.cli\nassert gridrisk.cli.main({argv!r}) == 0"
     # scipy.optimize imports scipy.spatial itself, so only it is checked

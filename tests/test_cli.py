@@ -18,9 +18,10 @@ from gridrisk.cli import main
 from gridrisk.network import build_model, load_bundled_case, load_case_file
 from gridrisk.risk import tuple_attack_variants
 from gridrisk.security import (
-    IndexQuery, fdi_index, format_index_csv, index_sweep, row_structure,
+    IndexQuery, _cut_bounds, fdi_index, format_index_csv, index_sweep, row_structure,
 )
 
+from conftest import plan35_doc
 from oracles import mc_alarm_count
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
@@ -58,26 +59,21 @@ def test_index_csv_matches_library(tmp_path):
     }
 
 
-# ieee14 restricted to 35 of its 54 measurements (numbers in the bundled
-# case).  The first support HiGHS offers for rows 6 and 17 has 7 rows and
-# fails the stealth check; alpha is 8 there.
-PLAN35_ROWS = [1, 2, 3, 5, 6, 7, 10, 12, 14, 15, 17, 19, 22, 23, 24, 26, 27, 29,
-               30, 31, 32, 33, 35, 38, 39, 40, 43, 45, 46, 47, 49, 51, 52, 53, 54]
-
-
 def test_index_rows_match_the_model_query(tmp_path):
-    doc = json.loads((resources.files("gridrisk") / "cases" / "ieee14.json").read_text())
-    doc["measurements"] = [doc["measurements"][i - 1] for i in PLAN35_ROWS]
     plan = tmp_path / "plan35.json"
-    plan.write_text(json.dumps(doc))
+    plan.write_text(json.dumps(plan35_doc()))
     out = tmp_path / "plan35.csv"
     assert main(["index", "--case", str(plan), "--out", str(out)]) == 0
     rows = {int(r["j"]): r for r in _rows(out)}
     assert int(rows[6]["alpha"]) == int(rows[17]["alpha"]) == 8
-    # the plan is not cut-exact, so a query on its model takes the MILP,
-    # as index does, and finds the rows index reports
+    # the plan is not cut-exact and its floor does not close the class of
+    # rows 6 and 17, so a query on its model takes the MILP, as index
+    # does, and finds the rows index reports
     model = build_model(load_case_file(str(plan)))
-    assert row_structure(model).network is None
+    structure = row_structure(model)
+    assert structure.floor is not structure.network
+    lower, upper, _ = _cut_bounds(structure, 5)
+    assert lower < upper
     for j in (6, 17):
         support = sorted(int(i) for key in ("integrity_set", "availability_set")
                          for i in rows[j][key].split(";") if i)

@@ -35,7 +35,7 @@ from gridrisk.security import (
     row_structure,
 )
 
-from conftest import CUT_TUPLE14_9, TUPLE14_9
+from conftest import CUT_TUPLE14_9, TUPLE14_9, plan35_doc
 from oracles import (
     bipartition_index,
     certificate_for_set,
@@ -668,7 +668,7 @@ def test_cut_matches_bipartition_oracle():
              for name in ("chain3", "ring4")]
     for doc, model in grids + list(_cut_exact_grids(3, 30)):
         structure = row_structure(model)
-        assert structure.network is not None
+        assert structure.floor is structure.network
         classes, row_class = parallel_classes_by_row(model.H, security.PARALLEL_ATOL)
         for j0 in range(model.m):
             # a target takes the cut of its parallel class's first row
@@ -691,7 +691,7 @@ def test_cut_matches_enumeration_on_cut_exact_grids():
     short = 0
     for doc, model in _cut_exact_grids(7, 20, max_rows=12):
         structure = row_structure(model)
-        assert structure.network is not None
+        assert structure.floor is structure.network
         short += _short_of_both_ends(doc)
         for j0 in range(model.m):
             res = fdi_index(IndexQuery(model, j0 + 1), structure)
@@ -736,7 +736,10 @@ def test_cut_needs_flows_to_cover_injections(flows, alpha):
     # alone, but every cut that moves it crosses line 1 and also touches
     # the injection at bus 2.  Line 2, the line bus 2 balances through,
     # carries no flow row against that injection, so neither plan is
-    # cut-exact and the cut would overstate alpha by one.
+    # cut-exact and the cut would overstate alpha by one.  The floor
+    # drops the injection at bus 1 when line 1 has no flow row, and beside
+    # one its cut is alpha: either way a lower bound short of the plan's
+    # cut, so the MILP decides.
     doc = {
         "base_mva": 100.0,
         "buses": [{"id": 1, "reference": True}, {"id": 2}, {"id": 3}],
@@ -749,5 +752,69 @@ def test_cut_needs_flows_to_cover_injections(flows, alpha):
     model = build_model(load_case(doc))
     assert enumeration_alpha(model.H, 0)[0] == alpha
     assert bipartition_index(doc, 0)[0] == alpha + 1
-    assert row_structure(model).network is None
+    structure = row_structure(model)
+    assert structure.floor is not structure.network
+    assert security._cut_bounds(structure, 0)[:2] == (alpha if flows else 0, alpha + 1)
     assert index_sweep(model)[0]["alpha"] == alpha
+
+
+def _thinned_grids(seed, count):
+    """(document, model) of `count` observable random grids of 3 to 8
+    buses: cut-exact plans with about 30% of their rows dropped."""
+    rng = np.random.default_rng(seed)
+    while count:
+        doc = random_cut_exact_case(rng, int(rng.integers(3, 9)))
+        doc["measurements"] = [ms for ms in doc["measurements"] if rng.random() >= 0.3]
+        try:
+            model = build_model(load_case(doc))
+        except (CaseValidationError, UnobservableError):
+            continue
+        count -= 1
+        yield doc, model
+
+
+def test_floor_cut_bounds_alpha_from_below():
+    # floor cut <= alpha <= full cut on every class, and a class whose
+    # bounds meet reports the full plan's minimum cut tuple
+    closed = gaps = 0
+    for doc, model in _thinned_grids(11, 40):
+        structure = row_structure(model)
+        for cls in structure.classes:
+            j0 = int(cls[0])
+            lower, upper, _ = security._cut_bounds(structure, j0)
+            alpha = (enumeration_alpha(model.H, j0)[0] if model.m <= 12
+                     else fdi_index(IndexQuery(model.H, j0 + 1)).objective)
+            assert lower <= alpha <= upper, j0
+            res = fdi_index(IndexQuery(model, j0 + 1), structure)
+            assert res.objective == alpha, j0
+            if lower == upper:
+                closed += structure.floor is not structure.network
+                assert res.support == tuple(i + 1 for i in bipartition_index(doc, j0)[1]), j0
+            else:
+                gaps += 1
+    # the floor closes classes of plans that are not cut-exact, and
+    # leaves others to the MILP
+    assert closed >= 20 and gaps >= 20
+
+
+def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
+    model = build_model(load_case(plan35_doc()))
+    structure = row_structure(model)
+    bounds = [security._cut_bounds(structure, int(cls[0]))[:2] for cls in structure.classes]
+    gaps = {k for k, (lower, upper) in enumerate(bounds) if lower < upper}
+    assert 0 < len(gaps) < len(structure.classes)
+    posed = set()
+
+    def spy(problem):
+        # the target's class is the one binary held at 1
+        n = int(np.count_nonzero(~problem.binary))
+        posed.add(int(np.flatnonzero(problem.lb[n:] == 1.0)[0]))
+        return solve_milp(problem)
+
+    monkeypatch.setattr(security, "solve_milp", spy)
+    rows = index_sweep(model)
+    assert posed == gaps
+    for row in rows:
+        res = fdi_index(IndexQuery(model, row["j"]))
+        assert res.support == tuple(sorted(row["integrity_set"] + row["availability_set"]))
+        assert res.objective == row["alpha"]
