@@ -248,12 +248,14 @@ def risk_sweep(
 
     Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
     above the threshold, so delta is 1 and risk 0.  Raises ValueError
-    when a magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0
-    and |mu/mu0| impact0 may overflow, though lambda0 = 0 gives lambda 0
-    at every finite magnitude.
+    when runs is negative, or when a magnitude, lambda or impact is not
+    finite: (mu/mu0)^2 lambda0 and |mu/mu0| impact0 may overflow, though
+    lambda0 = 0 gives lambda 0 at every finite magnitude.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
+    if runs < 0:
+        raise ValueError("runs must be >= 0")
     mu = np.array(mu_grid, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise ValueError("attack magnitudes must be finite")
@@ -309,6 +311,8 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
 
     Magnitudes past the float range come out inf, which risk_sweep rejects.
     """
+    if isinstance(mu_points, bool) or not isinstance(mu_points, (int, np.integer)):
+        raise ValueError(f"mu_points must be an integer, not {mu_points!r}")
     if mu_points < 1:
         raise ValueError("mu_points must be >= 1")
     if mu_max < 0:

@@ -61,10 +61,12 @@ sub-plan, so its minimum cut through the target, L, is its alpha.  A
 stealth attack on the plan, restricted to the floor's rows, is a stealth
 attack on the floor and touches no more rows, so L <= alpha <= U when
 the target is a row of the floor; an injection target whose bus keeps
-no row gets L = 0.  Where L = U the plan's cut support is optimal and is
-the answer, and no program is posed.  The other classes, and every row
-of a bare matrix, take the MILP.  On a cut-exact plan the floor is the
-plan, and one cut per target serves.
+no row gets L = 0.  The plan and its floor share one flow network and
+differ only in its hyperedge capacities.  Where L = U the plan's cut
+support is optimal and is the answer, and no program is posed; only
+there is the cut's residual network searched for its tuple.  The other
+classes, and every row of a bare matrix, take the MILP.  On a cut-exact
+plan the two capacities are one, and one cut per target serves.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
@@ -137,6 +139,8 @@ class IndexQuery:
         if not np.all(np.isfinite(h)):
             raise SecurityIndexError("model matrix has a NaN or infinite entry")
         m = h.shape[0]
+        if isinstance(self.target_j, bool) or not isinstance(self.target_j, (int, np.integer)):
+            raise SecurityIndexError(f"target_j must be an integer, not {self.target_j!r}")
         if not 1 <= self.target_j <= m:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{m}")
 
@@ -237,17 +241,21 @@ def three_circuits(rows) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutNetwork:
-    """A plan as a flow network.  Nodes 0..buses-1 are the buses in case
-    order; each bus with a hyperedge adds two more, the Lawler pair of
-    that hyperedge.  ends holds each line's (from, to) bus, injections
-    each bus's hyperedge weight, row_line each flow row's line and
-    row_bus each injection row's bus (-1 where a row is of the other
-    kind), and neighbours each bus's adjacent buses in case order."""
+    """A plan as a flow network with two capacities, the plan's own and
+    its floor's.  Nodes 0..buses-1 are the buses in case order; each bus
+    with injection rows adds two more, the Lawler pair of its hyperedge.
+    capacity weighs each hyperedge by the bus's injection-row count and
+    floor by the count the floor keeps, kept; on a cut-exact plan the two
+    agree and floor is capacity.  ends holds each line's (from, to) bus,
+    row_line each flow row's line and row_bus each injection row's bus
+    (-1 where a row is of the other kind), and neighbours each bus's
+    adjacent buses in case order."""
 
     capacity: csr_matrix
+    floor: csr_matrix
     buses: int
     ends: np.ndarray
-    injections: np.ndarray
+    kept: np.ndarray
     row_line: np.ndarray
     row_bus: np.ndarray
     neighbours: tuple
@@ -275,13 +283,10 @@ def _capacity(ends, flows, weights, neighbours, big) -> csr_matrix:
     return capacity
 
 
-def _cut_networks(model: GridModel):
-    """The model's plan as a CutNetwork, and its floor: the same network
-    with each bus's injection weight clipped to the fewest flow rows on
-    any of its lines, which is the plan's largest cut-exact sub-plan.
-    On a cut-exact plan, where every line carries at least as many flow
-    rows as either of its end buses carries injection rows, the floor is
-    the network itself."""
+def _cut_network(model: GridModel) -> CutNetwork:
+    """The model's plan as a CutNetwork.  Its floor clips each bus's
+    injection weight to the fewest flow rows on any of its lines, which
+    is the plan's largest cut-exact sub-plan."""
     full = np.insert(model.incidence, model.reference,
                      -model.incidence.sum(axis=0), axis=0)
     buses = full.shape[0]
@@ -306,66 +311,55 @@ def _cut_networks(model: GridModel):
         neighbours[t].add(f)
     neighbours = tuple(sorted(nb) for nb in neighbours)
     big = model.m + 1  # a capacity above every cut's row count stands for infinity
-
-    def network(weights):
-        return CutNetwork(_capacity(ends, flows, weights, neighbours, big), buses, ends,
-                          weights, row_line, row_bus, neighbours)
-
-    plan = network(injections)
-    return plan, plan if np.array_equal(kept, injections) else network(kept)
+    capacity = _capacity(ends, flows, injections, neighbours, big)
+    floor = (capacity if np.array_equal(kept, injections)
+             else _capacity(ends, flows, kept, neighbours, big))
+    return CutNetwork(capacity, floor, buses, ends, kept, row_line, row_bus, neighbours)
 
 
-def _cut_ends(network: CutNetwork, j0: int):
-    """The (source, sink) bus pairs whose cuts move row j0: a flow row's
-    line's from and to bus, or an injection row's bus and each of its
-    neighbours in case order."""
+def _min_cut(capacity, pairs):
+    """The maximum flow of the (source, sink) pair with the smallest
+    value, the first in order on a tie, and that pair's source."""
+    return min(((maximum_flow(capacity, s, t), s) for s, t in pairs),
+               key=lambda cut: cut[0].flow_value)
+
+
+def _cut_bounds(network: CutNetwork, j0: int):
+    """(lower, upper, rows): bounds on alpha at row j0 of a GridModel's
+    plan, and the rows (0-based) that the upper bound's cut touches.
+
+    upper is the minimum cut through j0 on the plan's capacity, lower
+    the same cut on its floor, or 0 where the floor keeps none of j0's
+    injection rows.  A flow row's cut separates its line's from bus
+    from its to bus; an injection row's separates its bus from the
+    neighbour that is cheapest to cut it from, the first in case order
+    on a tie.  Only where lower == upper is the cut the answer, so only
+    there is its smallest source side found, as the buses the plan's
+    maximum flow still reaches from the source in its residual network;
+    elsewhere rows is None."""
     line, bus = network.row_line[j0], network.row_bus[j0]
-    if line >= 0:
-        return [tuple(network.ends[line])]
-    return [(bus, u) for u in network.neighbours[bus]]
-
-
-def _source_side(network: CutNetwork, source: int, sink: int):
-    """The value of a minimum source-sink cut and its smallest source
-    side, as a bus mask: the buses a maximum flow's residual network
-    still reaches from the source."""
-    flow = maximum_flow(network.capacity, source, sink)
+    pairs = ([tuple(network.ends[line])] if line >= 0
+             else [(bus, u) for u in network.neighbours[bus]])
+    flow, source = _min_cut(network.capacity, pairs)
+    upper = flow.flow_value
+    if network.floor is network.capacity:
+        lower = upper
+    elif bus >= 0 and network.kept[bus] == 0:
+        lower = 0
+    else:
+        lower = _min_cut(network.floor, pairs)[0].flow_value
+    if lower < upper:
+        return lower, upper, None
     residual = network.capacity - flow.flow
     residual.eliminate_zeros()  # saturated edges
     reached = breadth_first_order(residual, source, return_predecessors=False)
     side = np.zeros(network.buses, dtype=bool)
     side[reached[reached < network.buses]] = True
-    return flow.flow_value, side
-
-
-def _cut_support(network: CutNetwork, j0: int):
-    """The rows (0-based) a minimum cut through row j0 touches, and the
-    cut's value.  A flow row's cut separates its line's from bus from its
-    to bus; an injection row's separates its bus from the neighbour that
-    is cheapest to cut it from, the first in case order on a tie."""
-    value, side = min((_source_side(network, s, t) for s, t in _cut_ends(network, j0)),
-                      key=lambda cut: cut[0])
     crossing = side[network.ends[:, 0]] != side[network.ends[:, 1]]
     touched = np.zeros(network.buses, dtype=bool)
     touched[network.ends[crossing].ravel()] = True
     rows = np.flatnonzero(np.where(network.row_line >= 0, crossing[network.row_line],
                                    touched[network.row_bus]))
-    return rows, value
-
-
-def _cut_bounds(structure, j0: int):
-    """(lower, upper, rows): bounds on alpha at row j0 of a GridModel,
-    and the rows of the cut that attains the upper one.  upper is the
-    minimum cut through j0 on the plan's network, lower the same cut on
-    its floor, or 0 where the floor drops j0's injection rows."""
-    rows, upper = _cut_support(structure.network, j0)
-    floor = structure.floor
-    if floor is structure.network:
-        return upper, upper, rows
-    bus = floor.row_bus[j0]
-    if bus >= 0 and floor.injections[bus] == 0:
-        return 0, upper, rows
-    lower = min(maximum_flow(floor.capacity, s, t).flow_value for s, t in _cut_ends(floor, j0))
     return lower, upper, rows
 
 
@@ -374,17 +368,16 @@ class RowStructure:
     """What every index program on one matrix shares: its parallel
     classes (as `parallel_classes` returns them) and each class's
     representative (its largest-norm row).  A GridModel carries its
-    plan's CutNetwork and that plan's floor, which is the network itself
-    on a cut-exact plan, where every program is a minimum cut.  Any
-    other input carries the 3-circuits among the representatives, as
-    class ids, for its MILPs."""
+    plan's CutNetwork, whose floor is its capacity on a cut-exact plan,
+    where every program is a minimum cut.  Any other input carries the
+    3-circuits among the representatives, as class ids, for its
+    MILPs."""
 
     classes: list
     row_class: np.ndarray
     reps: np.ndarray
     circuits: np.ndarray | None
     network: CutNetwork | None = None
-    floor: CutNetwork | None = None
 
 
 def row_structure(model_or_h) -> RowStructure:
@@ -397,11 +390,10 @@ def row_structure(model_or_h) -> RowStructure:
     classes, row_class = parallel_classes(h)
     norms = np.linalg.norm(h, axis=1)
     reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
-    network = floor = None
-    if isinstance(model_or_h, GridModel):
-        network, floor = _cut_networks(model_or_h)
-    circuits = None if network is not None and floor is network else three_circuits(h[reps])
-    return RowStructure(classes, row_class, reps, circuits, network, floor)
+    network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
+    exact = network is not None and network.floor is network.capacity
+    circuits = None if exact else three_circuits(h[reps])
+    return RowStructure(classes, row_class, reps, circuits, network)
 
 
 def _build_problem(h, structure, j0, big_m, cuts):
@@ -494,11 +486,10 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     if structure is None:
         structure = row_structure(query.model)
     first = structure.classes[structure.row_class[j0]][0]  # one support per class
-    closed = False
+    rows = None
     if structure.network is not None:
-        lower, objective, rows = _cut_bounds(structure, first)
-        closed = lower == objective
-    if closed:
+        _, objective, rows = _cut_bounds(structure.network, first)
+    if rows is not None:
         on = np.zeros(len(structure.classes), dtype=bool)
         on[structure.row_class[rows]] = True
         cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))

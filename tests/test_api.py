@@ -251,8 +251,8 @@ def test_first_milp_solve_loads_optimize(tmp_path):
     plan = _milp_plan(tmp_path)
     structure = row_structure(build_model(load_case_file(plan)))
     # no cut-exact floor closes the first class, so index poses its MILP
-    assert structure.floor is not structure.network
-    lower, upper, _ = _cut_bounds(structure, 0)
+    assert structure.network.floor is not structure.network.capacity
+    lower, upper, _ = _cut_bounds(structure.network, 0)
     assert lower < upper
     argv = ["index", "--case", plan, "--out", str(tmp_path / "o.csv")]
     code = f"import gridrisk.cli\nassert gridrisk.cli.main({argv!r}) == 0"

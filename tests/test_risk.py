@@ -265,6 +265,11 @@ def test_default_mu_grid():
     np.testing.assert_array_equal(default_mu_grid(0.0, 3), np.zeros(3))
     with pytest.raises(ValueError):
         default_mu_grid(0.5, 0)
+    # a fractional count once gave magnitudes past mu_max
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            default_mu_grid(0.5, bad)
+    np.testing.assert_array_equal(default_mu_grid(0.5, np.int64(4)), default_mu_grid(0.5, 4))
     # a negative mu_max once gave the mirror image of the positive grid
     with pytest.raises(ValueError, match="mu_max"):
         default_mu_grid(-0.5)
@@ -390,6 +395,9 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
                                      runs=200, seed=(3, 0))
         assert curve.alarms[pi] == report.alarms
     assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
+    # a negative count once came back as curves with runs == -5 and no alarms
+    with pytest.raises(ValueError, match="runs"):
+        risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05, runs=-5)
 
 
 GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]

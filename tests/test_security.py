@@ -419,9 +419,9 @@ def _count_calls(monkeypatch, names) -> list:
     def counted(name):
         orig = getattr(security, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             calls.append(name)
-            return orig(*args)
+            return orig(*args, **kwargs)
         return spy
 
     for name in names:
@@ -548,6 +548,12 @@ def test_query_validation(chain3):
         IndexQuery(chain3, 8)
     with pytest.raises(SecurityIndexError, match="2-D"):
         IndexQuery(chain3.H[0], 1)
+    # a target is a row number: no float, string or bool stands for one
+    for bad in (1.5, 2.0, "2", True, np.bool_(True), None):
+        with pytest.raises(SecurityIndexError, match="integer"):
+            IndexQuery(chain3, bad)
+    numpy_j, python_j = (fdi_index(IndexQuery(chain3, j)) for j in (np.int64(2), 2))
+    assert numpy_j.support == python_j.support
     query = IndexQuery(chain3, 1)
     for bad in (-1.0, np.nan, np.inf):
         for costs in ({"cost_integrity": bad}, {"cost_availability": bad}):
@@ -668,7 +674,7 @@ def test_cut_matches_bipartition_oracle():
              for name in ("chain3", "ring4")]
     for doc, model in grids + list(_cut_exact_grids(3, 30)):
         structure = row_structure(model)
-        assert structure.floor is structure.network
+        assert structure.network.floor is structure.network.capacity
         classes, row_class = parallel_classes_by_row(model.H, security.PARALLEL_ATOL)
         for j0 in range(model.m):
             # a target takes the cut of its parallel class's first row
@@ -691,7 +697,7 @@ def test_cut_matches_enumeration_on_cut_exact_grids():
     short = 0
     for doc, model in _cut_exact_grids(7, 20, max_rows=12):
         structure = row_structure(model)
-        assert structure.floor is structure.network
+        assert structure.network.floor is structure.network.capacity
         short += _short_of_both_ends(doc)
         for j0 in range(model.m):
             res = fdi_index(IndexQuery(model, j0 + 1), structure)
@@ -753,8 +759,8 @@ def test_cut_needs_flows_to_cover_injections(flows, alpha):
     assert enumeration_alpha(model.H, 0)[0] == alpha
     assert bipartition_index(doc, 0)[0] == alpha + 1
     structure = row_structure(model)
-    assert structure.floor is not structure.network
-    assert security._cut_bounds(structure, 0)[:2] == (alpha if flows else 0, alpha + 1)
+    assert structure.network.floor is not structure.network.capacity
+    assert security._cut_bounds(structure.network, 0)[:2] == (alpha if flows else 0, alpha + 1)
     assert index_sweep(model)[0]["alpha"] == alpha
 
 
@@ -781,14 +787,14 @@ def test_floor_cut_bounds_alpha_from_below():
         structure = row_structure(model)
         for cls in structure.classes:
             j0 = int(cls[0])
-            lower, upper, _ = security._cut_bounds(structure, j0)
+            lower, upper, _ = security._cut_bounds(structure.network, j0)
             alpha = (enumeration_alpha(model.H, j0)[0] if model.m <= 12
                      else fdi_index(IndexQuery(model.H, j0 + 1)).objective)
             assert lower <= alpha <= upper, j0
             res = fdi_index(IndexQuery(model, j0 + 1), structure)
             assert res.objective == alpha, j0
             if lower == upper:
-                closed += structure.floor is not structure.network
+                closed += structure.network.floor is not structure.network.capacity
                 assert res.support == tuple(i + 1 for i in bipartition_index(doc, j0)[1]), j0
             else:
                 gaps += 1
@@ -800,7 +806,8 @@ def test_floor_cut_bounds_alpha_from_below():
 def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
     model = build_model(load_case(plan35_doc()))
     structure = row_structure(model)
-    bounds = [security._cut_bounds(structure, int(cls[0]))[:2] for cls in structure.classes]
+    bounds = [security._cut_bounds(structure.network, int(cls[0]))[:2]
+              for cls in structure.classes]
     gaps = {k for k, (lower, upper) in enumerate(bounds) if lower < upper}
     assert 0 < len(gaps) < len(structure.classes)
     posed = set()
@@ -818,3 +825,24 @@ def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
         res = fdi_index(IndexQuery(model, row["j"]))
         assert res.support == tuple(sorted(row["integrity_set"] + row["availability_set"]))
         assert res.objective == row["alpha"]
+
+
+@pytest.mark.parametrize("name, searches", [("plan35", 10), ("ieee14", 33)])
+def test_residual_search_only_where_a_class_closes(monkeypatch, name, searches):
+    # the tuple's breadth-first search runs once for a class whose bounds
+    # meet and never for a class that takes the MILP; it once ran for
+    # every source-sink pair of every class
+    model = build_model(load_case(plan35_doc() if name == "plan35" else _bundled_doc(name)))
+    calls = _count_calls(monkeypatch, ("fdi_index", "breadth_first_order", "solve_milp"))
+    index_sweep(model)
+    per_class = []
+    for call in calls:
+        if call == "fdi_index":
+            per_class.append(Counter())
+        else:
+            per_class[-1][call] += 1
+    assert len(per_class) == len(row_structure(model).classes)
+    for k, count in enumerate(per_class):
+        assert count == {"breadth_first_order": 1} or (
+            count["solve_milp"] and not count["breadth_first_order"]), k
+    assert sum(count["breadth_first_order"] for count in per_class) == searches
