@@ -191,6 +191,8 @@ def _sweep(args) -> list:
     try:
         return risk_sweep(model, variants, grid, alpha=args.alpha, runs=runs,
                           seed=args.seed)
+    except UnobservableError:
+        raise  # an analysis failure (exit 1) that no --mu-max can mend
     except ValueError as exc:
         # a grid on which some column of the sweep leaves the float range
         raise CliError(2, f"{exc}; lower --mu-max") from exc

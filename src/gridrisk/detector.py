@@ -2,9 +2,12 @@
 
 The detector compares the weighted residual statistic ||R^-1/2 r||^2
 against a chi-squared threshold chosen for a given false-alarm rate.
-The gains' weighted residual operator W carries both R^-1/2 and the
-withdrawal mask, so the statistic of z is ||z @ W||^2 under any mask,
-the empty mask of the full measurement set included.
+`estimator.weighted_residual` applies R^-1/2 and the withdrawal mask, so
+the statistic of z is the squared norm of that residual under any mask,
+the empty mask of the full measurement set included.  An attack's
+residual is the same residual with its rounding residue snapped to zero
+(`attack_residual`); its squared norm is the noncentrality, and the
+Monte Carlo adds the same vector to every run.
 Under an additive attack the statistic follows a noncentral chi-squared
 law, which gives closed-form detection probabilities.
 """
@@ -17,6 +20,7 @@ import numpy as np
 
 from .attack import SNAP_TOL
 from .chi2 import detection_delta, threshold
+from .estimator import weighted_residual
 
 
 @dataclass(frozen=True)
@@ -40,17 +44,16 @@ class BddOutcome:
 
 
 def residual_statistic(gains, z):
-    """Weighted residual statistic ||R^-1/2 S z||^2 over the kept rows,
-    computed as ||z @ W||^2.
+    """Weighted residual statistic ||R^-1/2 S z||^2 over the kept rows.
 
     z is one measurement vector of shape (m,), or a batch with one vector
     per row, shape (runs, m); the result is a scalar or one statistic per
-    row.  W has no columns for the masked rows, so they are excluded.
+    row.  The residual is zero on the masked rows, so they are excluded.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != gains.m:
         raise ValueError(f"z must have shape ({gains.m},) or (runs, {gains.m})")
-    r = z @ gains.W
+    r = weighted_residual(gains, z)
     return np.einsum("...i,...i->...", r, r)
 
 
@@ -69,32 +72,28 @@ def j_test(gains, z, config: BddConfig) -> BddOutcome:
     return BddOutcome(statistic=statistic, tau=config.tau, bad=statistic > config.tau)
 
 
-def snapped_residual(r, a, sigma):
-    """The weighted attack residual r with every entry at most SNAP_TOL
-    times the largest |a_i / sigma_i| set to exactly zero.
+def attack_residual(gains, a) -> np.ndarray:
+    """The weighted residual R^-1/2 S a of attack vector a over the kept
+    rows, with every entry at most SNAP_TOL times the largest
+    |a_i / sigma_i| set to exactly zero.
 
-    An exactly stealthy attack leaves only rounding residue in r, and a
-    rescaled attack would scale that residue up with it: at mu = 1e150
-    it reads as a certain detection.
+    An exactly stealthy attack leaves only rounding residue in the
+    residual, and a rescaled attack would scale that residue up with it:
+    at mu = 1e150 it reads as a certain detection.
     """
-    floor = SNAP_TOL * np.max(np.abs(a / sigma), initial=0.0)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (gains.m,):
+        raise ValueError(f"attack vector must have shape ({gains.m},)")
+    r = weighted_residual(gains, a)
+    floor = SNAP_TOL * np.max(np.abs(a / gains.sigma), initial=0.0)
     return np.where(np.abs(r) <= floor, 0.0, r)
 
 
 def noncentrality(gains, a) -> float:
     """Noncentrality lambda = ||R^-1/2 S a||^2 induced by attack vector a
-    over the kept rows, rounding residue snapped to zero
-    (`snapped_residual`).
-
-    S's withdrawn rows are unit rows that the detector never sees, so
-    their terms are zeroed, not dropped: the sum keeps its grouping.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (gains.m,):
-        raise ValueError(f"attack vector must have shape ({gains.m},)")
-    r = gains.S @ a / gains.sigma
-    r[gains.d == 1.0] = 0.0
-    return float(np.sum(snapped_residual(r, a, gains.sigma) ** 2))
+    over the kept rows: r @ r of its `attack_residual` r."""
+    r = attack_residual(gains, a)
+    return float(r @ r)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""Weighted least-squares state estimation and its sensitivity matrices.
+"""Weighted least-squares state estimation and its weighted residual.
 
-Provides the gain matrix K = (H^T R^-1 H)^-1 H^T R^-1, the hat matrix
-T = H K, and the residual sensitivity S = I - T for the measurement set
-an availability mask d leaves: withdrawn rows are zeroed, and the full
-measurement set is the empty mask, so one Gains type serves both.  Each
-set of gains also carries the weighted residual operator
-W = (R^-1/2 S)[kept rows]^T, so that z @ W is the weighted residual of z
-over the rows the detector still sees: R^-1/2 and the withdrawal mask
-live in W, not in the callers.
+Provides the gain matrix K = (H^T R^-1 H)^-1 H^T R^-1 for the measurement
+set an availability mask d leaves: withdrawn rows are zeroed, and the
+full measurement set is the empty mask, so one Gains type serves both.
+Each set of gains also carries Q = (R^-1/2 H_d) L^-T, with L the Cholesky
+factor of the normal matrix: an orthonormal basis of the weighted
+columns of H over the kept rows, zero on the withdrawn ones.  The
+weighted residual R^-1/2 S x that the bad-data test sees is then the
+projection of x (1 - d) / sigma off Q's columns, which
+`weighted_residual` forms: the only place where the mask and the 1/sigma
+weighting meet a residual.  Every array is at most m x n.
 """
 
 from __future__ import annotations
@@ -53,27 +55,23 @@ class Gains:
     """Gains for a model whose availability-attacked rows are zeroed.
 
     d is the 0/1 mask of removed rows (all zero for the full measurement
-    set); H_d = (I - diag(d)) H keeps the original row count so
-    measurement indices stay aligned.  W, shape (m, m - k_d), is the
-    weighted residual operator (S[keep] / sigma[keep])^T over the kept
-    rows; the withdrawn rows of W are zero, because K_d, and with it
-    S[keep], has zero columns there.
+    set), k_d its count.  K, shape (n, m), is the gain matrix of the kept
+    rows, with zero columns at the withdrawn ones.  Q, shape (m, n), has
+    orthonormal columns spanning R^-1/2 H_d, where H_d = (I - diag(d)) H,
+    and zero rows at the withdrawn measurements.
     """
 
     d: np.ndarray
     k_d: int
-    H_d: np.ndarray
     K: np.ndarray
-    T: np.ndarray
-    S: np.ndarray
-    W: np.ndarray
+    Q: np.ndarray
     dof: int
     sigma: np.ndarray
     m: int
     n: int
 
     def __post_init__(self):
-        for arr in (self.d, self.H_d, self.K, self.T, self.S, self.W, self.sigma):
+        for arr in (self.d, self.K, self.Q, self.sigma):
             arr.setflags(write=False)
 
 
@@ -95,13 +93,21 @@ def compute_reduced_gains(model: GridModel, d) -> Gains:
     chol = _normal_factor(h_d, r_inv)
     # K = G^-1 H^T R^-1 via two triangular solves; no explicit inverse.
     k = scipy.linalg.cho_solve((chol, True), h_d.T * r_inv[None, :])
-    t = h_d @ k
-    s = np.eye(model.m) - t
-    keep = d == 0.0
-    w = (s[keep] / model.sigma[keep, None]).T
+    # Q^T = L^-1 (R^-1/2 H_d)^T, so Q^T Q = L^-1 G L^-T = I
+    q = scipy.linalg.solve_triangular(chol, h_d.T / model.sigma, lower=True).T
     return Gains(
-        d=d, k_d=k_d, H_d=h_d, K=k, T=t, S=s, W=w,
+        d=d, k_d=k_d, K=k, Q=q,
         dof=model.m - model.n - k_d, sigma=model.sigma.copy(),
         m=model.m, n=model.n,
     )
 
+
+def weighted_residual(gains: Gains, x) -> np.ndarray:
+    """The weighted residual R^-1/2 S x over the kept rows, zero on the
+    withdrawn ones: x~ = x (1 - d) / sigma, then x~ - (x~ Q) Q^T.
+
+    x is one measurement vector of shape (m,), or a batch with one vector
+    per row, shape (runs, m); the residual has the same shape.
+    """
+    x = np.asarray(x, dtype=float) * ((1.0 - gains.d) / gains.sigma)
+    return x - (x @ gains.Q) @ gains.Q.T

@@ -31,7 +31,8 @@ class CaseValidationError(ValueError):
 
 
 class UnobservableError(ValueError):
-    """Raised when a measurement set cannot determine the full state."""
+    """Raised when a measurement set cannot determine the full state, or
+    determines it with no redundancy left for the residual test."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ likely the operator is to notice it: R = (1 - delta) * impact.  Attacks
 are compared only within families that share one critical tuple and one
 resource cost, where the attack likelihood can be normalized away.
 Every attack is evaluated under the gains of its own availability mask;
-a pure FDI attack has the empty mask.
+a pure FDI attack has the empty mask.  One vector per attack, its
+snapped weighted residual (`detector.attack_residual`), gives both the
+noncentrality lambda0 and the Monte Carlo shift; the Monte Carlo counts
+each run from two numbers against the gains' basis Q.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ import numpy as np
 from .attack import AttackVector
 from .attack import build_limited_knowledge_attack
 from .chi2 import noncentral_cdf
-from .detector import BddConfig, detection_probability, snapped_residual
+from .detector import BddConfig, attack_residual, detection_probability
 from .estimator import compute_reduced_gains
-from .network import GridModel
+from .network import GridModel, UnobservableError
 from .security import IndexQuery, combined_index
 
-# Unused here since the Monte Carlo below tests whole blocks through the
-# gains' weighted residual operator, without rescaled attacks or
-# per-run tests, and every attack's gains come from its own mask;
+# Unused here since the Monte Carlo below counts whole blocks from the
+# gains' basis Q, without rescaled attacks or per-run tests, and every
+# attack's gains come from its own mask;
 # kept importable because perfbench/tracer.py patches these names.
 from .attack import scale_attack  # noqa: F401
 from .detector import j_test, make_bdd_config  # noqa: F401
@@ -121,35 +124,49 @@ def _wilson_interval(alarms: int, runs: int) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _check_count(name: str, value, least: int):
+    """Raise ValueError unless value is a Python or numpy integer (not a
+    bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _seed_tuple(seed) -> tuple:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
 
 
-def _count_alarms(noise_op: np.ndarray, shift: np.ndarray, scales, seed,
-                  tau: float, runs: int) -> list:
+def _count_alarms(gains, shift: np.ndarray, scales, seed, tau: float,
+                  runs: int) -> list:
     """Alarm count at each scale s of scales: the runs out of `runs` whose
-    weighted residual e @ noise_op + s * shift has squared norm above tau,
-    e being the run's m unscaled standard normals.
+    weighted residual b + s * shift has squared norm above tau, b being
+    the weighted residual of the run's noise e diag(sigma), e its m
+    unscaled standard normals, and shift an attack residual
+    (`detector.attack_residual`) of the same gains.
 
     Every scale is tested on the same runs: run i is the i-th row of m
     normals drawn from default_rng(seed), in blocks of up to MC_BLOCK
-    runs.  A run's squared norm is a quadratic in s,
-    ||b + s shift||^2 = q + s (2p + s lam), with b = e @ noise_op its base
-    residual, q = b.b, p = b.shift and lam = shift.shift.  So a block costs
-    one product and two dots, each scale is then counted from q and p
-    alone, and memory stays O(MC_BLOCK * m).  The counts do not depend on
-    MC_BLOCK.
+    runs.  b is the projection of e (1 - d) off the columns of the gains'
+    basis Q, and shift lies in the space b lies in, so a run's squared
+    norm is a quadratic in s, ||b + s shift||^2 = q + s (2p + s lam), with
+    q = ||e (1 - d)||^2 - ||e Q||^2, p = e.shift (shift is zero on the
+    withdrawn rows) and lam = shift.shift.  So a block costs one product
+    with Q and three dots, b is never formed, each scale is counted from
+    q and p alone, and memory stays O(MC_BLOCK * m).  The counts do not
+    depend on MC_BLOCK.
     """
     rng = np.random.default_rng(seed)
     lam = float(shift @ shift)
+    keep = 1.0 - gains.d
     counts = np.zeros(len(scales), dtype=np.int64)
     for start in range(0, runs, MC_BLOCK):
-        e = rng.standard_normal((min(runs - start, MC_BLOCK), noise_op.shape[0]))
-        base = e @ noise_op
-        q = np.einsum("ij,ij->i", base, base)
-        two_p = 2.0 * (base @ shift)
+        e = rng.standard_normal((min(runs - start, MC_BLOCK), gains.m))
+        eq = e @ gains.Q
+        q = (e * e) @ keep - np.einsum("ij,ij->i", eq, eq)
+        two_p = 2.0 * (e @ shift)
         counts += [np.count_nonzero(q + s * (two_p + s * lam) > tau) for s in scales]
     return counts.tolist()
 
@@ -167,26 +184,26 @@ def empirical_detection(
     i-th row of m normals drawn from it, so the report does not depend
     on how the runs are grouped.  The statistic's distribution does not
     depend on the operating state, so runs test noise plus the attack
-    around the zero state.  The noise is drawn unscaled: sigma and the
-    withdrawal mask live in the operator diag(sigma) W (W being the gains'
-    weighted residual operator), and the attack adds the fixed shift
-    a @ W, its rounding residue snapped to zero.  The attack is
+    around the zero state.  The noise is drawn unscaled, since sigma
+    cancels in the weighted residual of e diag(sigma), and the attack
+    adds the fixed shift `detector.attack_residual(gains, a)`, the vector
+    whose squared norm is the noncentrality.  The attack is
     _count_alarms's shift at the single scale 1, so the alarm count is
     Binomial(runs, delta) and equals risk_sweep's count at this attack's
     magnitude when seed is (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
-    mask for a pure FDI attack.
+    mask for a pure FDI attack.  Raises ValueError unless runs is an
+    integer >= 1.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_count("runs", runs, 1)
     gains = compute_reduced_gains(model, attack.d)
     if config.dof != gains.dof:
         raise ValueError(
             f"config dof {config.dof} does not match gains dof {gains.dof}"
         )
     base = _seed_tuple(seed)
-    (alarms,) = _count_alarms(gains.sigma[:, None] * gains.W, _shift(gains, attack),
-                              [1.0], base, config.tau, runs)
+    (alarms,) = _count_alarms(gains, attack_residual(gains, attack.a), [1.0], base,
+                              config.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -196,13 +213,6 @@ def empirical_detection(
         ci_high=high,
         seed=base,
     )
-
-
-def _shift(gains, attack: AttackVector) -> np.ndarray:
-    """The attack's weighted residual a @ W over the kept rows, rounding
-    residue snapped to zero as in `detector.noncentrality`, so an exactly
-    stealthy attack adds nothing to the noise at any magnitude."""
-    return snapped_residual(attack.a @ gains.W, attack.a, gains.sigma)
 
 
 def _tuple_rows(attack: AttackVector) -> tuple:
@@ -234,11 +244,13 @@ def risk_sweep(
     runs > 0 adds a Monte Carlo alarm count per point.  Each variant
     draws its runs from one stream seeded by (seed, attack index), and
     every point of the variant is tested on those same runs (common
-    random numbers): unscaled normals through the variant's operator
-    diag(sigma) W, plus the point's shift (mu/mu0) a0 @ W, so no rescaled
-    attack is built.  lambda0 and a0 @ W have their rounding residue
-    snapped to zero, so an exactly stealthy variant stays at the
-    false-alarm rate at every magnitude.  The points of a curve are
+    random numbers): the weighted residual of each run's noise plus the
+    point's shift (mu/mu0) r0, so no rescaled attack is built.  r0 is the
+    variant's `detector.attack_residual`, rounding residue snapped to
+    zero, and lambda0 is r0 @ r0 bit for bit, so the printed lambda and
+    the Monte Carlo shift are one vector, and an exactly stealthy variant
+    stays at the false-alarm rate at every magnitude.  The points of a
+    curve are
     therefore correlated, while each point's count is still
     Binomial(runs, delta(mu)) and
     equals empirical_detection's count for the rescaled attack with seed
@@ -248,14 +260,15 @@ def risk_sweep(
 
     Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
     above the threshold, so delta is 1 and risk 0.  Raises ValueError
-    when runs is negative, or when a magnitude, lambda or impact is not
-    finite: (mu/mu0)^2 lambda0 and |mu/mu0| impact0 may overflow, though
-    lambda0 = 0 gives lambda 0 at every finite magnitude.
+    when runs is not an integer >= 0, or when a magnitude, lambda or
+    impact is not finite: (mu/mu0)^2 lambda0 and |mu/mu0| impact0 may
+    overflow, though lambda0 = 0 gives lambda 0 at every finite
+    magnitude.  Raises UnobservableError, naming the variant, when a
+    variant's kept rows leave the residual test no degrees of freedom.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
-    if runs < 0:
-        raise ValueError("runs must be >= 0")
+    _check_count("runs", runs, 0)
     mu = np.array(mu_grid, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise ValueError("attack magnitudes must be finite")
@@ -271,6 +284,10 @@ def risk_sweep(
         if not attack.mu:
             raise ValueError("attack has no nonzero magnitude to scale from")
         gains = compute_reduced_gains(model, attack.d)
+        if gains.dof < 1:
+            raise UnobservableError(
+                f"{attack_id} leaves the residual test no redundancy "
+                f"(dof {gains.dof})")
         det = detection_probability(gains, attack.a, alpha)
         # past the float range these products are inf or nan: rejected
         # below, not warned about
@@ -289,8 +306,8 @@ def risk_sweep(
         alarms = None
         if runs > 0:
             alarms = np.array(_count_alarms(
-                gains.sigma[:, None] * gains.W, _shift(gains, attack), scale,
-                (seed, ai), det.tau, runs))
+                gains, attack_residual(gains, attack.a), scale, (seed, ai),
+                det.tau, runs))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,
@@ -311,10 +328,7 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
 
     Magnitudes past the float range come out inf, which risk_sweep rejects.
     """
-    if isinstance(mu_points, bool) or not isinstance(mu_points, (int, np.integer)):
-        raise ValueError(f"mu_points must be an integer, not {mu_points!r}")
-    if mu_points < 1:
-        raise ValueError("mu_points must be >= 1")
+    _check_count("mu_points", mu_points, 1)
     if mu_max < 0:
         raise ValueError("mu_max must be >= 0")
     with np.errstate(over="ignore"):

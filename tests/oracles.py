@@ -198,20 +198,34 @@ def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:
             (f"fdi_{k}", variant([]))]
 
 
+def residual_sensitivity(model, d) -> np.ndarray:
+    """The residual sensitivity S = I - H_d (H_d^T R^-1 H_d)^-1 H_d^T R^-1
+    of the rows the 0/1 mask d keeps, H_d being H with the withdrawn rows
+    zeroed, from the normal equations solved here, not from the package's
+    gains.  Its withdrawn rows are unit rows the detector never sees."""
+    h_d = model.H * (np.asarray(d) == 0.0)[:, None]
+    r_inv = 1.0 / model.sigma**2
+    k = np.linalg.solve(h_d.T @ (r_inv[:, None] * h_d), h_d.T * r_inv)
+    return np.eye(model.m) - h_d @ k
+
+
+def masked_weighted_residual(model, d, z) -> np.ndarray:
+    """R^-1/2 S z on the rows d keeps, zero on the withdrawn ones, with S
+    the `residual_sensitivity`; z is one vector or one per row."""
+    r = np.asarray(z) @ residual_sensitivity(model, d).T / model.sigma
+    return r * (np.asarray(d) == 0.0)
+
+
 def mc_alarm_count(model, attack, alpha: float, runs: int, seed) -> int:
     """Monte Carlo alarms of the residual test on `runs` noisy copies of
     attack.a: the whole noise matrix in one draw from default_rng(seed),
     scaled by sigma, then the masked weighted residual statistic of each
-    run against the chi-squared threshold.  The residual sensitivity
-    comes from the normal equations solved here, not from the package's
-    gains."""
+    run against the chi-squared threshold, with the oracle's
+    `residual_sensitivity`."""
     from scipy import stats
 
     keep = attack.d == 0.0
-    h_d = model.H * keep[:, None]
-    r_inv = 1.0 / model.sigma**2
-    k = np.linalg.solve(h_d.T @ (r_inv[:, None] * h_d), h_d.T * r_inv)
-    s = np.eye(model.m) - h_d @ k
+    s = residual_sensitivity(model, attack.d)
     z = np.random.default_rng(seed).standard_normal((runs, model.m)) * model.sigma
     z = z + attack.a
     r = z @ s.T

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     enumeration_alpha,
     enumeration_family,
+    residual_sensitivity,
     set_admits_target,
     withdrawal_index,
 )
@@ -21,7 +22,7 @@ from gridrisk.detector import (
     make_bdd_config,
     noncentrality,
 )
-from gridrisk.estimator import compute_gains, compute_reduced_gains
+from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
 from gridrisk.risk import (
     default_mu_grid,
     empirical_detection,
@@ -225,9 +226,18 @@ def test_criterion_10_estimator_identities(chain3, ring4, ieee14):
     for model in (chain3, ring4, ieee14):
         gains = compute_gains(model)
         h = model.H
-        assert np.abs(gains.S @ h).max() <= 1e-9
-        assert np.abs(gains.T @ gains.T - gains.T).max() <= 1e-8
+        # S h = 0 for every column h of H, read as sigma * r: the residual
+        # R^-1/2 S z scaled back to measurement units
+        assert np.abs(gains.sigma * weighted_residual(gains, h.T)).max() <= 1e-9
+        hat = h @ gains.K
+        assert np.abs(hat @ hat - hat).max() <= 1e-8
         assert np.abs(gains.K @ h - np.eye(model.n)).max() <= 1e-9
+        # the sensitivity from Q and the hat matrix from K sum to I, and
+        # the former is the oracle's normal-equations S
+        sens = (gains.sigma * weighted_residual(gains, np.eye(model.m))).T
+        assert np.abs(hat + sens - np.eye(model.m)).max() <= 1e-9
+        assert np.abs(sens - residual_sensitivity(model, gains.d)).max() <= 1e-9
         z = rng.normal(size=model.m)
         stealth = h @ rng.normal(size=model.n)
-        assert np.abs(gains.S @ (z + stealth) - gains.S @ z).max() <= 1e-9
+        shifted = weighted_residual(gains, z + stealth) - weighted_residual(gains, z)
+        assert np.abs(gains.sigma * shifted).max() <= 1e-9

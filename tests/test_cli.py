@@ -732,6 +732,32 @@ def test_unobservable_case_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# combined_1_2 withdraws both flows and keeps the injection alone, which
+# fixes the one free angle with nothing to spare; it once exited 2 with
+# "dof must be at least 1; lower --mu-max", advice no magnitude can meet
+@pytest.mark.parametrize("command", ["detect", "risk"])
+def test_variant_without_redundancy_exits_1(tmp_path, capsys, command):
+    doc = {
+        "base_mva": 100,
+        "buses": [{"id": 1, "reference": True}, {"id": 2}],
+        "lines": [{"id": 1, "from": 1, "to": 2, "reactance": 0.1}],
+        "measurements": [
+            {"kind": "flow_from", "element": 1, "sigma": 0.01},
+            {"kind": "flow_to", "element": 1, "sigma": 0.01},
+            {"kind": "injection", "element": 2, "sigma": 0.01},
+        ],
+    }
+    case = tmp_path / "bare.json"
+    case.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    rc = main([command, "--case", str(case), "--target", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "combined_1_2" in err and "dof 0" in err and "--mu-max" not in err, err
+    assert not out.exists()
+
+
 def test_invalid_case_exits_2(tmp_path, capsys):
     case = tmp_path / "broken.json"
     case.write_text(json.dumps({"buses": []}))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import masked_weighted_residual, residual_sensitivity
 
 from gridrisk.chi2 import threshold
 from gridrisk.detector import (
@@ -11,7 +12,7 @@ from gridrisk.detector import (
     noncentrality,
     residual_statistic,
 )
-from gridrisk.estimator import compute_gains, compute_reduced_gains
+from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
 from gridrisk.network import synthesize_measurements
 
 
@@ -27,7 +28,7 @@ def test_statistic_matches_hand_formula(ieee14):
     cfg = make_bdd_config(0.05, g.dof)
     snap = synthesize_measurements(ieee14, np.zeros(ieee14.n), seed=3)
     out = j_test(g, snap.z, cfg)
-    r = g.S @ snap.z
+    r = residual_sensitivity(ieee14, g.d) @ snap.z
     assert out.statistic == pytest.approx(float(np.sum((r / ieee14.sigma) ** 2)))
     assert out.bad == (out.statistic > cfg.tau)
 
@@ -96,13 +97,13 @@ def test_noncentrality_zero_in_column_space(ieee14):
 
 
 def test_noncentrality_snaps_rounding_residue(ieee14):
-    # a stealth attack leaves only rounding residue in S a, which a huge
-    # magnitude must not scale into a detection
+    # a stealth attack leaves only rounding residue in R^-1/2 S a, which a
+    # huge magnitude must not scale into a detection
     rng = np.random.default_rng(12)
     g = compute_gains(ieee14)
     for scale in (1.0, 1e150):
         a = scale * (ieee14.H @ rng.normal(size=ieee14.n))
-        assert np.max(np.abs(g.S @ a)) > 0.0
+        assert np.max(np.abs(g.sigma * weighted_residual(g, a))) > 0.0
         assert noncentrality(g, a) == 0.0
         assert detection_probability(g, a, 0.05).delta == pytest.approx(0.05, abs=1e-12)
 
@@ -112,7 +113,7 @@ def test_noncentrality_formula_and_scaling(ieee14):
     g = compute_gains(ieee14)
     a = rng.normal(size=ieee14.m) * 0.1
     lam = noncentrality(g, a)
-    by_hand = float(np.sum((g.S @ a / ieee14.sigma) ** 2))
+    by_hand = float(np.sum((residual_sensitivity(ieee14, g.d) @ a / ieee14.sigma) ** 2))
     assert lam == pytest.approx(by_hand, rel=1e-12)
     assert noncentrality(g, 2.0 * a) == pytest.approx(4.0 * lam, rel=1e-12)
 
@@ -154,13 +155,10 @@ def test_shape_validation(ieee14):
         noncentrality(g, np.zeros(3))
 
 
-def _masked_statistic(g, z):
-    """The statistic as the masked formula: S z, the kept rows, divided
-    by sigma, squared and summed."""
-    d = getattr(g, "d", np.zeros(g.m))
-    keep = d == 0.0
-    r = np.asarray(z) @ g.S.T
-    return np.sum((r[..., keep] / g.sigma[keep]) ** 2, axis=-1)
+def _masked_statistic(model, g, z):
+    """The statistic as the masked formula: the oracle's S z, the kept
+    rows, divided by sigma, squared and summed."""
+    return np.sum(masked_weighted_residual(model, g.d, z) ** 2, axis=-1)
 
 
 def test_weighted_operator_matches_masked_formula(ieee14):
@@ -170,18 +168,18 @@ def test_weighted_operator_matches_masked_formula(ieee14):
     z = np.stack([synthesize_measurements(ieee14, np.zeros(ieee14.n), seed=s).z
                   for s in range(8)])
     for g in (compute_gains(ieee14), compute_reduced_gains(ieee14, d)):
-        k_d = getattr(g, "k_d", 0)
-        assert g.W.shape == (ieee14.m, ieee14.m - k_d)
-        assert not g.W.flags.writeable
+        k_d = g.k_d
+        assert g.Q.shape == (ieee14.m, ieee14.n)
+        assert not g.Q.flags.writeable
         with pytest.raises(ValueError):
-            g.W[0, 0] = 1.0
+            g.Q[0, 0] = 1.0
         assert float(residual_statistic(g, z[0])) == pytest.approx(
-            float(_masked_statistic(g, z[0])), rel=1e-12)
-        np.testing.assert_allclose(residual_statistic(g, z), _masked_statistic(g, z),
-                                   rtol=1e-12)
-        # attack vectors leave withdrawn rows at zero; there noncentrality's
-        # all-row sum and the kept-row operator agree
-        a = rng.normal(size=ieee14.m) * 0.01 * (1.0 - getattr(g, "d", 0.0))
-        w_a = a @ g.W
+            float(_masked_statistic(ieee14, g, z[0])), rel=1e-12)
+        np.testing.assert_allclose(residual_statistic(g, z),
+                                   _masked_statistic(ieee14, g, z), rtol=1e-12)
+        # attack vectors leave withdrawn rows at zero; there noncentrality
+        # and the oracle's kept-row residual agree
+        a = rng.normal(size=ieee14.m) * 0.01 * (1.0 - g.d)
+        w_a = masked_weighted_residual(ieee14, g.d, a)
         assert noncentrality(g, a) == pytest.approx(float(w_a @ w_a), rel=1e-12)
     assert k_d == 3

@@ -14,7 +14,7 @@ from gridrisk.detector import make_bdd_config, residual_statistic
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.risk import empirical_detection
 
-from oracles import full_knowledge_attack
+from oracles import full_knowledge_attack, masked_weighted_residual
 
 ALPHA = 0.05
 SEEDS = 400
@@ -28,11 +28,11 @@ KS_MIN_P = 1e-3
 @pytest.fixture(scope="module")
 def fdi_point(ieee14, variants14):
     """The fdi_11 variant (on conftest's named seed-7 tuple) at mu = 0.5,
-    its full gains and its noncentrality, computed here from the gains
-    alone."""
+    its full gains and its noncentrality, computed here from the oracle's
+    normal-equations residual."""
     attack = scale_attack(variants14["fdi_11"], 0.5)
     gains = compute_gains(ieee14)
-    r = (attack.a @ gains.S.T) / gains.sigma
+    r = masked_weighted_residual(ieee14, gains.d, attack.a)
     return attack, gains, float(r @ r)
 
 

@@ -1,11 +1,15 @@
 """Impact, Monte Carlo detection rates, risk sweeps, and the attack family."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gridrisk.attack import perturb_model, scale_attack
-from gridrisk.detector import detection_probability, j_test, make_bdd_config
-from gridrisk.estimator import compute_gains, compute_reduced_gains
+from gridrisk.detector import (
+    attack_residual, detection_probability, j_test, make_bdd_config,
+)
+from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
 from gridrisk import risk
 from gridrisk.risk import (
     MC_BLOCK,
@@ -96,7 +100,8 @@ def test_impact_of_stealth_attack_is_certificate_bias(ieee14):
     h_inj = ieee14.H[ieee14.injection_rows()]
     # the withdrawn support rows of a are zero, so the identity needs the
     # certificate restricted to what the reduced estimator can see
-    expected = h_inj @ (gains.K @ gains.H_d @ res.certificate_c)
+    h_d = (1.0 - d)[:, None] * ieee14.H
+    expected = h_inj @ (gains.K @ h_d @ res.certificate_c)
     np.testing.assert_allclose(ana.bias, expected, atol=1e-12)
     assert ana.impact == pytest.approx(float(np.linalg.norm(expected)))
     np.testing.assert_array_equal(ana.injection_rows, np.arange(41, 55))
@@ -188,33 +193,40 @@ def mc_attacks(ieee14, stealth_attack, ieee_variants):
 
 def test_batched_noise_rows_are_the_per_run_draws(ieee14, monkeypatch):
     # blocks drawn in turn from one stream are the rows of one draw.  With
-    # the identity operator a run's statistic is its squared norm, so a
-    # threshold between each pair of the one draw's sorted row norms
-    # counts the rows above it; the five runs go in blocks of three and two
+    # no mask and a basis of no columns a run's statistic is its squared
+    # norm, so a threshold between each pair of the one draw's sorted row
+    # norms counts the rows above it; the five runs go in blocks of three
+    # and two
     base = (4, 1, 7)
     rows = np.random.default_rng(base).standard_normal((5, ieee14.m))
     norms = np.sort(np.sum(rows**2, axis=1))
     cuts = np.r_[0.0, (norms[:-1] + norms[1:]) / 2, 2.0 * norms[-1]]
     monkeypatch.setattr(risk, "MC_BLOCK", 3)
-    eye, zero = np.eye(ieee14.m), np.zeros(ieee14.m)
-    counts = [_count_alarms(eye, zero, [1.0], base, tau, 5)[0] for tau in cuts]
+    bare = SimpleNamespace(m=ieee14.m, d=np.zeros(ieee14.m), Q=np.zeros((ieee14.m, 0)))
+    zero = np.zeros(ieee14.m)
+    counts = [_count_alarms(bare, zero, [1.0], base, tau, 5)[0] for tau in cuts]
     assert counts == [5, 4, 3, 2, 1, 0]
 
 
 @pytest.mark.parametrize("shifted", [False, True])
 def test_alarm_counts_equal_per_run_norms(ieee14, monkeypatch, shifted):
-    # each scale's count is the runs whose residual e @ noise_op + s * shift,
-    # formed directly, has squared norm above tau; 17 runs go in blocks of
-    # 7, 7 and 3, and the scales take either sign, zero and a fraction
+    # each scale's count is the runs whose residual, the weighted residual
+    # of e diag(sigma) plus s * shift, formed directly, has squared norm
+    # above tau; 17 runs go in blocks of 7, 7 and 3, and the scales take
+    # either sign, zero and a fraction
     rng = np.random.default_rng(99)
-    noise_op = rng.standard_normal((ieee14.m, 40)) / 8
-    shift = rng.standard_normal(40) / 10 if shifted else np.zeros(40)
-    scales, tau, seed = [-2.0, 0.0, 0.37, 5.0], 30.0, (5, 2)
+    d = np.zeros(ieee14.m)
+    d[[2, 30, 44]] = 1.0
+    gains = compute_reduced_gains(ieee14, d)
+    a = rng.standard_normal(ieee14.m) * ieee14.sigma / 8
+    shift = attack_residual(gains, a) if shifted else np.zeros(ieee14.m)
+    scales, tau, seed = [-2.0, 0.0, 0.37, 5.0], 38.0, (5, 2)
     e = np.random.default_rng(seed).standard_normal((17, ieee14.m))
-    expected = [int(np.sum(np.sum((e @ noise_op + s * shift) ** 2, axis=1) > tau))
+    base = weighted_residual(gains, e * ieee14.sigma)
+    expected = [int(np.sum(np.sum((base + s * shift) ** 2, axis=1) > tau))
                 for s in scales]
     monkeypatch.setattr(risk, "MC_BLOCK", 7)
-    assert _count_alarms(noise_op, shift, scales, seed, tau, 17) == expected
+    assert _count_alarms(gains, shift, scales, seed, tau, 17) == expected
     # the counts are neither all runs nor none, so tau separates them
     assert 0 < min(expected) and max(expected) < 17
 
@@ -255,6 +267,13 @@ def test_empirical_validation(ieee14, stealth_attack):
     with pytest.raises(ValueError):
         empirical_detection(ieee14, stealth_attack,
                             make_bdd_config(0.05, gains.dof + 1), runs=10, seed=1)
+    cfg = make_bdd_config(0.05, gains.dof)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            empirical_detection(ieee14, stealth_attack, cfg, runs=bad, seed=1)
+    assert empirical_detection(ieee14, stealth_attack, cfg, runs=np.int32(10),
+                               seed=1) == empirical_detection(
+        ieee14, stealth_attack, cfg, runs=10, seed=1)
 
 
 def test_default_mu_grid():
@@ -395,9 +414,44 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
                                      runs=200, seed=(3, 0))
         assert curve.alarms[pi] == report.alarms
     assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
-    # a negative count once came back as curves with runs == -5 and no alarms
-    with pytest.raises(ValueError, match="runs"):
-        risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05, runs=-5)
+    # a negative count once came back as curves with runs == -5 and no
+    # alarms, and 2.5 once failed with a raw TypeError from range()
+    for bad in (-5, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="runs"):
+            risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05, runs=bad)
+    numpy_runs = risk_sweep(chain3, chain_variants[:1], [0.1, 0.3], alpha=0.05,
+                            runs=np.int64(200), seed=3)[0]
+    np.testing.assert_array_equal(numpy_runs.alarms, curve.alarms)
+
+
+def test_lambda0_is_the_monte_carlo_shift_norm(ieee14, monkeypatch):
+    # the printed lambda0 and the shift the Monte Carlo adds are one
+    # vector: lambda0 is its squared norm bit for bit, on every variant of
+    # four ieee14 targets over attacker seeds 0-12
+    seen = []
+
+    def record(gains, a, alpha):
+        det = detection_probability(gains, a, alpha)
+        seen.append(("lam", det.lam))
+        return det
+
+    def count(gains, shift, *args):
+        seen.append(("shift", float(shift @ shift)))
+        return [0] * len(args[0])
+
+    monkeypatch.setattr(risk, "detection_probability", record)
+    monkeypatch.setattr(risk, "_count_alarms", count)
+    pairs = 0
+    for target in (1, 9, 20, 41):
+        for seed in range(13):
+            variants = tuple_attack_variants(perturb_model(ieee14, 0.2, seed), target)
+            seen.clear()
+            risk_sweep(ieee14, variants, [0.1], alpha=0.05, runs=1, seed=seed)
+            assert [kind for kind, _ in seen] == ["lam", "shift"] * len(variants)
+            for (_, lam), (_, norm) in zip(seen[::2], seen[1::2]):
+                assert lam == norm, (target, seed, lam, norm)
+                pairs += 1
+    assert pairs == 156
 
 
 GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]
