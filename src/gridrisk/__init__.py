@@ -22,7 +22,7 @@ from .security import (
     index_sweep,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "CaseValidationError",

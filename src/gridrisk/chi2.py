@@ -34,13 +34,16 @@ def noncentral_cdf(x, dof: int, lam):
     """CDF of the noncentral chi-squared distribution.
 
     x and lam may be scalars or arrays; the result is a float for
-    scalars and an array otherwise.
+    scalars and an array otherwise.  `chndtr` is nan, not 0, past
+    lam ~ 1e19; where lam > x there, x lies billions of standard
+    deviations below the mean and the CDF is 0.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam >= 0.0):
         raise ValueError("noncentrality must be nonnegative")
     _check_dof(dof)
     out = chndtr(np.maximum(x, 0.0), dof, lam)
+    out = np.where(np.isnan(out) & (lam > x), 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,10 +6,12 @@ against a chi-squared threshold chosen for a given false-alarm rate.
 the statistic of z is the squared norm of that residual under any mask,
 the empty mask of the full measurement set included.  An attack's
 residual is the same residual with its rounding residue snapped to zero
-(`attack_residual`); its squared norm is the noncentrality, and the
-Monte Carlo adds the same vector to every run.
-Under an additive attack the statistic follows a noncentral chi-squared
-law, which gives closed-form detection probabilities.
+(`attack_residual`).  Under an additive attack the statistic follows a
+noncentral chi-squared law, which gives closed-form detection
+probabilities: `detection_probability` is the one evaluation of an
+attack, and returns its residual with the noncentrality (the residual's
+squared norm), the threshold and delta, so the Monte Carlo adds that
+same vector to every run.
 """
 
 from __future__ import annotations
@@ -89,20 +91,22 @@ def attack_residual(gains, a) -> np.ndarray:
     return np.where(np.abs(r) <= floor, 0.0, r)
 
 
-def noncentrality(gains, a) -> float:
-    """Noncentrality lambda = ||R^-1/2 S a||^2 induced by attack vector a
-    over the kept rows: r @ r of its `attack_residual` r."""
-    r = attack_residual(gains, a)
-    return float(r @ r)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionAnalysis:
+    """One attack under one set of gains: its `attack_residual` (read-only),
+    the noncentrality lam = residual @ residual, the degrees of freedom,
+    the threshold tau at false-alarm rate alpha, and the detection
+    probability delta."""
+
+    residual: np.ndarray
     lam: float
     dof: int
     tau: float
     alpha: float
     delta: float
+
+    def __post_init__(self):
+        self.residual.setflags(write=False)
 
 
 def detection_probability(gains, a, alpha: float) -> DetectionAnalysis:
@@ -111,11 +115,15 @@ def detection_probability(gains, a, alpha: float) -> DetectionAnalysis:
     delta = 1 - F(tau; dof, lambda) with F the noncentral chi-squared CDF,
     lambda = ||R^-1/2 S a||^2 and tau the threshold at false-alarm rate
     alpha for the gains' degrees of freedom.  At lambda = 0 this reduces
-    to delta = alpha.
+    to delta = alpha.  The residual is formed once, here, and returned
+    with lambda, so the Monte Carlo shifts its runs by the same vector
+    whose squared norm is lambda.
     """
-    lam = noncentrality(gains, a)
+    r = attack_residual(gains, a)
+    lam = float(r @ r)
     tau = threshold(alpha, gains.dof)
     return DetectionAnalysis(
+        residual=r,
         lam=lam,
         dof=gains.dof,
         tau=tau,

@@ -6,10 +6,11 @@ likely the operator is to notice it: R = (1 - delta) * impact.  Attacks
 are compared only within families that share one critical tuple and one
 resource cost, where the attack likelihood can be normalized away.
 Every attack is evaluated under the gains of its own availability mask;
-a pure FDI attack has the empty mask.  One vector per attack, its
-snapped weighted residual (`detector.attack_residual`), gives both the
-noncentrality lambda0 and the Monte Carlo shift; the Monte Carlo counts
-each run from two numbers against the gains' basis Q.
+a pure FDI attack has the empty mask.  Each attack is evaluated once,
+by `detector.detection_probability`: its snapped weighted residual,
+lambda0 (that residual's squared norm) and the threshold tau come from
+there, and the Monte Carlo shifts its runs by that same residual and
+counts each run from two numbers against the gains' basis Q.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .attack import AttackVector
 from .attack import build_limited_knowledge_attack
-from .chi2 import noncentral_cdf
-from .detector import BddConfig, attack_residual, detection_probability
+from . import chi2
+from .detector import detection_probability
 from .estimator import compute_reduced_gains
 from .network import GridModel, UnobservableError
 from .security import IndexQuery, combined_index
@@ -144,8 +145,8 @@ def _count_alarms(gains, shift: np.ndarray, scales, seed, tau: float,
     """Alarm count at each scale s of scales: the runs out of `runs` whose
     weighted residual b + s * shift has squared norm above tau, b being
     the weighted residual of the run's noise e diag(sigma), e its m
-    unscaled standard normals, and shift an attack residual
-    (`detector.attack_residual`) of the same gains.
+    unscaled standard normals, and shift an attack's residual under the
+    same gains (`detector.detection_probability(...).residual`).
 
     Every scale is tested on the same runs: run i is the i-th row of m
     normals drawn from default_rng(seed), in blocks of up to MC_BLOCK
@@ -174,36 +175,34 @@ def _count_alarms(gains, shift: np.ndarray, scales, seed, tau: float,
 def empirical_detection(
     model: GridModel,
     attack: AttackVector,
-    config: BddConfig,
+    alpha: float,
     runs: int,
     seed,
 ) -> MonteCarloReport:
-    """Alarm rate of the residual test over seeded Monte Carlo noise draws.
+    """Alarm rate of the residual test at false-alarm rate alpha over
+    seeded Monte Carlo noise draws.
 
     One stream, np.random.default_rng(seed), feeds all runs: run i is the
     i-th row of m normals drawn from it, so the report does not depend
     on how the runs are grouped.  The statistic's distribution does not
     depend on the operating state, so runs test noise plus the attack
     around the zero state.  The noise is drawn unscaled, since sigma
-    cancels in the weighted residual of e diag(sigma), and the attack
-    adds the fixed shift `detector.attack_residual(gains, a)`, the vector
-    whose squared norm is the noncentrality.  The attack is
-    _count_alarms's shift at the single scale 1, so the alarm count is
-    Binomial(runs, delta) and equals risk_sweep's count at this attack's
-    magnitude when seed is (sweep seed, variant index).
+    cancels in the weighted residual of e diag(sigma).  The attack's
+    `detector.detection_probability` gives the threshold tau for the
+    gains' degrees of freedom and the fixed shift, the residual whose
+    squared norm is lambda; the attack is _count_alarms's shift at the
+    single scale 1, so the alarm count is Binomial(runs, delta) and
+    equals risk_sweep's count at this attack's magnitude when seed is
+    (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
     mask for a pure FDI attack.  Raises ValueError unless runs is an
-    integer >= 1.
+    integer >= 1 and alpha lies strictly between 0 and 1.
     """
     _check_count("runs", runs, 1)
     gains = compute_reduced_gains(model, attack.d)
-    if config.dof != gains.dof:
-        raise ValueError(
-            f"config dof {config.dof} does not match gains dof {gains.dof}"
-        )
+    det = detection_probability(gains, attack.a, alpha)
     base = _seed_tuple(seed)
-    (alarms,) = _count_alarms(gains, attack_residual(gains, attack.a), [1.0], base,
-                              config.tau, runs)
+    (alarms,) = _count_alarms(gains, det.residual, [1.0], base, det.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
         runs=runs,
@@ -235,36 +234,36 @@ def risk_sweep(
     within such a family the attack likelihood is normalized to one and
     risk reduces to (1-delta)*impact.
 
-    A rescaled attack is mu/mu0 times the base one, so each variant's
-    noncentrality and impact are computed once and the grid follows in
-    closed form: lambda = (mu/mu0)^2 lambda0, impact = |mu/mu0| impact0,
-    and one vectorised noncentral CDF gives delta.  At mu = 0 nothing is
-    corrupted, so k_a is 0 there.
+    A rescaled attack is mu/mu0 times the base one, so each variant is
+    evaluated once, by `detector.detection_probability`, its impact is
+    computed once, and the grid follows in closed form: lambda =
+    (mu/mu0)^2 lambda0, impact = |mu/mu0| impact0, and one vectorised
+    noncentral CDF gives delta.  At mu = 0 nothing is corrupted, so k_a
+    is 0 there.
 
     runs > 0 adds a Monte Carlo alarm count per point.  Each variant
     draws its runs from one stream seeded by (seed, attack index), and
     every point of the variant is tested on those same runs (common
     random numbers): the weighted residual of each run's noise plus the
     point's shift (mu/mu0) r0, so no rescaled attack is built.  r0 is the
-    variant's `detector.attack_residual`, rounding residue snapped to
-    zero, and lambda0 is r0 @ r0 bit for bit, so the printed lambda and
-    the Monte Carlo shift are one vector, and an exactly stealthy variant
-    stays at the false-alarm rate at every magnitude.  The points of a
-    curve are
-    therefore correlated, while each point's count is still
-    Binomial(runs, delta(mu)) and
-    equals empirical_detection's count for the rescaled attack with seed
-    (seed, attack index).  _count_alarms draws each block of runs once
-    and counts every point from two numbers per run, so the counts do not
-    depend on the block size.
+    residual detection_probability returns with lambda0 = r0 @ r0,
+    rounding residue snapped to zero, so the printed lambda and the Monte
+    Carlo shift are one vector by construction, and an exactly stealthy
+    variant stays at the false-alarm rate at every magnitude.  The points
+    of a curve are therefore correlated, while each point's count is
+    still Binomial(runs, delta(mu)) and equals empirical_detection's
+    count for the rescaled attack with seed (seed, attack index).
+    _count_alarms draws each block of runs once and counts every point
+    from two numbers per run, so the counts do not depend on the block
+    size.
 
-    Past lambda ~ 1e19 the noncentral CDF is nan; there lambda is far
-    above the threshold, so delta is 1 and risk 0.  Raises ValueError
-    when runs is not an integer >= 0, or when a magnitude, lambda or
-    impact is not finite: (mu/mu0)^2 lambda0 and |mu/mu0| impact0 may
-    overflow, though lambda0 = 0 gives lambda 0 at every finite
-    magnitude.  Raises UnobservableError, naming the variant, when a
-    variant's kept rows leave the residual test no degrees of freedom.
+    Past lambda ~ 1e19 delta is 1 and risk 0 (`chi2.noncentral_cdf`).
+    Raises ValueError when runs is not an integer >= 0, or when a
+    magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0 and
+    |mu/mu0| impact0 may overflow, though lambda0 = 0 gives lambda 0 at
+    every finite magnitude.  Raises UnobservableError, naming the
+    variant, when a variant's kept rows leave the residual test no
+    degrees of freedom.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -299,15 +298,13 @@ def risk_sweep(
             raise ValueError(f"lambda or impact of {attack_id} is not finite "
                              "on this magnitude grid")
         # 1 - delta straight from the CDF keeps risk accurate where delta
-        # rounds to 1.  The CDF is nan, not 0, past lambda ~ 1e19, where
-        # tau lies billions of standard deviations below lambda.
-        missed = noncentral_cdf(det.tau, det.dof, lam)
-        missed[np.isnan(missed) & (lam > det.tau)] = 0.0
+        # rounds to 1.
+        # Looked up on chi2 at call time, so perfbench/tracer.py counts it.
+        missed = chi2.noncentral_cdf(det.tau, det.dof, lam)
         alarms = None
         if runs > 0:
-            alarms = np.array(_count_alarms(
-                gains, attack_residual(gains, attack.a), scale, (seed, ai),
-                det.tau, runs))
+            alarms = np.array(_count_alarms(gains, det.residual, scale, (seed, ai),
+                                            det.tau, runs))
         curves.append(RiskCurve(
             attack_id=attack_id,
             mu=mu,

@@ -17,11 +17,7 @@ from scipy.stats import chi2 as scipy_chi2
 
 from gridrisk.attack import perturb_model, scale_attack
 from gridrisk.chi2 import noncentral_cdf, threshold
-from gridrisk.detector import (
-    detection_probability,
-    make_bdd_config,
-    noncentrality,
-)
+from gridrisk.detector import detection_probability
 from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
 from gridrisk.risk import (
     default_mu_grid,
@@ -148,11 +144,10 @@ def test_criterion_06_stealth_despite_model_error(ieee14, variants14):
     attack = variants14["combined_1_10"]
     assert (attack.k_a, attack.k_d) == (1, 10)
     gains = compute_reduced_gains(ieee14, attack.d)
-    assert noncentrality(gains, attack.a) <= 1e-10
     analysis = detection_probability(gains, attack.a, 0.05)
+    assert analysis.lam <= 1e-10
     assert analysis.delta == pytest.approx(0.05, abs=1e-9)
-    config = make_bdd_config(0.05, gains.dof)
-    report = empirical_detection(ieee14, attack, config, runs=1000, seed=11)
+    report = empirical_detection(ieee14, attack, 0.05, runs=1000, seed=11)
     assert 0.03 <= report.empirical_delta <= 0.07
 
 
@@ -164,11 +159,10 @@ def test_criterion_07_detection_probability_fidelity(ieee14, variants14):
             gains = compute_reduced_gains(ieee14, attack.d)
         else:
             gains = compute_gains(ieee14)
-        config = make_bdd_config(0.05, gains.dof)
         for pi, mu in enumerate(grid):
             scaled = scale_attack(attack, float(mu))
             theory = detection_probability(gains, scaled.a, 0.05).delta
-            report = empirical_detection(ieee14, scaled, config, runs=1000,
+            report = empirical_detection(ieee14, scaled, 0.05, runs=1000,
                                          seed=(17, ai, pi))
             assert abs(theory - report.empirical_delta) <= 0.04
 

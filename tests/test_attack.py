@@ -11,7 +11,7 @@ from gridrisk.attack import (
     perturb_model,
     scale_attack,
 )
-from gridrisk.detector import noncentrality
+from gridrisk.detector import detection_probability
 from gridrisk.estimator import compute_gains, compute_reduced_gains
 from gridrisk.network import UnobservableError
 from gridrisk.security import IndexQuery, combined_index
@@ -98,7 +98,7 @@ def test_full_knowledge_attack_is_invisible(ieee14, res9):
     assert atk.k_a == 1 and atk.k_d == 10
     assert atk.mu == pytest.approx(0.1, rel=1e-9)
     gains = compute_reduced_gains(ieee14, d)
-    assert noncentrality(gains, atk.a) <= 1e-12
+    assert detection_probability(gains, atk.a, 0.05).lam <= 1e-12
     # d withdraws the rest of an 11-row critical tuple through row 9; which
     # of the equally small tuples is reported is the solver's tie choice
     support0 = [i - 1 for i in res.support]
@@ -118,14 +118,14 @@ def test_limited_knowledge_single_point_attack_stays_stealthy(ieee14, perturbed9
     atk = build_limited_knowledge_attack(p, res.certificate_c, d, target_j=9)
     assert atk.k_a == 1
     gains = compute_reduced_gains(ieee14, d)
-    assert noncentrality(gains, atk.a) <= 1e-10
+    assert detection_probability(gains, atk.a, 0.05).lam <= 1e-10
 
 
 def test_limited_knowledge_fdi_is_detectable(ieee14, perturbed9):
     p, res = perturbed9
     atk = build_limited_knowledge_attack(p, res.certificate_c, None, target_j=9)
     assert atk.k_a == 11 and atk.k_d == 0
-    lam = noncentrality(compute_gains(ieee14), atk.a)
+    lam = detection_probability(compute_gains(ieee14), atk.a, 0.05).lam
     assert lam > 1e-4
 
 
@@ -143,8 +143,8 @@ def test_scale_attack(ieee14, res9):
     assert doubled.mu == pytest.approx(0.2)
     np.testing.assert_allclose(doubled.a, 2.0 * atk.a, rtol=1e-12)
     np.testing.assert_array_equal(doubled.d, atk.d)
-    lam = noncentrality(compute_gains(ieee14), atk.a)
-    lam2 = noncentrality(compute_gains(ieee14), doubled.a)
+    lam = detection_probability(compute_gains(ieee14), atk.a, 0.05).lam
+    lam2 = detection_probability(compute_gains(ieee14), doubled.a, 0.05).lam
     assert lam2 == pytest.approx(4.0 * lam, abs=1e-18)
     zeroed = scale_attack(atk, 0.0)
     assert zeroed.k_a == 0

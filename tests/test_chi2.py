@@ -130,6 +130,21 @@ def test_noncentral_cdf_vectorised():
     assert noncentral_cdf(-1.0, 13, 0.5) == 0.0
 
 
+def test_noncentral_cdf_is_zero_far_past_the_threshold():
+    # scipy's chndtr is nan past lam ~ 1e19, where x lies billions of
+    # standard deviations below the mean; the CDF there is 0, for a scalar
+    # and for each entry of an array
+    tau = threshold(0.05, 41)
+    assert detection_delta(tau, 41, 1e20) == 1.0
+    value = noncentral_cdf(tau, 41, 1e20)
+    assert isinstance(value, float) and value == 0.0
+    values = noncentral_cdf(tau, 41, np.array([0.0, 25.0, 1e20, 2.4e27]))
+    assert isinstance(values, np.ndarray)
+    assert values[0] == noncentral_cdf(tau, 41, 0.0)
+    assert values[1] == noncentral_cdf(tau, 41, 25.0)
+    assert values[2:].tolist() == [0.0, 0.0]
+
+
 @given(
     dof=st.integers(min_value=1, max_value=60),
     alpha=st.floats(min_value=0.005, max_value=0.2),

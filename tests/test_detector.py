@@ -6,10 +6,10 @@ from oracles import masked_weighted_residual, residual_sensitivity
 
 from gridrisk.chi2 import threshold
 from gridrisk.detector import (
+    attack_residual,
     detection_probability,
     j_test,
     make_bdd_config,
-    noncentrality,
     residual_statistic,
 )
 from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
@@ -93,7 +93,7 @@ def test_noncentrality_zero_in_column_space(ieee14):
     g = compute_gains(ieee14)
     for _ in range(5):
         a = ieee14.H @ rng.normal(size=ieee14.n)
-        assert noncentrality(g, a) <= 1e-18
+        assert detection_probability(g, a, 0.05).lam <= 1e-18
 
 
 def test_noncentrality_snaps_rounding_residue(ieee14):
@@ -104,18 +104,20 @@ def test_noncentrality_snaps_rounding_residue(ieee14):
     for scale in (1.0, 1e150):
         a = scale * (ieee14.H @ rng.normal(size=ieee14.n))
         assert np.max(np.abs(g.sigma * weighted_residual(g, a))) > 0.0
-        assert noncentrality(g, a) == 0.0
-        assert detection_probability(g, a, 0.05).delta == pytest.approx(0.05, abs=1e-12)
+        ana = detection_probability(g, a, 0.05)
+        assert ana.lam == 0.0
+        assert ana.delta == pytest.approx(0.05, abs=1e-12)
 
 
 def test_noncentrality_formula_and_scaling(ieee14):
     rng = np.random.default_rng(13)
     g = compute_gains(ieee14)
     a = rng.normal(size=ieee14.m) * 0.1
-    lam = noncentrality(g, a)
+    lam = detection_probability(g, a, 0.05).lam
     by_hand = float(np.sum((residual_sensitivity(ieee14, g.d) @ a / ieee14.sigma) ** 2))
     assert lam == pytest.approx(by_hand, rel=1e-12)
-    assert noncentrality(g, 2.0 * a) == pytest.approx(4.0 * lam, rel=1e-12)
+    assert detection_probability(g, 2.0 * a, 0.05).lam == pytest.approx(
+        4.0 * lam, rel=1e-12)
 
 
 def test_noncentrality_ignores_withdrawn_rows(ieee14):
@@ -126,8 +128,8 @@ def test_noncentrality_ignores_withdrawn_rows(ieee14):
     g = compute_reduced_gains(ieee14, d)
     a = np.zeros(ieee14.m)
     a[[4, 9]] = 0.1
-    assert noncentrality(g, a) == pytest.approx(float(residual_statistic(g, a)),
-                                                rel=1e-12)
+    assert detection_probability(g, a, 0.05).lam == pytest.approx(
+        float(residual_statistic(g, a)), rel=1e-12)
     kept = a * (1.0 - d)
     assert detection_probability(g, a, 0.05).delta == pytest.approx(
         detection_probability(g, kept, 0.05).delta, rel=1e-12)
@@ -141,6 +143,33 @@ def test_detection_probability_reduces_to_alpha(ieee14):
     assert ana.tau == pytest.approx(threshold(0.05, g.dof), abs=0.0)
 
 
+def test_detection_probability_returns_its_residual(ieee14):
+    # lambda is the returned residual's squared norm, bit for bit, and the
+    # residual is the attack's snapped one, read-only
+    rng = np.random.default_rng(16)
+    d = np.zeros(ieee14.m)
+    d[[4, 17, 30]] = 1.0
+    g = compute_reduced_gains(ieee14, d)
+    a = rng.normal(size=ieee14.m) * 0.01 * (1.0 - d)
+    ana = detection_probability(g, a, 0.05)
+    np.testing.assert_array_equal(ana.residual, attack_residual(g, a))
+    assert ana.lam == float(ana.residual @ ana.residual)
+    assert not ana.residual.flags.writeable
+    with pytest.raises(ValueError):
+        ana.residual[0] = 1.0
+
+
+def test_far_tail_attack_is_certainly_detected(ieee14):
+    # lambda = 2.4e27 is far past lambda ~ 1e19, where scipy's noncentral
+    # CDF is nan; tau lies far below lambda, so delta is 1
+    g = compute_gains(ieee14)
+    a = np.zeros(ieee14.m)
+    a[8] = 1e12
+    ana = detection_probability(g, a, 0.05)
+    assert ana.lam > 1e27
+    assert ana.delta == 1.0
+
+
 def test_detection_probability_grows_with_magnitude(ieee14):
     rng = np.random.default_rng(14)
     g = compute_gains(ieee14)
@@ -152,7 +181,7 @@ def test_detection_probability_grows_with_magnitude(ieee14):
 def test_shape_validation(ieee14):
     g = compute_gains(ieee14)
     with pytest.raises(ValueError):
-        noncentrality(g, np.zeros(3))
+        detection_probability(g, np.zeros(3), 0.05)
 
 
 def _masked_statistic(model, g, z):
@@ -177,9 +206,10 @@ def test_weighted_operator_matches_masked_formula(ieee14):
             float(_masked_statistic(ieee14, g, z[0])), rel=1e-12)
         np.testing.assert_allclose(residual_statistic(g, z),
                                    _masked_statistic(ieee14, g, z), rtol=1e-12)
-        # attack vectors leave withdrawn rows at zero; there noncentrality
+        # attack vectors leave withdrawn rows at zero; there lambda
         # and the oracle's kept-row residual agree
         a = rng.normal(size=ieee14.m) * 0.01 * (1.0 - g.d)
         w_a = masked_weighted_residual(ieee14, g.d, a)
-        assert noncentrality(g, a) == pytest.approx(float(w_a @ w_a), rel=1e-12)
+        assert detection_probability(g, a, 0.05).lam == pytest.approx(
+            float(w_a @ w_a), rel=1e-12)
     assert k_d == 3

@@ -10,8 +10,8 @@ import pytest
 from scipy import stats
 
 from gridrisk.attack import scale_attack
-from gridrisk.detector import make_bdd_config, residual_statistic
-from gridrisk.estimator import compute_gains, compute_reduced_gains
+from gridrisk.detector import residual_statistic
+from gridrisk.estimator import compute_gains
 from gridrisk.risk import empirical_detection
 
 from oracles import full_knowledge_attack, masked_weighted_residual
@@ -36,12 +36,11 @@ def fdi_point(ieee14, variants14):
     return attack, gains, float(r @ r)
 
 
-def _coverage(model, attack, gains, delta, tag):
+def _coverage(model, attack, delta, tag):
     """Seeds whose 95% interval covers delta, and total alarms."""
-    cfg = make_bdd_config(ALPHA, gains.dof)
     covered = alarms = 0
     for s in range(SEEDS):
-        rep = empirical_detection(model, attack, cfg, RUNS, seed=(s, tag, 0))
+        rep = empirical_detection(model, attack, ALPHA, RUNS, seed=(s, tag, 0))
         covered += rep.ci_low <= delta <= rep.ci_high
         alarms += rep.alarms
     return covered, alarms
@@ -58,8 +57,7 @@ def _assert_calibrated(covered, alarms, delta):
 
 def test_wilson_coverage_on_stealth_variant(ieee14, variants14):
     attack = variants14["combined_1_10"]
-    gains = compute_reduced_gains(ieee14, attack.d)
-    covered, alarms = _coverage(ieee14, attack, gains, ALPHA, tag=0)
+    covered, alarms = _coverage(ieee14, attack, ALPHA, tag=0)
     _assert_calibrated(covered, alarms, ALPHA)
 
 
@@ -68,7 +66,7 @@ def test_wilson_coverage_on_fdi_point(ieee14, fdi_point):
     tau = stats.chi2.isf(ALPHA, gains.dof)
     delta = float(stats.ncx2.sf(tau, gains.dof, lam))
     assert 0.2 < delta < 0.8  # a point where the rate is informative
-    covered, alarms = _coverage(ieee14, attack, gains, delta, tag=2)
+    covered, alarms = _coverage(ieee14, attack, delta, tag=2)
     _assert_calibrated(covered, alarms, delta)
 
 

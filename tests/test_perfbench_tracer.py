@@ -60,3 +60,16 @@ def test_traced_cut_exact_command_runs(argv, tmp_path, monkeypatch):
     metrics = _traced(argv, RING4, tmp_path, monkeypatch)
     assert metrics["security.index_programs"] >= 1
     assert metrics["milp.solves"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--target", "5", "--mu-points", "4"],
+    ["risk", "--target", "5", "--empirical", "--runs", "20", "--mu-points", "4"],
+])
+def test_tracer_sees_the_grid_cdf(argv, tmp_path, monkeypatch):
+    # one noncentral CDF inside each variant's detection_probability and
+    # one over the variant's magnitude grid in risk_sweep
+    metrics = _traced(argv, RING4, tmp_path, monkeypatch)
+    assert metrics["detector.detection_probability.calls"] >= 1
+    assert (metrics["chi2.noncentral_cdf.calls"]
+            == 2 * metrics["detector.detection_probability.calls"])

@@ -10,7 +10,7 @@ from gridrisk.detector import (
     attack_residual, detection_probability, j_test, make_bdd_config,
 )
 from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
-from gridrisk import risk
+from gridrisk import detector, risk
 from gridrisk.risk import (
     MC_BLOCK,
     _count_alarms,
@@ -139,39 +139,31 @@ def test_impact_mask_mismatch_rejected(ieee14, stealth_attack):
 
 
 def test_empirical_stealth_calibration(ieee14, stealth_attack):
-    gains = compute_reduced_gains(ieee14, stealth_attack.d)
-    cfg = make_bdd_config(0.05, gains.dof)
-    report = empirical_detection(ieee14, stealth_attack, cfg, runs=1000, seed=5)
+    report = empirical_detection(ieee14, stealth_attack, 0.05, runs=1000, seed=5)
     assert 0.03 <= report.empirical_delta <= 0.07
     assert report.ci_low <= report.empirical_delta <= report.ci_high
     assert report.alarms == round(report.empirical_delta * report.runs)
 
 
 def test_empirical_no_attack_calibration(ieee14):
-    gains = compute_gains(ieee14)
-    cfg = make_bdd_config(0.05, gains.dof)
     quiet = full_knowledge_attack(ieee14, np.zeros(ieee14.n))
-    report = empirical_detection(ieee14, quiet, cfg, runs=1000, seed=6)
+    report = empirical_detection(ieee14, quiet, 0.05, runs=1000, seed=6)
     assert 0.03 <= report.empirical_delta <= 0.07
 
 
 def test_empirical_tracks_theory_for_fdi(ieee14, ieee_variants):
     attack = dict(ieee_variants)["fdi_11"]
     scaled = scale_attack(attack, 0.25)
-    gains = compute_gains(ieee14)
-    cfg = make_bdd_config(0.05, gains.dof)
-    theory = detection_probability(gains, scaled.a, 0.05).delta
-    report = empirical_detection(ieee14, scaled, cfg, runs=1000, seed=77)
+    theory = detection_probability(compute_gains(ieee14), scaled.a, 0.05).delta
+    report = empirical_detection(ieee14, scaled, 0.05, runs=1000, seed=77)
     assert abs(report.empirical_delta - theory) <= 0.03
 
 
 def test_empirical_deterministic(ieee14, stealth_attack):
-    gains = compute_reduced_gains(ieee14, stealth_attack.d)
-    cfg = make_bdd_config(0.05, gains.dof)
-    serial = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=8)
-    repeat = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=8)
+    serial = empirical_detection(ieee14, stealth_attack, 0.05, runs=300, seed=8)
+    repeat = empirical_detection(ieee14, stealth_attack, 0.05, runs=300, seed=8)
     assert serial == repeat
-    other = empirical_detection(ieee14, stealth_attack, cfg, runs=300, seed=9)
+    other = empirical_detection(ieee14, stealth_attack, 0.05, runs=300, seed=9)
     assert other.alarms != serial.alarms or other.seed != serial.seed
 
 
@@ -236,7 +228,7 @@ def test_batched_alarms_equal_per_run_j_test(ieee14, mc_attacks, kind):
     attack = mc_attacks[kind]
     dof = ieee14.m - ieee14.n - attack.k_d
     cfg = make_bdd_config(0.05, dof)
-    report = empirical_detection(ieee14, attack, cfg, runs=500, seed=11)
+    report = empirical_detection(ieee14, attack, 0.05, runs=500, seed=11)
     assert report.alarms == _per_run_alarms(ieee14, attack, cfg, 500, 11)
 
 
@@ -244,7 +236,7 @@ def test_batched_alarms_across_block_boundary(ieee14, mc_attacks):
     attack = mc_attacks["fdi"]
     cfg = make_bdd_config(0.05, ieee14.m - ieee14.n)
     runs = MC_BLOCK + 3
-    report = empirical_detection(ieee14, attack, cfg, runs=runs, seed=12)
+    report = empirical_detection(ieee14, attack, 0.05, runs=runs, seed=12)
     assert report.runs == runs
     assert report.alarms == _per_run_alarms(ieee14, attack, cfg, runs, 12)
 
@@ -252,28 +244,23 @@ def test_batched_alarms_across_block_boundary(ieee14, mc_attacks):
 @pytest.mark.parametrize("kind", ["stealth", "fdi"])
 def test_alarms_do_not_depend_on_block_size(ieee14, mc_attacks, monkeypatch, kind):
     attack = mc_attacks[kind]
-    cfg = make_bdd_config(0.05, ieee14.m - ieee14.n - attack.k_d)
-    default = empirical_detection(ieee14, attack, cfg, runs=500, seed=(2, 1, 3))
+    default = empirical_detection(ieee14, attack, 0.05, runs=500, seed=(2, 1, 3))
     monkeypatch.setattr(risk, "MC_BLOCK", 7)
-    small = empirical_detection(ieee14, attack, cfg, runs=500, seed=(2, 1, 3))
+    small = empirical_detection(ieee14, attack, 0.05, runs=500, seed=(2, 1, 3))
     assert small == default
 
 
 def test_empirical_validation(ieee14, stealth_attack):
-    gains = compute_reduced_gains(ieee14, stealth_attack.d)
     with pytest.raises(ValueError):
-        empirical_detection(ieee14, stealth_attack,
-                            make_bdd_config(0.05, gains.dof), runs=0, seed=1)
-    with pytest.raises(ValueError):
-        empirical_detection(ieee14, stealth_attack,
-                            make_bdd_config(0.05, gains.dof + 1), runs=10, seed=1)
-    cfg = make_bdd_config(0.05, gains.dof)
+        empirical_detection(ieee14, stealth_attack, 0.05, runs=0, seed=1)
+    with pytest.raises(ValueError, match="alpha"):
+        empirical_detection(ieee14, stealth_attack, 1.5, runs=10, seed=1)
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match="runs must be an integer"):
-            empirical_detection(ieee14, stealth_attack, cfg, runs=bad, seed=1)
-    assert empirical_detection(ieee14, stealth_attack, cfg, runs=np.int32(10),
+            empirical_detection(ieee14, stealth_attack, 0.05, runs=bad, seed=1)
+    assert empirical_detection(ieee14, stealth_attack, 0.05, runs=np.int32(10),
                                seed=1) == empirical_detection(
-        ieee14, stealth_attack, cfg, runs=10, seed=1)
+        ieee14, stealth_attack, 0.05, runs=10, seed=1)
 
 
 def test_default_mu_grid():
@@ -407,10 +394,9 @@ def test_risk_sweep_empirical_column(chain3, chain_variants):
     assert curve.runs == 200
     assert np.all((0.0 <= curve.delta_empirical) & (curve.delta_empirical <= 1.0))
     _, attack = chain_variants[0]
-    cfg = make_bdd_config(0.05, chain3.m - chain3.n - attack.k_d)
     # both points are tested on the variant's one stream
     for pi, mu in enumerate((0.1, 0.3)):
-        report = empirical_detection(chain3, scale_attack(attack, mu), cfg,
+        report = empirical_detection(chain3, scale_attack(attack, mu), 0.05,
                                      runs=200, seed=(3, 0))
         assert curve.alarms[pi] == report.alarms
     assert risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05)[0].alarms is None
@@ -454,6 +440,29 @@ def test_lambda0_is_the_monte_carlo_shift_norm(ieee14, monkeypatch):
     assert pairs == 156
 
 
+def test_sweep_forms_each_residual_once(ieee14, family14, monkeypatch):
+    # with runs > 0 a variant's residual is formed once, by its
+    # detection_probability, and that same array is the Monte Carlo shift
+    formed, shifts = [], []
+
+    def spy(gains, a):
+        formed.append(attack_residual(gains, a))
+        return formed[-1]
+
+    def count(gains, shift, *args):
+        shifts.append(shift)
+        return _count_alarms(gains, shift, *args)
+
+    # every module that binds the name, so a second call anywhere is seen
+    for mod in (detector, risk):
+        if hasattr(mod, "attack_residual"):
+            monkeypatch.setattr(mod, "attack_residual", spy)
+    monkeypatch.setattr(risk, "_count_alarms", count)
+    risk_sweep(ieee14, family14, [0.1, 0.3], alpha=0.05, runs=5, seed=0)
+    assert len(formed) == len(shifts) == len(family14)
+    assert all(shift is r for shift, r in zip(shifts, formed))
+
+
 GRID_WITH_ZERO = [0.0, 0.1, 0.25, 0.5]
 # zero and 34 magnitudes up to 0.5
 LONG_GRID = np.r_[0.0, default_mu_grid(0.5, 34)].tolist()
@@ -482,8 +491,7 @@ def test_sweep_alarms_equal_empirical_detection(ieee14, family14):
     # on the variant's stream (seed, variant index)
     curves = risk_sweep(ieee14, family14, LONG_GRID, alpha=0.05, runs=500, seed=24)
     for ai, (curve, (_, attack)) in enumerate(zip(curves, family14)):
-        cfg = make_bdd_config(0.05, ieee14.m - ieee14.n - attack.k_d)
-        expected = [empirical_detection(ieee14, scale_attack(attack, mu), cfg,
+        expected = [empirical_detection(ieee14, scale_attack(attack, mu), 0.05,
                                         runs=500, seed=(24, ai)).alarms
                     for mu in LONG_GRID]
         assert curve.alarms.tolist() == expected
