@@ -11,7 +11,9 @@ noncentral chi-squared law, which gives closed-form detection
 probabilities: `detection_probability` is the one evaluation of an
 attack, and returns its residual with the noncentrality (the residual's
 squared norm), the threshold and delta, so the Monte Carlo adds that
-same vector to every run.
+same vector to every run.  It is also where a mask that leaves the
+residual test no degrees of freedom is refused, with UnobservableError,
+for the closed form and the Monte Carlo alike.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .attack import SNAP_TOL
 from .chi2 import detection_delta, threshold
 from .estimator import weighted_residual
+from .network import UnobservableError
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,13 @@ def attack_residual(gains, a) -> np.ndarray:
 class DetectionAnalysis:
     """One attack under one set of gains: its `attack_residual` (read-only),
     the noncentrality lam = residual @ residual, the degrees of freedom,
-    the threshold tau at false-alarm rate alpha, and the detection
+    the threshold tau at the caller's false-alarm rate, and the detection
     probability delta."""
 
     residual: np.ndarray
     lam: float
     dof: int
     tau: float
-    alpha: float
     delta: float
 
     def __post_init__(self):
@@ -117,9 +119,14 @@ def detection_probability(gains, a, alpha: float) -> DetectionAnalysis:
     alpha for the gains' degrees of freedom.  At lambda = 0 this reduces
     to delta = alpha.  The residual is formed once, here, and returned
     with lambda, so the Monte Carlo shifts its runs by the same vector
-    whose squared norm is lambda.
+    whose squared norm is lambda.  Raises UnobservableError when the
+    gains' kept rows leave the residual test no degrees of freedom
+    (dof < 1), before alpha is checked.
     """
     r = attack_residual(gains, a)
+    if gains.dof < 1:
+        raise UnobservableError(
+            f"the kept rows leave the residual test no redundancy (dof {gains.dof})")
     lam = float(r @ r)
     tau = threshold(alpha, gains.dof)
     return DetectionAnalysis(
@@ -127,6 +134,5 @@ def detection_probability(gains, a, alpha: float) -> DetectionAnalysis:
         lam=lam,
         dof=gains.dof,
         tau=tau,
-        alpha=alpha,
         delta=detection_delta(tau, gains.dof, lam),
     )

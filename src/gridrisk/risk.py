@@ -9,8 +9,11 @@ Every attack is evaluated under the gains of its own availability mask;
 a pure FDI attack has the empty mask.  Each attack is evaluated once,
 by `detector.detection_probability`: its snapped weighted residual,
 lambda0 (that residual's squared norm) and the threshold tau come from
-there, and the Monte Carlo shifts its runs by that same residual and
-counts each run from two numbers against the gains' basis Q.
+there, and a mask that leaves the residual test no degrees of freedom is
+refused there.  The Monte Carlo shifts its runs by that same residual
+and counts each run from two numbers against the gains' basis Q.
+`impact_metric` returns the impact as a float, so a variant's sweep
+rests on two numbers, lambda0 and impact0.
 """
 
 from __future__ import annotations
@@ -44,21 +47,6 @@ _Z95 = 1.959963984540054
 # Monte Carlo runs drawn and tested together: memory stays O(block * m)
 # for any run count, and the default 1000 runs are a single block.
 MC_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class ImpactAnalysis:
-    """Expected bias the attack leaves on the injection estimates.
-
-    injection_rows are measurement numbers (1-based).  bias is the
-    expected estimate shift H_inj K_d a per injection row; impact is its
-    2-norm.
-    """
-
-    injection_rows: np.ndarray
-    H_inj: np.ndarray
-    bias: np.ndarray
-    impact: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,23 +84,18 @@ class MonteCarloReport:
     seed: tuple
 
 
-def impact_metric(model: GridModel, gains, attack: AttackVector) -> ImpactAnalysis:
-    """Impact = 2-norm of the expected injection-estimate bias H_inj K_d a.
+def impact_metric(model: GridModel, gains, attack: AttackVector) -> float:
+    """Impact: the 2-norm of the expected bias H_inj K_d a the attack
+    leaves on the injection estimates, H_inj being the true model's
+    injection rows.
 
     The injection rows of the true model matter even when some of them
     are withdrawn: the operator still publishes estimates for them.
+    Raises ValueError when the gains belong to another availability mask.
     """
     if not np.array_equal(gains.d, attack.d):
         raise ValueError("gains were computed for a different availability mask")
-    inj0 = model.injection_rows()
-    h_inj = model.H[inj0]
-    bias = h_inj @ (gains.K @ attack.a)
-    return ImpactAnalysis(
-        injection_rows=inj0 + 1,
-        H_inj=h_inj,
-        bias=bias,
-        impact=float(np.linalg.norm(bias)),
-    )
+    return float(np.linalg.norm(model.H[model.injection_rows()] @ (gains.K @ attack.a)))
 
 
 def _wilson_interval(alarms: int, runs: int) -> tuple:
@@ -196,7 +179,9 @@ def empirical_detection(
     (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
     mask for a pure FDI attack.  Raises ValueError unless runs is an
-    integer >= 1 and alpha lies strictly between 0 and 1.
+    integer >= 1 and alpha lies strictly between 0 and 1, and
+    UnobservableError (a ValueError) when the mask leaves the residual
+    test no degrees of freedom.
     """
     _check_count("runs", runs, 1)
     gains = compute_reduced_gains(model, attack.d)
@@ -261,9 +246,9 @@ def risk_sweep(
     Raises ValueError when runs is not an integer >= 0, or when a
     magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0 and
     |mu/mu0| impact0 may overflow, though lambda0 = 0 gives lambda 0 at
-    every finite magnitude.  Raises UnobservableError, naming the
-    variant, when a variant's kept rows leave the residual test no
-    degrees of freedom.
+    every finite magnitude.  Raises detection_probability's
+    UnobservableError, with the variant's id in front, when a variant's
+    kept rows leave the residual test no degrees of freedom.
     """
     if not base_attacks:
         raise ValueError("no attacks to sweep")
@@ -283,17 +268,16 @@ def risk_sweep(
         if not attack.mu:
             raise ValueError("attack has no nonzero magnitude to scale from")
         gains = compute_reduced_gains(model, attack.d)
-        if gains.dof < 1:
-            raise UnobservableError(
-                f"{attack_id} leaves the residual test no redundancy "
-                f"(dof {gains.dof})")
-        det = detection_probability(gains, attack.a, alpha)
+        try:
+            det = detection_probability(gains, attack.a, alpha)
+        except UnobservableError as exc:
+            raise UnobservableError(f"{attack_id}: {exc}") from exc
         # past the float range these products are inf or nan: rejected
         # below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             scale = mu / attack.mu
             lam = scale * scale * det.lam if det.lam else np.zeros_like(mu)
-            impact = np.abs(scale) * impact_metric(model, gains, attack).impact
+            impact = np.abs(scale) * impact_metric(model, gains, attack)
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(impact))):
             raise ValueError(f"lambda or impact of {attack_id} is not finite "
                              "on this magnitude grid")

@@ -90,9 +90,12 @@ reported can move.
 
 Every program is solved, and every certificate built, at the magnitude
 0.1 in one big-M box; a certificate is linear in the magnitude, so scale
-it for another.  Among equally sparse supports, the one the MILP reports
-is the one HiGHS proves optimal first; it is fixed for a given scipy
-build and solver options, but follows no ordering of the rows.
+it for another.  The box grows tenfold, at most twice, when the program
+is infeasible (the all-classes support is stealthy, so only the box can
+exclude every certificate) or its certificate nearly fills it.  Among
+equally sparse supports, the one the MILP reports is the one HiGHS
+proves optimal first; it is fixed for a given scipy build and solver
+options, but follows no ordering of the rows.
 """
 
 from __future__ import annotations
@@ -133,8 +136,6 @@ class IndexQuery:
     def __post_init__(self):
         if not isinstance(self.model, GridModel):
             object.__setattr__(self, "model", np.asarray(self.model, dtype=float))
-            if self.model.ndim != 2:
-                raise SecurityIndexError("model matrix must be 2-D")
         h = _matrix(self.model)
         if not np.all(np.isfinite(h)):
             raise SecurityIndexError("model matrix has a NaN or infinite entry")
@@ -164,8 +165,12 @@ class SecurityIndexResult:
 
 
 def _matrix(model_or_h) -> np.ndarray:
-    h = getattr(model_or_h, "H", model_or_h)
-    return np.asarray(h, dtype=float)
+    """The measurement matrix of a GridModel or bare matrix; raises
+    SecurityIndexError unless it is 2-D with at least one row."""
+    h = np.asarray(getattr(model_or_h, "H", model_or_h), dtype=float)
+    if h.ndim != 2 or h.shape[0] == 0:
+        raise SecurityIndexError("model matrix must be 2-D with at least one row")
+    return h
 
 
 def parallel_classes(h):
@@ -520,24 +525,29 @@ def _solve_milp_index(h, structure, j0, first):
     cuts = []
     while True:
         sol = solve_milp(_build_problem(h, structure, first, big, cuts))
-        if sol.status != "optimal":
+        if sol.status == "optimal":
+            on = sol.x[n : n + len(classes)] > 0.5
+            cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
+            if not stealth:
+                if len(cuts) == _MAX_CUTS:
+                    raise SecurityIndexError(
+                        f"no stealthy support after {_MAX_CUTS} refuted candidates")
+                cuts.append((~on).astype(float))
+                continue
+            if np.max(np.abs(v)) <= _M_GUARD * big:
+                return sol.objective, on, cert, v
+        elif sol.status != "infeasible":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
-        on = sol.x[n : n + len(classes)] > 0.5
-        cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
-        if not stealth:
-            if len(cuts) == _MAX_CUTS:
-                raise SecurityIndexError(
-                    f"no stealthy support after {_MAX_CUTS} refuted candidates")
-            cuts.append((~on).astype(float))
-        elif np.max(np.abs(v)) > _M_GUARD * big:
-            # big-M validity guard: even the least-norm certificate of the
-            # support nearly fills the box, so the box may cut off others
-            if enlargements == _MAX_ENLARGEMENTS:
-                raise SecurityIndexError("big-M guard failed after repeated enlargement")
-            big *= 10.0
-            enlargements += 1
-        else:
-            return sol.objective, on, cert, v
+        # big-M validity guard: the box holds no certificate at all (the
+        # all-classes support is stealthy and no cut removes a stealthy
+        # support, so only the box can be at fault), or even the
+        # least-norm certificate of the support nearly fills it, so the
+        # box may cut off others
+        if enlargements == _MAX_ENLARGEMENTS:
+            raise SecurityIndexError(
+                f"big-M guard failed after repeated enlargement (status {sol.status})")
+        big *= 10.0
+        enlargements += 1
 
 
 def fdi_index(query: IndexQuery, structure=None) -> SecurityIndexResult:

@@ -6,7 +6,7 @@ import pytest
 from oracles import tuple_variants
 
 from gridrisk.attack import perturb_model
-from gridrisk.network import build_model, load_bundled_case
+from gridrisk.network import build_model, load_bundled_case, load_case
 from gridrisk.risk import tuple_attack_variants
 
 # The two equally sparse critical tuples of ieee14 measurement 9 (alpha =
@@ -23,6 +23,22 @@ CUT_TUPLE14_9 = (8, 9, 10, 28, 29, 30, 44, 45, 46, 47, 49)
 # rows 6 and 17 has 7 rows and fails the stealth check; alpha is 8 there.
 PLAN35_ROWS = [1, 2, 3, 5, 6, 7, 10, 12, 14, 15, 17, 19, 22, 23, 24, 26, 27, 29,
                30, 31, 32, 33, 35, 38, 39, 40, 43, 45, 46, 47, 49, 51, 52, 53, 54]
+
+
+# Two buses, one line metered at both ends, and the injection at bus 2:
+# every row is a multiple of the one free angle, so target 1's tuple is
+# all three rows, and combined_1_2 withdraws both flows and keeps the
+# injection alone, which fixes the angle with nothing to spare (dof 0).
+TWO_BUS_DOC = {
+    "base_mva": 100,
+    "buses": [{"id": 1, "reference": True}, {"id": 2}],
+    "lines": [{"id": 1, "from": 1, "to": 2, "reactance": 0.1}],
+    "measurements": [
+        {"kind": "flow_from", "element": 1, "sigma": 0.01},
+        {"kind": "flow_to", "element": 1, "sigma": 0.01},
+        {"kind": "injection", "element": 2, "sigma": 0.01},
+    ],
+}
 
 
 def plan35_doc() -> dict:
@@ -45,6 +61,15 @@ def ring4():
 @pytest.fixture(scope="session")
 def ieee14():
     return build_model(load_bundled_case("ieee14"))
+
+
+@pytest.fixture(scope="session")
+def two_bus_variant():
+    """(model, combined_1_2) on TWO_BUS_DOC, target 1, as `detect` and
+    `risk` build it at their default seed and perturbation."""
+    model = build_model(load_case(TWO_BUS_DOC))
+    variants = dict(tuple_attack_variants(perturb_model(model, 0.2, seed=0), 1))
+    return model, variants["combined_1_2"]
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from gridrisk.attack import AttackVector, build_limited_knowledge_attack
+from gridrisk.attack import AttackVector
 
 WITHDRAWAL_BIG_M = 1e4
 
@@ -169,7 +169,7 @@ def full_knowledge_attack(model, c, d=None, target_j=None) -> AttackVector:
     """The attack a = (1 - d) H c on the true model, as an AttackVector
     (d the 0/1 availability mask, none if omitted).  It lies in the
     masked column space, so its residual shift is exactly zero.  The
-    product is formed here, without the package's attack constructor."""
+    product is formed here, without `attack.build_limited_knowledge_attack`."""
     d = np.zeros(model.m) if d is None else np.asarray(d, dtype=float)
     a = (1.0 - d) * (model.H @ np.asarray(c, dtype=float))
     mu = None if target_j is None else float(a[target_j - 1])
@@ -181,8 +181,9 @@ def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:
     specifies on a critical tuple of at least three rows (1-based, through
     target_j): one certificate_for_set, then combined_1 withdrawing every
     other tuple row, combined_2 keeping the lowest-numbered other row
-    corrupted, and fdi withdrawing nothing.  The vectors come from the
-    package's attack constructor."""
+    corrupted, and fdi withdrawing nothing.  Each vector is (1 - d)
+    (H-tilde c), formed by `full_knowledge_attack` on the perturbed model,
+    not by `attack.build_limited_knowledge_attack`."""
     rows = sorted(rows)
     c = certificate_for_set(perturbed.H, [i - 1 for i in rows], target_j - 1, mu)
     others = [i for i in rows if i != target_j]
@@ -190,7 +191,7 @@ def tuple_variants(perturbed, rows, target_j: int, mu: float) -> list:
     def variant(withdrawn):
         d = np.zeros(perturbed.H.shape[0])
         d[[i - 1 for i in withdrawn]] = 1.0
-        return build_limited_knowledge_attack(perturbed, c, d, target_j)
+        return full_knowledge_attack(perturbed, c, d, target_j)
 
     k = len(rows)
     return [(f"combined_1_{k - 1}", variant(others)),

@@ -21,7 +21,7 @@ from gridrisk.security import (
     IndexQuery, _cut_bounds, fdi_index, format_index_csv, index_sweep, row_structure,
 )
 
-from conftest import plan35_doc
+from conftest import TWO_BUS_DOC, plan35_doc
 from oracles import mc_alarm_count
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
@@ -732,23 +732,13 @@ def test_unobservable_case_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# combined_1_2 withdraws both flows and keeps the injection alone, which
-# fixes the one free angle with nothing to spare; it once exited 2 with
-# "dof must be at least 1; lower --mu-max", advice no magnitude can meet
+# combined_1_2 of TWO_BUS_DOC leaves the residual test dof 0; it once
+# exited 2 with "dof must be at least 1; lower --mu-max", advice no
+# magnitude can meet
 @pytest.mark.parametrize("command", ["detect", "risk"])
 def test_variant_without_redundancy_exits_1(tmp_path, capsys, command):
-    doc = {
-        "base_mva": 100,
-        "buses": [{"id": 1, "reference": True}, {"id": 2}],
-        "lines": [{"id": 1, "from": 1, "to": 2, "reactance": 0.1}],
-        "measurements": [
-            {"kind": "flow_from", "element": 1, "sigma": 0.01},
-            {"kind": "flow_to", "element": 1, "sigma": 0.01},
-            {"kind": "injection", "element": 2, "sigma": 0.01},
-        ],
-    }
     case = tmp_path / "bare.json"
-    case.write_text(json.dumps(doc))
+    case.write_text(json.dumps(TWO_BUS_DOC))
     out = tmp_path / "o.csv"
     rc = main([command, "--case", str(case), "--target", "1", "--out", str(out)])
     assert rc == 1

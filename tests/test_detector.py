@@ -13,7 +13,7 @@ from gridrisk.detector import (
     residual_statistic,
 )
 from gridrisk.estimator import compute_gains, compute_reduced_gains, weighted_residual
-from gridrisk.network import synthesize_measurements
+from gridrisk.network import UnobservableError, synthesize_measurements
 
 
 def test_config_carries_matching_threshold(ieee14):
@@ -213,3 +213,13 @@ def test_weighted_operator_matches_masked_formula(ieee14):
         assert detection_probability(g, a, 0.05).lam == pytest.approx(
             float(w_a @ w_a), rel=1e-12)
     assert k_d == 3
+
+
+def test_mask_without_redundancy_is_unobservable(two_bus_variant):
+    # chi2's bare "dof must be at least 1" is for direct chi2 callers; an
+    # attack whose kept rows leave no redundancy has no residual test
+    model, attack = two_bus_variant
+    gains = compute_reduced_gains(model, attack.d)
+    assert gains.dof == 0
+    with pytest.raises(UnobservableError, match=r"no redundancy \(dof 0\)"):
+        detection_probability(gains, attack.a, 0.05)

@@ -12,7 +12,7 @@ from scipy import stats
 from gridrisk.attack import scale_attack
 from gridrisk.detector import residual_statistic
 from gridrisk.estimator import compute_gains
-from gridrisk.risk import empirical_detection
+from gridrisk.risk import _wilson_interval, empirical_detection
 
 from oracles import full_knowledge_attack, masked_weighted_residual
 
@@ -94,3 +94,12 @@ def test_fdi_statistics_are_noncentral_chi_squared(ieee14, fdi_point):
     assert stats.kstest(t, stats.ncx2(gains.dof, lam).cdf).pvalue > KS_MIN_P
     # the central law is rejected, so the test can tell the two apart
     assert stats.kstest(t, stats.chi2(gains.dof).cdf).pvalue < KS_MIN_P
+
+
+@pytest.mark.parametrize("runs", [1, 2, 7, 200, 1000, 10**6])
+def test_wilson_interval_matches_scipy(runs):
+    for alarms in sorted({0, 1, runs // 3, runs // 2, runs - 1, runs}):
+        ref = stats.binomtest(alarms, runs).proportion_ci(0.95, method="wilson")
+        low, high = _wilson_interval(alarms, runs)
+        assert low == pytest.approx(ref.low, rel=0, abs=1e-12)
+        assert high == pytest.approx(ref.high, rel=0, abs=1e-12)

@@ -21,6 +21,7 @@ from gridrisk.risk import (
     risk_sweep,
     tuple_attack_variants,
 )
+from gridrisk.network import UnobservableError
 from gridrisk.security import IndexQuery, combined_index, fdi_index
 
 from conftest import CUT_TUPLE14_9, TUPLE14_9
@@ -84,7 +85,7 @@ def stealth_attack(ieee14):
 def test_impact_zero_attack(ieee14, stealth_attack):
     gains = compute_reduced_gains(ieee14, stealth_attack.d)
     nothing = scale_attack(stealth_attack, 0.0)
-    assert impact_metric(ieee14, gains, nothing).impact == 0.0
+    assert impact_metric(ieee14, gains, nothing) == 0.0
 
 
 def test_impact_of_stealth_attack_is_certificate_bias(ieee14):
@@ -96,35 +97,36 @@ def test_impact_of_stealth_attack_is_certificate_bias(ieee14):
             d[i - 1] = 1.0
     atk = full_knowledge_attack(ieee14, res.certificate_c, d, target_j=9)
     gains = compute_reduced_gains(ieee14, d)
-    ana = impact_metric(ieee14, gains, atk)
     h_inj = ieee14.H[ieee14.injection_rows()]
     # the withdrawn support rows of a are zero, so the identity needs the
     # certificate restricted to what the reduced estimator can see
     h_d = (1.0 - d)[:, None] * ieee14.H
     expected = h_inj @ (gains.K @ h_d @ res.certificate_c)
-    np.testing.assert_allclose(ana.bias, expected, atol=1e-12)
-    assert ana.impact == pytest.approx(float(np.linalg.norm(expected)))
-    np.testing.assert_array_equal(ana.injection_rows, np.arange(41, 55))
+    np.testing.assert_allclose(h_inj @ (gains.K @ atk.a), expected, atol=1e-12)
+    assert impact_metric(ieee14, gains, atk) == pytest.approx(
+        float(np.linalg.norm(expected)))
 
 
 def test_impact_matches_monte_carlo_mean(ieee14, stealth_attack):
     gains = compute_reduced_gains(ieee14, stealth_attack.d)
-    ana = impact_metric(ieee14, gains, stealth_attack)
     rng = np.random.default_rng(99)
     n = 10_000
     noise = rng.normal(size=(n, ieee14.m)) * ieee14.sigma
     h_inj = ieee14.H[ieee14.injection_rows()]
     eps = (noise + stealth_attack.a) @ gains.K.T @ h_inj.T
     se = eps.std(axis=0) / np.sqrt(n)
-    assert np.all(np.abs(eps.mean(axis=0) - ana.bias) <= 3.0 * se + 1e-12)
+    bias = h_inj @ (gains.K @ stealth_attack.a)
+    assert np.all(np.abs(eps.mean(axis=0) - bias) <= 3.0 * se + 1e-12)
+    assert impact_metric(ieee14, gains, stealth_attack) == pytest.approx(
+        float(np.linalg.norm(bias)), rel=1e-12, abs=0.0)
 
 
 def test_impact_homogeneity(ieee14, stealth_attack):
     gains = compute_reduced_gains(ieee14, stealth_attack.d)
-    base = impact_metric(ieee14, gains, stealth_attack).impact
+    base = impact_metric(ieee14, gains, stealth_attack)
     for t in (-2.0, 0.5):
         scaled = scale_attack(stealth_attack, t * stealth_attack.mu)
-        assert impact_metric(ieee14, gains, scaled).impact == pytest.approx(
+        assert impact_metric(ieee14, gains, scaled) == pytest.approx(
             abs(t) * base, rel=1e-9
         )
 
@@ -316,7 +318,7 @@ def _per_point_reference(model, attack, mu, alpha):
              else compute_gains(model))
     scaled = scale_attack(attack, mu)
     det = detection_probability(gains, scaled.a, alpha)
-    impact = impact_metric(model, gains, scaled).impact
+    impact = impact_metric(model, gains, scaled)
     return scaled.k_a, scaled.k_d, det.lam, det.delta, impact
 
 
@@ -375,6 +377,16 @@ def test_zero_lambda_survives_an_overflowing_scale(ieee14, reported_variants14):
     with pytest.raises(ValueError, match="combined_2_9"):
         risk_sweep(ieee14, [("combined_1_10", stealth), ("combined_2_9", caught)],
                    grid, alpha=0.05)
+
+
+def test_mask_without_redundancy_refused_by_both_entry_points(two_bus_variant):
+    # the Monte Carlo refuses the variant the sweep refuses, with the same
+    # error; the sweep names the variant
+    model, attack = two_bus_variant
+    with pytest.raises(UnobservableError, match=r"no redundancy \(dof 0\)"):
+        empirical_detection(model, attack, 0.05, runs=10, seed=0)
+    with pytest.raises(UnobservableError, match=r"^combined_1_2: .*\(dof 0\)"):
+        risk_sweep(model, [("combined_1_2", attack)], [0.1], alpha=0.05, runs=10)
 
 
 def test_mixed_attack_family_rejected(chain3, chain_variants):

@@ -539,6 +539,23 @@ def test_certificate_matches_oracle_refit(chain3):
     )
 
 
+@pytest.mark.parametrize("h", [np.array([1.0, 2.0]), np.ones((2, 2, 2)),
+                               np.zeros((0, 3))], ids=["1-D", "3-D", "no rows"])
+def test_sweep_rejects_malformed_matrix(h):
+    with pytest.raises(SecurityIndexError, match="2-D with at least one row"):
+        index_sweep(h)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+def test_infeasible_program_grows_the_box(scale):
+    # moving a row shrunk 1e5-fold needs a certificate far outside the
+    # starting box, so such programs are infeasible until the box grows
+    h = random_observable_matrix(np.random.default_rng(3), 7, 3)
+    h[0] /= scale
+    alphas = [r["alpha"] for r in index_sweep(h)]
+    assert alphas == [enumeration_alpha(h, j)[0] for j in range(7)]
+
+
 def test_query_validation(chain3):
     with pytest.raises(SecurityIndexError):
         IndexQuery(chain3.H, 0)
