@@ -5,6 +5,19 @@ presolve off, then checks the answer itself: the point must meet every
 constraint at HiGHS's own tolerances, and the incumbent must sit within
 HiGHS's absolute gap of its dual bound.
 
+A program may carry a cutoff, passed to HiGHS as its `objective_bound`:
+HiGHS then prunes every node whose bound reaches it, so the question it
+answers is only whether a point below the cutoff exists, which is
+cheaper to settle than the optimum.  HiGHS does not always say so in
+its status.  With nothing below the bound it may report the program
+infeasible, or report an incumbent at or above the bound as optimal,
+with a dual bound equal to it: of the 100 fallback index programs of
+the `index-plan40` plans of seeds 0-9, with the bound half a row under
+their optimum, it called 53 infeasible and answered 47 with a point at
+the optimum (30) or a row above it (17).  Either way
+`solve_milp` reports status "cutoff", and it never returns a point at
+or above the cutoff as an optimum.
+
 scipy.optimize loads on the first solve, not with this module: it takes
 about 0.2 s to import, and only bare matrices and plans that are not
 cut-exact pose a program, so ieee14 `detect`, `risk` and `index` never
@@ -18,12 +31,12 @@ about half of HiGHS's time: the 26 programs of a 40-row ieee14 plan took
 2-vCPU VM).  A primal heuristic only decides which optimum is found
 first, never which one is proven, so optimal values do not change; among
 equally good points a different one may be reported.  scipy passes the
-option to HiGHS verbatim and warns about it on every call.  That one
-warning is ignored by a filter set at import (and put back if a reset
-drops it), since a per-call `warnings.catch_warnings` is not
-thread-safe.  For the same reason the constraints reach scipy as a sparse
-matrix: converting a dense one, scipy switches every warning in the
-process to an error for a moment.
+option, and a cutoff's `objective_bound`, to HiGHS verbatim and warns
+about them on every call.  That one warning is ignored by a filter set
+at import (and put back if a reset drops it), since a per-call
+`warnings.catch_warnings` is not thread-safe.  For the same reason the
+constraints reach scipy as a sparse matrix: converting a dense one,
+scipy switches every warning in the process to an error for a moment.
 
 HiGHS prints some MIP diagnostics straight to file descriptor 1, whatever
 its logging options say, so solves run with fd 1 on the null device.  The
@@ -42,7 +55,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -56,10 +69,13 @@ _ABS_GAP = 1e-6
 # cannot help prove the optimum.
 _OPTIONS = {"mip_rel_gap": 0.0, "presolve": False,
             "mip_heuristic_run_feasibility_jump": False}
-# scipy's warning that it passes the option above to HiGHS verbatim
-# (message, category, module), and the "ignore" filter for it as
-# `warnings.filterwarnings` stores it
-_OPTION_WARNING = (r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}",
+# scipy's warning that it passes the option above, and a cutoff, to HiGHS
+# verbatim (message, category, module), and the "ignore" filter for it as
+# `warnings.filterwarnings` stores it.  scipy names the options as a set,
+# so the two names come in either order.
+_OPTION_WARNING = (r"Unrecognized options detected: \{("
+                   r"'mip_heuristic_run_feasibility_jump'(, 'objective_bound')?"
+                   r"|'objective_bound', 'mip_heuristic_run_feasibility_jump')\}",
                    RuntimeWarning, re.escape(__name__) + r"\Z")
 _OPTION_WARNING_FILTER = ("ignore", re.compile(_OPTION_WARNING[0], re.I), RuntimeWarning,
                           re.compile(_OPTION_WARNING[2]), 0)
@@ -76,7 +92,10 @@ class MilpProblem:
     """min objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq,
     lb <= x <= ub, x[binary] in {0, 1}.
 
-    node_hook must stay None: HiGHS takes no per-node callbacks.
+    With a cutoff, only points whose objective is below it are sought
+    (see the module docstring).  HiGHS takes no per-node callbacks, so
+    node_hook is not a field: it is always None, kept as a class
+    attribute because `perfbench/tracer.py` reads it.
     """
 
     objective: np.ndarray
@@ -87,7 +106,8 @@ class MilpProblem:
     binary: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    node_hook: Optional[Callable] = None
+    cutoff: Optional[float] = None
+    node_hook: ClassVar[None] = None
 
 
 @dataclass
@@ -97,7 +117,7 @@ class MilpSolution:
     node count; HiGHS reports no LP solve or simplex pivot count for a MIP
     through scipy, so lp_count and simplex_iterations are always 0."""
 
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | infeasible | unbounded | cutoff
     objective: Optional[float]
     x: Optional[np.ndarray]
     node_count: int
@@ -167,14 +187,14 @@ def _quiet_fd1():
 def solve_milp(problem: MilpProblem) -> MilpSolution:
     """Solve the program to optimality with HiGHS.
 
-    Returns the optimum, or status infeasible/unbounded.  Raises MilpError
-    for malformed input, any other HiGHS outcome, or an optimum that fails
-    the feasibility or gap check.
+    Returns the optimum, or status infeasible/unbounded; with a cutoff,
+    an optimum below it or status cutoff, which stands for every outcome
+    that finds no point below it, infeasibility included.  Raises
+    MilpError for malformed input, any other HiGHS outcome, or an
+    optimum that fails the feasibility or gap check.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp  # see the module docstring
 
-    if problem.node_hook is not None:
-        raise MilpError("node hooks are not supported by the HiGHS backend")
     c = np.asarray(problem.objective, dtype=float)
     binary = np.asarray(problem.binary, dtype=bool)
     a_ub, a_eq = _as_matrix(problem.a_ub, c.size), _as_matrix(problem.a_eq, c.size)
@@ -189,14 +209,19 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
     constraints = LinearConstraint(csc_array(np.vstack([a_ub, a_eq])),
                                    np.r_[np.full(b_ub.size, -np.inf), b_eq],
                                    np.r_[b_ub, b_eq])
+    options = (_OPTIONS if problem.cutoff is None
+               else dict(_OPTIONS, objective_bound=float(problem.cutoff)))
     _ignore_option_warning()
     with _quiet_fd1():
         res = milp(c, integrality=binary, bounds=Bounds(lb, ub),
-                   constraints=constraints, options=_OPTIONS)
+                   constraints=constraints, options=options)
     nodes = int(res.mip_node_count or 0)
     status = _STATUS.get(res.status)
     if status is None:
         raise MilpError(f"HiGHS failed: {res.message}")
+    if problem.cutoff is not None and (status == "infeasible" or (
+            status == "optimal" and res.fun >= problem.cutoff)):
+        status = "cutoff"
     if status != "optimal":
         return MilpSolution(status, None, None, nodes, 0, 0)
 

@@ -63,17 +63,28 @@ attack on the floor and touches no more rows, so L <= alpha <= U when
 the target is a row of the floor; an injection target whose bus keeps
 no row gets L = 0.  The plan and its floor share one flow network and
 differ only in its hyperedge capacities.  Where L = U the plan's cut
-support is optimal and is the answer, and no program is posed; only
-there is the cut's residual network searched for its tuple.  The other
-classes, and every row of a bare matrix, take the MILP.  On a cut-exact
-plan the two capacities are one, and one cut per target serves.
+support is optimal and is the answer, and no program is posed.  Where
+L < U the cut's support of U rows is already in hand, so the MILP only
+has to rule out a cheaper one: it is posed with U - 1/2 as a cutoff
+(see `milp`), and a class for which HiGHS finds nothing below it has
+alpha = U and reports the cut's tuple.  The cutoff sits half a row
+under U, not just under it, because HiGHS's objective may carry its
+integrality slack (up to its 1e-6 tolerance on each binary, times the
+class's row count), while every support's true objective is a whole
+row count.  Only a class that reports the cut's tuple has the cut's
+residual network searched.  Every row of a bare matrix takes the MILP
+without a cutoff.  On a cut-exact plan the two capacities are one, and
+one cut per target serves.  A line's flow target and the injection
+target of its from bus pose the same source-sink pair, so each maximum
+flow is computed once per structure and kept on its network.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
 and a target takes the cut or program of its class's first row: every
 member of a class gets one support, the one `index_sweep` reports.
 Every support either path reports is refit with exact zeros off the
-support and checked for stealth before it is returned.
+support and checked for stealth before it is returned, and a MILP
+optimum must also be minimal (see `_check_minimal`).
 
 The big-M relaxation alone bounds alpha weakly (2 against 11 at the root
 for ieee14 measurement 9, 4 with the rows below), so each program also
@@ -92,15 +103,35 @@ Every program is solved, and every certificate built, at the magnitude
 0.1 in one big-M box; a certificate is linear in the magnitude, so scale
 it for another.  The box grows tenfold, at most twice, when the program
 is infeasible (the all-classes support is stealthy, so only the box can
-exclude every certificate) or its certificate nearly fills it.  Among
-equally sparse supports, the one the MILP reports is the one HiGHS
-proves optimal first; it is fixed for a given scipy build and solver
-options, but follows no ordering of the rows.
+exclude every certificate) or its certificate nearly fills it.  With a
+cutoff, finding nothing below U does not tell a small box apart, so the
+box must then hold the cut support's own certificate, by the same
+guard.  On a plan, a class reports a MILP support only when it is
+cheaper than the cut's, so a tie at U always goes to the cut's tuple.
+Among equally sparse supports below U, and on a bare matrix, the one
+the MILP reports is the one HiGHS proves optimal first; it is fixed for
+a given scipy build and solver options, but follows no ordering of the
+rows.
+
+A row value counts as zero when it is within rounding of zero: at most
+_ROUNDING times the largest row norm times the certificate's norm.  The
+refit is an SVD least-squares solve, which is backward stable: the
+computed certificate c solves a problem whose matrix is off by a few
+machine epsilons of its norm, so a row the exact certificate zeroes
+computes to a few epsilons of max_i |h_i| |c|.  A row's own norm does
+not bound that residue, since a small row carries about the same one as
+a large row.  On ieee14 with its reactances scaled by up to 10^4 either
+way, such residues reached 8e-11 of |h_i| |c| on small rows but stayed
+below 5e-16 of max_i |h_i| |c|, while nonzero support rows stayed above
+3e-9 of it.  Over every refit of the tests, stealthy supports left
+residues below 3e-15 of it and refuted candidates above 1e-7.
+_ROUNDING, about 4500 epsilons, sits between, with room for the
+dimension factors of the rounding bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -115,7 +146,7 @@ _BIG_M = 1e3             # the box every index program starts with
 _M_GUARD = 0.99
 _MAX_ENLARGEMENTS = 2    # big-M growth by 10x before giving up
 _MAX_CUTS = 64           # refuted candidate supports before giving up
-_VAL_TOL = 1e-7 * _PROGRAM_MU  # row value at or below which a class is idle
+_ROUNDING = 1e-12        # zero row values, relative to max |h_i| |c|
 _CIRCUIT_SCREEN = 1e-12  # Gram determinant below which a triple gets an SVD
 _CIRCUIT_BLOCK = 1 << 15  # Gram determinants computed per block of the scan
 
@@ -254,7 +285,8 @@ class CutNetwork:
     agree and floor is capacity.  ends holds each line's (from, to) bus,
     row_line each flow row's line and row_bus each injection row's bus
     (-1 where a row is of the other kind), and neighbours each bus's
-    adjacent buses in case order."""
+    adjacent buses in case order.  flows keeps every maximum flow
+    computed on the network, filled as targets ask for them."""
 
     capacity: csr_matrix
     floor: csr_matrix
@@ -264,6 +296,7 @@ class CutNetwork:
     row_line: np.ndarray
     row_bus: np.ndarray
     neighbours: tuple
+    flows: dict = field(default_factory=dict, repr=False)
 
 
 def _capacity(ends, flows, weights, neighbours, big) -> csr_matrix:
@@ -322,39 +355,52 @@ def _cut_network(model: GridModel) -> CutNetwork:
     return CutNetwork(capacity, floor, buses, ends, kept, row_line, row_bus, neighbours)
 
 
-def _min_cut(capacity, pairs):
-    """The maximum flow of the (source, sink) pair with the smallest
-    value, the first in order on a tie, and that pair's source."""
-    return min(((maximum_flow(capacity, s, t), s) for s, t in pairs),
-               key=lambda cut: cut[0].flow_value)
+def _min_cut(network, capacity, pairs):
+    """The maximum flow on `capacity`, one of the network's two, of the
+    (source, sink) pair with the smallest value, the first in order on
+    a tie, and that pair's source.  Each pair's flow is computed once
+    and kept in network.flows; threads that race on one pair may each
+    compute it, and keep the same flow."""
+    cuts = []
+    for s, t in pairs:
+        key = (capacity is network.capacity, s, t)
+        flow = network.flows.get(key)
+        if flow is None:
+            flow = network.flows[key] = maximum_flow(capacity, s, t)
+        cuts.append((flow, s))
+    return min(cuts, key=lambda cut: cut[0].flow_value)
 
 
 def _cut_bounds(network: CutNetwork, j0: int):
-    """(lower, upper, rows): bounds on alpha at row j0 of a GridModel's
-    plan, and the rows (0-based) that the upper bound's cut touches.
+    """(lower, upper, cut): bounds on alpha at row j0 of a GridModel's
+    plan, and the upper bound's cut as the plan's maximum flow and its
+    source, from which `_cut_rows` finds the rows it touches.
 
     upper is the minimum cut through j0 on the plan's capacity, lower
     the same cut on its floor, or 0 where the floor keeps none of j0's
     injection rows.  A flow row's cut separates its line's from bus
     from its to bus; an injection row's separates its bus from the
     neighbour that is cheapest to cut it from, the first in case order
-    on a tie.  Only where lower == upper is the cut the answer, so only
-    there is its smallest source side found, as the buses the plan's
-    maximum flow still reaches from the source in its residual network;
-    elsewhere rows is None."""
+    on a tie."""
     line, bus = network.row_line[j0], network.row_bus[j0]
     pairs = ([tuple(network.ends[line])] if line >= 0
              else [(bus, u) for u in network.neighbours[bus]])
-    flow, source = _min_cut(network.capacity, pairs)
-    upper = flow.flow_value
+    cut = _min_cut(network, network.capacity, pairs)
+    upper = cut[0].flow_value
     if network.floor is network.capacity:
         lower = upper
     elif bus >= 0 and network.kept[bus] == 0:
         lower = 0
     else:
-        lower = _min_cut(network.floor, pairs)[0].flow_value
-    if lower < upper:
-        return lower, upper, None
+        lower = _min_cut(network, network.floor, pairs)[0].flow_value
+    return lower, upper, cut
+
+
+def _cut_rows(network: CutNetwork, cut) -> np.ndarray:
+    """The rows (0-based) that a cut from `_cut_bounds` touches: those
+    of its smallest source side, the buses its maximum flow still
+    reaches from the source in the residual network."""
+    flow, source = cut
     residual = network.capacity - flow.flow
     residual.eliminate_zeros()  # saturated edges
     reached = breadth_first_order(residual, source, return_predecessors=False)
@@ -363,9 +409,8 @@ def _cut_bounds(network: CutNetwork, j0: int):
     crossing = side[network.ends[:, 0]] != side[network.ends[:, 1]]
     touched = np.zeros(network.buses, dtype=bool)
     touched[network.ends[crossing].ravel()] = True
-    rows = np.flatnonzero(np.where(network.row_line >= 0, crossing[network.row_line],
+    return np.flatnonzero(np.where(network.row_line >= 0, crossing[network.row_line],
                                    touched[network.row_bus]))
-    return lower, upper, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +446,7 @@ def row_structure(model_or_h) -> RowStructure:
     return RowStructure(classes, row_class, reps, circuits, network)
 
 
-def _build_problem(h, structure, j0, big_m, cuts):
+def _build_problem(h, structure, j0, big_m, cuts, cutoff=None):
     n = h.shape[1]
     ncls = len(structure.classes)
     circuits = structure.circuits
@@ -437,7 +482,7 @@ def _build_problem(h, structure, j0, big_m, cuts):
 
     objective = np.zeros(nv)
     objective[n:] = [len(cls) for cls in structure.classes]
-    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub)
+    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub, cutoff)
 
 
 def _canonical_sets(support, j, ci, ca):
@@ -455,16 +500,19 @@ def _gamma(alpha, ci, ca):
 
 def _refit(h, j0, support_rows):
     """Least-squares certificate that zeroes every row off the support and
-    moves the target by the program's magnitude; its row values; and
-    whether those do both to rounding error."""
+    moves the target by the program's magnitude; its row values, each
+    within rounding of zero (see the module docstring) set to exactly
+    zero; and whether those do both to rounding error."""
     comp = np.setdiff1d(np.arange(h.shape[0]), support_rows)
     a = np.vstack([h[comp], h[j0][None, :]])
     b = np.zeros(a.shape[0])
     b[-1] = _PROGRAM_MU
     c, *_ = np.linalg.lstsq(a, b, rcond=None)
     v = h @ c
-    stealth = (abs(v[j0] - _PROGRAM_MU) <= 1e-7
-               and np.max(np.abs(v[comp]), initial=0.0) <= 1e-9)
+    rounding = _ROUNDING * np.linalg.norm(h, axis=1).max() * np.linalg.norm(c)
+    stealth = (abs(v[j0] - _PROGRAM_MU) <= rounding
+               and np.max(np.abs(v[comp]), initial=0.0) <= rounding)
+    v[np.abs(v) <= rounding] = 0.0
     return c, v, stealth
 
 
@@ -476,56 +524,95 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     """Sparsest stealth support through the target, with its certificate.
 
     Where the floor's minimum cut meets the plan's, the support is the
-    rows the plan's cut touches.  Otherwise it comes from the MILP:
-    HiGHS accepts a binary within its integrality tolerance of 0 while
-    the big-M row still carries up to M times that tolerance, so its
-    support is only a candidate.  The candidate is refit with exact
-    zeros off the support and tested for stealth.  A candidate that
-    fails cannot contain a stealthy subset, so a cut forcing some class
-    outside it into the support is added and the program solved again.
-    Cuts remove no stealthy support, so the first candidate that passes
-    is optimal.  Either way the answer must pass the same refit,
-    idle-class and objective checks.
+    rows the plan's cut touches.  Otherwise it comes from the MILP, with
+    the plan's cut as its cutoff where there is one: HiGHS accepts a
+    binary within its integrality tolerance of 0 while the big-M row
+    still carries up to M times that tolerance, so its support is only
+    a candidate.  The candidate is refit with exact zeros off the
+    support and tested for stealth.  A candidate that fails cannot
+    contain a stealthy subset, so a cut forcing some class outside it
+    into the support is added and the program solved again.  Cuts
+    remove no stealthy support, so the first candidate that passes is
+    optimal; where HiGHS finds none below the cutoff, the plan's cut is.
+    Either way the answer must pass the same refit, idle-class and
+    objective checks, and a MILP optimum the minimality check.
     """
     h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
         structure = row_structure(query.model)
     first = structure.classes[structure.row_class[j0]][0]  # one support per class
-    rows = None
-    if structure.network is not None:
-        _, objective, rows = _cut_bounds(structure.network, first)
-    if rows is not None:
-        on = np.zeros(len(structure.classes), dtype=bool)
-        on[structure.row_class[rows]] = True
-        cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))
-        if not stealth:
-            raise SecurityIndexError("minimum cut support failed the stealth check")
-    else:
+    if structure.network is None:
         objective, on, cert, v = _solve_milp_index(h, structure, j0, first)
+    else:
+        lower, upper, cut = _cut_bounds(structure.network, first)
+        if lower < upper:
+            objective, on, cert, v = _solve_milp_index(h, structure, j0, first, cut)
+        else:
+            objective = upper
+            on, cert, v = _cut_support(h, structure, j0, cut)
 
-    # Every class costs at least one row, so dropping a class the verified
-    # certificate leaves at zero would undercut an optimal support
-    if np.any(np.abs(v[structure.reps[on]]) <= _VAL_TOL):
-        raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
     support = tuple(int(i) + 1 for i in _rows_of(structure.classes, on))
     if abs(objective - len(support)) > 1e-6 * len(support):
         raise SecurityIndexError("objective inconsistent with reported support")
     return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
 
-def _solve_milp_index(h, structure, j0, first):
+def _cut_support(h, structure, j0, cut):
+    """The classes a cut from `_cut_bounds` touches, and their refit
+    (certificate and row values), which must be stealthy."""
+    on = np.zeros(len(structure.classes), dtype=bool)
+    on[structure.row_class[_cut_rows(structure.network, cut)]] = True
+    cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))
+    if not stealth:
+        raise SecurityIndexError("minimum cut support failed the stealth check")
+    _check_no_idle_class(structure, on, v)
+    return on, cert, v
+
+
+def _check_no_idle_class(structure, on, v):
+    # Every class costs at least one row, so dropping a class the verified
+    # certificate leaves at zero would undercut an optimal support
+    if not np.all(v[structure.reps[on]]):
+        raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
+
+
+def _check_minimal(h, structure, j0, on):
+    """Raise unless a MILP optimum is minimal: no class but the target's
+    leaves it with the rest still stealthy.  Every class costs at least
+    one row, so an optimum always is.  HiGHS can prove a wrong optimum
+    where its absolute tolerances swamp the program's row values: with
+    one row of a 7x3 matrix 10^5 times the others it proved 7 where 5
+    rows suffice, and this finds that support out."""
+    for k in np.flatnonzero(on):
+        if k != structure.row_class[j0]:
+            rest = on.copy()
+            rest[k] = False
+            if _refit(h, j0, _rows_of(structure.classes, rest))[2]:
+                raise SecurityIndexError("index program's optimum is not minimal")
+
+
+def _solve_milp_index(h, structure, j0, first, cut=None):
     """The MILP's optimal objective, the classes of its first support
     that passes the stealth test, and that support's refit (certificate
     and row values).  The program moves row `first`, of j0's class; the
-    refit moves j0."""
+    refit moves j0.  With the plan's cut from `_cut_bounds`, the program
+    seeks only supports with fewer rows than the cut's, and where it
+    finds none the answer is the cut's support."""
     n = h.shape[1]
     classes = structure.classes
+    cutoff = None if cut is None else cut[0].flow_value - 0.5  # see the module docstring
     big = _BIG_M
     enlargements = 0
     cuts = []
+    found = None  # the cut's support, once HiGHS has found nothing below it
     while True:
-        sol = solve_milp(_build_problem(h, structure, first, big, cuts))
-        if sol.status == "optimal":
+        sol = solve_milp(_build_problem(h, structure, first, big, cuts, cutoff))
+        if sol.status == "cutoff":
+            if found is None:
+                found = _cut_support(h, structure, j0, cut)
+            if np.max(np.abs(found[2])) <= _M_GUARD * big:
+                return (cut[0].flow_value, *found)
+        elif sol.status == "optimal":
             on = sol.x[n : n + len(classes)] > 0.5
             cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
             if not stealth:
@@ -535,14 +622,17 @@ def _solve_milp_index(h, structure, j0, first):
                 cuts.append((~on).astype(float))
                 continue
             if np.max(np.abs(v)) <= _M_GUARD * big:
+                _check_no_idle_class(structure, on, v)
+                _check_minimal(h, structure, j0, on)
                 return sol.objective, on, cert, v
         elif sol.status != "infeasible":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
         # big-M validity guard: the box holds no certificate at all (the
         # all-classes support is stealthy and no cut removes a stealthy
         # support, so only the box can be at fault), or even the
-        # least-norm certificate of the support nearly fills it, so the
-        # box may cut off others
+        # least-norm certificate of the support found, or of the cut's
+        # where none is found below it, nearly fills it, so the box may
+        # cut off others
         if enlargements == _MAX_ENLARGEMENTS:
             raise SecurityIndexError(
                 f"big-M guard failed after repeated enlargement (status {sol.status})")

@@ -4,12 +4,14 @@ and a dynamic-programming knapsack oracle, plus its own answer checks."""
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 from scipy.optimize import LinearConstraint, OptimizeResult, milp as scipy_milp
 
+from gridrisk import milp
 from gridrisk.milp import MilpError, MilpProblem, solve_milp
 
 
@@ -150,8 +152,24 @@ def test_option_warning_is_ignored_but_others_are_not():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         solve_milp(prob)
+        solve_milp(replace(prob, cutoff=2.5))
         warnings.warn("unrelated", RuntimeWarning)
     assert [str(w.message) for w in caught] == ["unrelated"]
+    # scipy lists the options it passes on as a set, so in either order;
+    # any other option name must still warn
+    action, message, category, module, _ = milp._OPTION_WARNING_FILTER
+    assert (action, category) == ("ignore", RuntimeWarning)
+    assert module.match(milp.__name__)
+    for names, ignored in [
+            ("'mip_heuristic_run_feasibility_jump'", True),
+            ("'mip_heuristic_run_feasibility_jump', 'objective_bound'", True),
+            ("'objective_bound', 'mip_heuristic_run_feasibility_jump'", True),
+            ("'objective_bound'", False),
+            ("'mip_heuristic_run_feasibility_jump', 'time_lim'", False),
+            ("'objective_bound', 'mip_heuristic_run_feasibility_jump', 'time_lim'", False)]:
+        text = (f"Unrecognized options detected: {{{names}}}. "
+                "These will be passed to HiGHS verbatim.")
+        assert bool(message.match(text)) == ignored, names
 
 
 def test_concurrent_solves_never_raise_the_option_warning():
@@ -173,19 +191,17 @@ def test_concurrent_solves_never_raise_the_option_warning():
     assert all(x == 2.0 for batch in results for x in batch)
 
 
-def test_node_hook_rejected():
-    prob = _problem([1.0], np.zeros((0, 1)), np.zeros(0), np.zeros((0, 1)),
-                    np.zeros(0), [True], [0.0], [1.0], node_hook=lambda lo, hi: None)
-    with pytest.raises(MilpError):
-        solve_milp(prob)
+def _fake_highs(monkeypatch, x, fun, dual_bound, status=0):
+    """Make HiGHS return the given answer; returns the options it gets."""
+    options = []
 
-
-def _fake_highs(monkeypatch, x, fun, dual_bound):
     def fake(*args, **kwargs):
-        return OptimizeResult(status=0, message="", x=np.asarray(x, dtype=float),
+        options.append(kwargs["options"])
+        return OptimizeResult(status=status, message="", x=np.asarray(x, dtype=float),
                               fun=fun, mip_node_count=1, mip_dual_bound=dual_bound)
     # solve_milp imports scipy's milp when it runs, so the fake goes there
     monkeypatch.setattr(scipy.optimize, "milp", fake)
+    return options
 
 
 def _pick_two():
@@ -213,3 +229,33 @@ def test_bad_highs_answers_raise(monkeypatch, x, fun, bound):
     _fake_highs(monkeypatch, x, fun, bound)
     with pytest.raises(MilpError):
         solve_milp(_pick_two())
+
+
+def test_cutoff_asks_only_for_a_point_below_it():
+    # the optimum of the pick-two program is 2
+    below = solve_milp(replace(_pick_two(), cutoff=2.5))
+    assert below.status == "optimal" and below.objective == 2.0
+    assert solve_milp(replace(_pick_two(), cutoff=1.5)).status == "cutoff"
+    # an infeasible program has nothing below any cutoff
+    prob = _problem([1.0, 1.0], [[1.0, 1.0]], [-1.0], np.zeros((0, 2)), np.zeros(0),
+                    [True, True], np.zeros(2), np.ones(2))
+    assert solve_milp(replace(prob, cutoff=5.0)).status == "cutoff"
+
+
+@pytest.mark.parametrize("fun", [1.5, 2.0, 2.0000014])
+def test_optimal_at_or_above_the_cutoff_is_a_cutoff(monkeypatch, fun):
+    # With an objective bound HiGHS may call an incumbent at or above the
+    # bound optimal, with its dual bound equal to it; that point passes
+    # every check of an optimum, so only the cutoff can refuse it
+    options = _fake_highs(monkeypatch, [1.0, 1.0, 0.0], fun, fun)
+    sol = solve_milp(replace(_pick_two(), cutoff=1.5))
+    assert (sol.status, sol.objective, sol.x) == ("cutoff", None, None)
+    assert options[0]["objective_bound"] == 1.5
+    assert solve_milp(_pick_two()).status == "optimal"
+    assert "objective_bound" not in options[1]
+
+
+def test_infeasible_under_a_cutoff_is_a_cutoff(monkeypatch):
+    _fake_highs(monkeypatch, [np.nan] * 3, None, None, status=2)
+    assert solve_milp(replace(_pick_two(), cutoff=1.5)).status == "cutoff"
+    assert solve_milp(_pick_two()).status == "infeasible"
