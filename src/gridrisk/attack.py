@@ -68,12 +68,22 @@ class AttackVector:
         return int(self.d.sum())
 
 
+def _check_count(name: str, value, least: int):
+    """Raise ValueError unless value is a Python or numpy integer (not a
+    bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def perturb_model(model: GridModel, fraction: float, seed: int) -> GridModel:
     """The attacker's model: the true one with each line weight scaled by
     a factor drawn uniformly from [1-fraction, 1+fraction], deterministically,
-    and H reassembled from the true line_map and incidence."""
+    and H reassembled from the true line_map and incidence; seed >= 0."""
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-fraction, fraction, size=model.n_t)
     w = model.line_weights * factors

@@ -3,7 +3,9 @@
 `solve_milp` runs `scipy.optimize.milp` to a zero relative gap with
 presolve off, then checks the answer itself: the point must meet every
 constraint at HiGHS's own tolerances, and the incumbent must sit within
-HiGHS's absolute gap of its dual bound.
+HiGHS's absolute gap of its dual bound, plus the integrality slack its
+value carries at the unrounded point (the feasibility tolerance times
+each binary's cost: 2.0000017 against a bound of 2 on a 5-bus plan).
 
 A program may carry a cutoff, passed to HiGHS as its `objective_bound`:
 HiGHS then prunes every node whose bound reaches it, so the question it
@@ -89,7 +91,7 @@ class MilpError(Exception):
 
 @dataclass
 class MilpProblem:
-    """min objective @ x  s.t.  a_ub @ x <= b_ub, a_eq @ x = b_eq,
+    """min objective @ x  s.t.  lower <= a @ x <= upper,
     lb <= x <= ub, x[binary] in {0, 1}.
 
     With a cutoff, only points whose objective is below it are sought
@@ -99,10 +101,9 @@ class MilpProblem:
     """
 
     objective: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
+    a: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     binary: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -123,15 +124,6 @@ class MilpSolution:
     node_count: int
     lp_count: int
     simplex_iterations: int
-
-
-def _as_matrix(a, ncols):
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.zeros((0, ncols))
-    if a.ndim != 2 or a.shape[1] != ncols:
-        raise MilpError(f"constraint matrix must have {ncols} columns")
-    return a
 
 
 def _ignore_option_warning():
@@ -197,18 +189,18 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
 
     c = np.asarray(problem.objective, dtype=float)
     binary = np.asarray(problem.binary, dtype=bool)
-    a_ub, a_eq = _as_matrix(problem.a_ub, c.size), _as_matrix(problem.a_eq, c.size)
-    b_ub = np.asarray(problem.b_ub, dtype=float).reshape(-1)
-    b_eq = np.asarray(problem.b_eq, dtype=float).reshape(-1)
+    a = np.asarray(problem.a, dtype=float)
+    lower = np.asarray(problem.lower, dtype=float)
+    upper = np.asarray(problem.upper, dtype=float)
     lb = np.asarray(problem.lb, dtype=float)
     ub = np.asarray(problem.ub, dtype=float)
+    if a.ndim != 2 or a.shape[1] != c.size or not lower.shape == upper.shape == (len(a),):
+        raise MilpError(f"constraint block must be k x {c.size} with k lower and upper bounds")
     if np.any(lb[binary] < -1e-12) or np.any(ub[binary] > 1.0 + 1e-12):
         raise MilpError("binary variables must have bounds within [0, 1]")
 
     # sparse, so no other thread's option warning is raised as an error
-    constraints = LinearConstraint(csc_array(np.vstack([a_ub, a_eq])),
-                                   np.r_[np.full(b_ub.size, -np.inf), b_eq],
-                                   np.r_[b_ub, b_eq])
+    constraints = LinearConstraint(csc_array(a), lower, upper)
     options = (_OPTIONS if problem.cutoff is None
                else dict(_OPTIONS, objective_bound=float(problem.cutoff)))
     _ignore_option_warning()
@@ -226,16 +218,17 @@ def solve_milp(problem: MilpProblem) -> MilpSolution:
         return MilpSolution(status, None, None, nodes, 0, 0)
 
     x = np.asarray(res.x, dtype=float)
+    ax = a @ x
     violation = max(
         np.max(lb - x, initial=0.0), np.max(x - ub, initial=0.0),
         np.max(np.abs(x[binary] - np.round(x[binary])), initial=0.0),
-        np.max(a_ub @ x - b_ub, initial=0.0),
-        np.max(np.abs(a_eq @ x - b_eq), initial=0.0),
+        np.max(lower - ax, initial=0.0), np.max(ax - upper, initial=0.0),
     )
-    scale = max(1.0, np.max(np.abs(b_ub), initial=0.0), np.max(np.abs(b_eq), initial=0.0))
+    sides = np.abs(np.r_[lower, upper])
+    scale = max(1.0, np.max(sides[np.isfinite(sides)], initial=0.0))
     if violation > _FEAS_TOL * scale:
         raise MilpError("optimum failed re-substitution into the constraints")
-    if res.fun - res.mip_dual_bound > _ABS_GAP:
+    if res.fun - res.mip_dual_bound > _ABS_GAP + _FEAS_TOL * np.abs(c[binary]).sum():
         raise MilpError(f"optimum {res.fun} not closed by dual bound {res.mip_dual_bound}")
     x[binary] = np.round(x[binary])
     return MilpSolution("optimal", float(c @ x), x, nodes, 0, 0)

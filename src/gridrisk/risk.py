@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attack import AttackVector
+from .attack import AttackVector, _check_count
 from .attack import build_limited_knowledge_attack
 from . import chi2
 from .detector import detection_probability
@@ -108,21 +108,6 @@ def _wilson_interval(alarms: int, runs: int) -> tuple:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _check_count(name: str, value, least: int):
-    """Raise ValueError unless value is a Python or numpy integer (not a
-    bool) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
-def _seed_tuple(seed) -> tuple:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
-
-
 def _count_alarms(gains, shift: np.ndarray, scales, seed, tau: float,
                   runs: int) -> list:
     """Alarm count at each scale s of scales: the runs out of `runs` whose
@@ -179,14 +164,17 @@ def empirical_detection(
     (sweep seed, variant index).
     The gains are those of the attack's availability mask, the empty
     mask for a pure FDI attack.  Raises ValueError unless runs is an
-    integer >= 1 and alpha lies strictly between 0 and 1, and
-    UnobservableError (a ValueError) when the mask leaves the residual
-    test no degrees of freedom.
+    integer >= 1, seed an integer >= 0 or a tuple of them, and alpha
+    lies strictly between 0 and 1, and UnobservableError (a ValueError)
+    when the mask leaves the residual test no degrees of freedom.
     """
     _check_count("runs", runs, 1)
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    for s in seeds:
+        _check_count("seed", s, 0)
+    base = tuple(map(int, seeds))
     gains = compute_reduced_gains(model, attack.d)
     det = detection_probability(gains, attack.a, alpha)
-    base = _seed_tuple(seed)
     (alarms,) = _count_alarms(gains, det.residual, [1.0], base, det.tau, runs)
     low, high = _wilson_interval(alarms, runs)
     return MonteCarloReport(
@@ -243,7 +231,8 @@ def risk_sweep(
     size.
 
     Past lambda ~ 1e19 delta is 1 and risk 0 (`chi2.noncentral_cdf`).
-    Raises ValueError when runs is not an integer >= 0, or when a
+    Raises ValueError when runs or seed is not an integer >= 0, when
+    mu_grid is not 1-D with at least one magnitude, or when a
     magnitude, lambda or impact is not finite: (mu/mu0)^2 lambda0 and
     |mu/mu0| impact0 may overflow, though lambda0 = 0 gives lambda 0 at
     every finite magnitude.  Raises detection_probability's
@@ -253,7 +242,10 @@ def risk_sweep(
     if not base_attacks:
         raise ValueError("no attacks to sweep")
     _check_count("runs", runs, 0)
+    _check_count("seed", seed, 0)
     mu = np.array(mu_grid, dtype=float)
+    if mu.ndim != 1 or mu.size == 0:
+        raise ValueError("mu_grid must be 1-D with at least one magnitude")
     if not np.all(np.isfinite(mu)):
         raise ValueError("attack magnitudes must be finite")
     tuples = {_tuple_rows(atk) for _, atk in base_attacks}
@@ -310,8 +302,8 @@ def default_mu_grid(mu_max: float = 0.5, mu_points: int = 200) -> np.ndarray:
     Magnitudes past the float range come out inf, which risk_sweep rejects.
     """
     _check_count("mu_points", mu_points, 1)
-    if mu_max < 0:
-        raise ValueError("mu_max must be >= 0")
+    if not mu_max >= 0:
+        raise ValueError(f"mu_max must be >= 0, not {mu_max!r}")
     with np.errstate(over="ignore"):
         return mu_max * np.arange(1, mu_points + 1) / mu_points
 

@@ -447,6 +447,8 @@ def row_structure(model_or_h) -> RowStructure:
 
 
 def _build_problem(h, structure, j0, big_m, cuts, cutoff=None):
+    """The index program over (c, a binary per class) in one block: big-M,
+    3-circuit and refuted-support rows, and last the target row."""
     n = h.shape[1]
     ncls = len(structure.classes)
     circuits = structure.circuits
@@ -454,35 +456,32 @@ def _build_problem(h, structure, j0, big_m, cuts, cutoff=None):
 
     nv = n + ncls
     n_circ = 3 * len(circuits)
-    n_ub = 2 * ncls + n_circ + len(cuts)
-    a_ub = np.zeros((n_ub, nv))
-    b_ub = np.zeros(n_ub)
-    a_ub[0 : 2 * ncls : 2, :n] = h_rep
-    a_ub[1 : 2 * ncls : 2, :n] = -h_rep
-    a_ub[np.arange(2 * ncls), n + np.repeat(np.arange(ncls), 2)] = -big_m
+    n_rows = 2 * ncls + n_circ + len(cuts) + 1
+    a = np.zeros((n_rows, nv))
+    lower = np.full(n_rows, -np.inf)
+    upper = np.zeros(n_rows)
+    a[0 : 2 * ncls : 2, :n] = h_rep
+    a[1 : 2 * ncls : 2, :n] = -h_rep
+    a[np.arange(2 * ncls), n + np.repeat(np.arange(ncls), 2)] = -big_m
     # y_a - y_b - y_c <= 0 for each member a of each 3-circuit
-    circ = a_ub[2 * ncls : 2 * ncls + n_circ]
+    circ = a[2 * ncls : 2 * ncls + n_circ]
     circ[np.repeat(np.arange(n_circ), 3), n + np.repeat(circuits, 3, axis=0).ravel()] = -1.0
     circ[np.arange(n_circ), n + circuits.ravel()] = 1.0
     if cuts:
         # at least one class outside each refuted support must be attacked
-        a_ub[2 * ncls + n_circ :, n:] = -np.array(cuts)
-        b_ub[2 * ncls + n_circ :] = -1.0
-    a_eq = np.zeros((1, nv))
-    a_eq[0, :n] = h[j0]
-    b_eq = np.array([_PROGRAM_MU])
+        a[2 * ncls + n_circ : -1, n:] = -np.array(cuts)
+        upper[2 * ncls + n_circ : -1] = -1.0
+    a[-1, :n] = h[j0]
+    lower[-1] = upper[-1] = _PROGRAM_MU
 
-    binary = np.zeros(nv, dtype=bool)
-    binary[n:] = True
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    lb[n:] = 0.0
-    ub[n:] = 1.0
+    binary = np.arange(nv) >= n
+    lb = np.r_[np.full(n, -np.inf), np.zeros(ncls)]
+    ub = np.r_[np.full(n, np.inf), np.ones(ncls)]
     lb[n + structure.row_class[j0]] = 1.0  # target row is corrupted by definition
 
     objective = np.zeros(nv)
     objective[n:] = [len(cls) for cls in structure.classes]
-    return MilpProblem(objective, a_ub, b_ub, a_eq, b_eq, binary, lb, ub, cutoff)
+    return MilpProblem(objective, a, lower, upper, binary, lb, ub, cutoff)
 
 
 def _canonical_sets(support, j, ci, ca):
@@ -534,39 +533,38 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     into the support is added and the program solved again.  Cuts
     remove no stealthy support, so the first candidate that passes is
     optimal; where HiGHS finds none below the cutoff, the plan's cut is.
-    Either way the answer must pass the same refit, idle-class and
-    objective checks, and a MILP optimum the minimality check.
+    Either way the answer must pass the same refit and idle-class checks;
+    a cut must count its support and a MILP optimum must be minimal.
     """
     h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
         structure = row_structure(query.model)
     first = structure.classes[structure.row_class[j0]][0]  # one support per class
     if structure.network is None:
-        objective, on, cert, v = _solve_milp_index(h, structure, j0, first)
+        on, cert = _solve_milp_index(h, structure, j0, first)
     else:
         lower, upper, cut = _cut_bounds(structure.network, first)
         if lower < upper:
-            objective, on, cert, v = _solve_milp_index(h, structure, j0, first, cut)
+            on, cert = _solve_milp_index(h, structure, j0, first, cut)
         else:
-            objective = upper
-            on, cert, v = _cut_support(h, structure, j0, cut)
-
+            on, cert = _cut_support(h, structure, j0, cut)
     support = tuple(int(i) + 1 for i in _rows_of(structure.classes, on))
-    if abs(objective - len(support)) > 1e-6 * len(support):
-        raise SecurityIndexError("objective inconsistent with reported support")
     return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
 
 def _cut_support(h, structure, j0, cut):
-    """The classes a cut from `_cut_bounds` touches, and their refit
-    (certificate and row values), which must be stealthy."""
+    """The classes a cut from `_cut_bounds` touches, whose rows its value
+    must count, and their refit certificate, which must be stealthy."""
     on = np.zeros(len(structure.classes), dtype=bool)
     on[structure.row_class[_cut_rows(structure.network, cut)]] = True
-    cert, v, stealth = _refit(h, j0, _rows_of(structure.classes, on))
+    rows = _rows_of(structure.classes, on)
+    if len(rows) != cut[0].flow_value:
+        raise SecurityIndexError("minimum cut value inconsistent with the rows it touches")
+    cert, v, stealth = _refit(h, j0, rows)
     if not stealth:
         raise SecurityIndexError("minimum cut support failed the stealth check")
     _check_no_idle_class(structure, on, v)
-    return on, cert, v
+    return on, cert
 
 
 def _check_no_idle_class(structure, on, v):
@@ -592,12 +590,12 @@ def _check_minimal(h, structure, j0, on):
 
 
 def _solve_milp_index(h, structure, j0, first, cut=None):
-    """The MILP's optimal objective, the classes of its first support
-    that passes the stealth test, and that support's refit (certificate
-    and row values).  The program moves row `first`, of j0's class; the
-    refit moves j0.  With the plan's cut from `_cut_bounds`, the program
-    seeks only supports with fewer rows than the cut's, and where it
-    finds none the answer is the cut's support."""
+    """The classes of the MILP's first optimal support that passes the
+    stealth test, and that support's refit certificate.  The program
+    moves row `first`, of j0's class; the refit moves j0.  With the
+    plan's cut from `_cut_bounds`, the program seeks only supports with
+    fewer rows than the cut's, and where it finds none the answer is
+    the cut's support."""
     n = h.shape[1]
     classes = structure.classes
     cutoff = None if cut is None else cut[0].flow_value - 0.5  # see the module docstring
@@ -608,10 +606,9 @@ def _solve_milp_index(h, structure, j0, first, cut=None):
     while True:
         sol = solve_milp(_build_problem(h, structure, first, big, cuts, cutoff))
         if sol.status == "cutoff":
-            if found is None:
-                found = _cut_support(h, structure, j0, cut)
-            if np.max(np.abs(found[2])) <= _M_GUARD * big:
-                return (cut[0].flow_value, *found)
+            found = found or _cut_support(h, structure, j0, cut)
+            if np.max(np.abs(h @ found[1])) <= _M_GUARD * big:
+                return found
         elif sol.status == "optimal":
             on = sol.x[n : n + len(classes)] > 0.5
             cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
@@ -624,7 +621,7 @@ def _solve_milp_index(h, structure, j0, first, cut=None):
             if np.max(np.abs(v)) <= _M_GUARD * big:
                 _check_no_idle_class(structure, on, v)
                 _check_minimal(h, structure, j0, on)
-                return sol.objective, on, cert, v
+                return on, cert
         elif sol.status != "infeasible":
             raise SecurityIndexError(f"index program ended with status {sol.status}")
         # big-M validity guard: the box holds no certificate at all (the

@@ -91,6 +91,12 @@ def test_perturb_fraction_validation(ieee14):
             perturb_model(ieee14, bad, seed=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", True])
+def test_perturb_seed_validation(ieee14, bad):
+    with pytest.raises(ValueError, match="seed"):
+        perturb_model(ieee14, 0.1, bad)
+
+
 def test_full_knowledge_attack_is_invisible(ieee14, res9):
     d = _critical_mask(ieee14, res9, 9)
     res = res9

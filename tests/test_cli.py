@@ -22,7 +22,7 @@ from gridrisk.security import (
 )
 
 from conftest import TWO_BUS_DOC, plan35_doc
-from oracles import mc_alarm_count
+from oracles import enumeration_alpha, mc_alarm_count
 
 CHAIN3 = str(resources.files("gridrisk") / "cases" / "chain3.json")
 RING4 = str(resources.files("gridrisk") / "cases" / "ring4.json")
@@ -78,6 +78,33 @@ def test_index_rows_match_the_model_query(tmp_path):
         support = sorted(int(i) for key in ("integrity_set", "availability_set")
                          for i in rows[j][key].split(";") if i)
         assert fdi_index(IndexQuery(model, j)).support == tuple(support)
+
+
+# A plan on which HiGHS proves each optimum with a value up to 1.7e-6
+# above its dual bound, the binaries' integrality slack
+SLACK5_DOC = {
+    "base_mva": 100.0,
+    "buses": [{"id": 1}, {"id": 2}, {"id": 3}, {"id": 4}, {"id": 5, "reference": True}],
+    "lines": [{"id": i, "from": f, "to": t, "reactance": x} for i, f, t, x in [
+        (1, 1, 2, 0.059082530045897884), (2, 1, 3, 0.11254993195869412),
+        (3, 2, 4, 8.748405748153234), (4, 1, 5, 0.06960498680205142),
+        (5, 4, 5, 0.0069240464975178434), (6, 5, 3, 0.03615985509304816),
+        (7, 2, 1, 4.025844900248919), (8, 4, 3, 0.4088456327903716)]],
+    "measurements": [{"kind": kind, "element": element, "sigma": 0.02} for kind, element in [
+        ("flow_from", 5), ("flow_to", 8), ("injection", 4), ("flow_from", 6),
+        ("flow_from", 6), ("injection", 5), ("flow_to", 2), ("flow_from", 1),
+        ("injection", 1)]],
+}
+
+
+def test_index_accepts_an_optimum_within_integrality_slack(tmp_path):
+    plan = tmp_path / "slack5.json"
+    plan.write_text(json.dumps(SLACK5_DOC))
+    out = tmp_path / "slack5.csv"
+    assert main(["index", "--case", str(plan), "--out", str(out)]) == 0
+    h = build_model(load_case_file(str(plan))).H
+    assert [int(r["alpha"]) for r in _rows(out)] == [
+        enumeration_alpha(h, j0)[0] for j0 in range(9)] == [4, 4, 3, 6, 6, 4, 4, 3, 3]
 
 
 def test_replay_restores_output_bytes(tmp_path):

@@ -16,12 +16,13 @@ from gridrisk.milp import MilpError, MilpProblem, solve_milp
 
 
 def _problem(c, a_ub, b_ub, a_eq, b_eq, binary, lb, ub, **kw):
+    # one block: the <= rows, then the = rows
+    b_ub, b_eq = np.asarray(b_ub, dtype=float), np.asarray(b_eq, dtype=float)
     return MilpProblem(
         objective=np.asarray(c, dtype=float),
-        a_ub=np.asarray(a_ub, dtype=float),
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=np.asarray(a_eq, dtype=float),
-        b_eq=np.asarray(b_eq, dtype=float),
+        a=np.vstack([a_ub, a_eq]).astype(float),
+        lower=np.r_[np.full(b_ub.size, -np.inf), b_eq],
+        upper=np.r_[b_ub, b_eq],
         binary=np.asarray(binary, dtype=bool),
         lb=np.asarray(lb, dtype=float),
         ub=np.asarray(ub, dtype=float),
@@ -217,6 +218,24 @@ def test_solution_within_highs_tolerance_is_accepted(monkeypatch):
     assert sol.status == "optimal"
     assert np.array_equal(sol.x, [1.0, 1.0, 0.0])
     assert sol.objective == 2.0
+
+
+def test_integrality_slack_in_the_optimum_is_accepted(monkeypatch):
+    # HiGHS takes its value at the unrounded point, so a proven optimum
+    # may sit above its dual bound by the binaries' integrality slack:
+    # on a 5-bus plan it reported 2.0000017 against a bound of 2
+    _fake_highs(monkeypatch, [1.0, 1.0, 1.7e-6], 2.0000017, 2.0)
+    sol = solve_milp(_pick_two())
+    assert (sol.status, sol.objective) == ("optimal", 2.0)
+    assert np.array_equal(sol.x, [1.0, 1.0, 0.0])
+
+
+def test_malformed_block_raises():
+    prob = _pick_two()
+    for bad in (replace(prob, a=np.ones((1, 2))), replace(prob, a=np.ones(3)),
+                replace(prob, lower=np.zeros(2)), replace(prob, upper=np.zeros(0))):
+        with pytest.raises(MilpError, match="constraint block"):
+            solve_milp(bad)
 
 
 @pytest.mark.parametrize("x,fun,bound", [

@@ -283,6 +283,31 @@ def test_default_mu_grid():
         default_mu_grid(-0.5)
 
 
+def test_default_mu_grid_rejects_nan():
+    with pytest.raises(ValueError, match="mu_max"):
+        default_mu_grid(float("nan"))
+
+
+@pytest.mark.parametrize("runs", [0, 5])
+@pytest.mark.parametrize("grid", [0.3, [[0.1, 0.2]], []], ids=["scalar", "2-D", "empty"])
+def test_risk_sweep_grid_must_be_1d_and_nonempty(chain3, chain_variants, grid, runs):
+    with pytest.raises(ValueError, match="mu_grid"):
+        risk_sweep(chain3, chain_variants[:1], grid, alpha=0.05, runs=runs)
+
+
+@pytest.mark.parametrize("runs", [0, 5])
+@pytest.mark.parametrize("bad", [-1, "x", 2.5, True, (3, 0)])
+def test_risk_sweep_seed_must_be_a_nonnegative_integer(chain3, chain_variants, bad, runs):
+    with pytest.raises(ValueError, match="seed"):
+        risk_sweep(chain3, chain_variants[:1], [0.1], alpha=0.05, runs=runs, seed=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, "x", True, (3, -1), (3, 2.5), [3, 0]])
+def test_empirical_seed_must_be_nonnegative_integers(ieee14, stealth_attack, bad):
+    with pytest.raises(ValueError, match="seed"):
+        empirical_detection(ieee14, stealth_attack, 0.05, runs=10, seed=bad)
+
+
 def test_variant_family_shape(chain_variants):
     ids = [vid for vid, _ in chain_variants]
     assert ids == ["combined_1_3", "combined_2_2", "fdi_4"]

@@ -187,7 +187,7 @@ def _refuted_programs():
                 posed.clear()
                 res = fdi_index(IndexQuery(h, j))
                 # a refutation cut is the only row with right-hand side -1
-                if np.any(posed[-1].b_ub == -1.0):
+                if np.any(posed[-1].upper == -1.0):
                     found.append((h, j, res))
     return found
 
@@ -453,9 +453,10 @@ def _without_circuit_rows(problem):
     # circuit rows are the ones on binaries alone with right-hand side 0;
     # the refutation cuts have right-hand side -1
     n = int(np.count_nonzero(~problem.binary))
-    circuit = ~problem.a_ub[:, :n].any(axis=1) & (problem.b_ub == 0.0)
+    circuit = ~problem.a[:, :n].any(axis=1) & (problem.upper == 0.0)
     assert circuit.any()
-    return replace(problem, a_ub=problem.a_ub[~circuit], b_ub=problem.b_ub[~circuit])
+    return replace(problem, a=problem.a[~circuit], lower=problem.lower[~circuit],
+                   upper=problem.upper[~circuit])
 
 
 def test_circuit_rows_shrink_the_search(ieee14, monkeypatch):
@@ -937,6 +938,26 @@ def test_cutoff_program_matches_enumeration():
                 at_cut += 1
                 assert res.support == tuple(i + 1 for i in bipartition_index(doc, j0)[1])
     assert below >= 100 and at_cut >= 400
+
+
+def test_fallback_matches_enumeration_under_spread_reactances():
+    # Plans like those above, with each reactance scaled by 10^U(-1, 1):
+    # every class the floor leaves open must still get the enumerated alpha
+    rng = np.random.default_rng(7)
+    checked = 0
+    for doc, _ in _thinned_plans_with_injections(2, 60):
+        doc["lines"] = [dict(ln, reactance=ln["reactance"] * 10 ** rng.uniform(-1, 1))
+                        for ln in doc["lines"]]
+        model = build_model(load_case(doc))
+        structure = row_structure(model)
+        for cls in structure.classes:
+            j0 = int(cls[0])
+            lower, upper, _ = security._cut_bounds(structure.network, j0)
+            if lower < upper:
+                res = fdi_index(IndexQuery(model, j0 + 1), structure)
+                assert res.objective == enumeration_alpha(model.H, j0)[0], (doc, j0)
+                checked += 1
+    assert checked >= 150
 
 
 def test_each_maximum_flow_is_computed_once(monkeypatch):
