@@ -48,7 +48,8 @@ class AttackVector:
         if peak > 0.0:
             a[np.abs(a) <= SNAP_TOL * peak] = 0.0
         if self.target_j is not None:
-            if not 1 <= self.target_j <= a.shape[0]:
+            _check_count("target_j", self.target_j, 1)
+            if self.target_j > a.shape[0]:
                 raise ValueError(f"target_j {self.target_j} outside 1..{a.shape[0]}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
@@ -112,10 +113,8 @@ def build_limited_knowledge_attack(perturbed: GridModel, c, d=None,
     if matrix_rank(h_d) < n:
         raise UnobservableError("availability mask destroys observability")
     a = h_d @ c
-    mu = None
-    if target_j is not None:
-        mu = float(a[target_j - 1])
-    return AttackVector(a=a, d=d, target_j=target_j, mu=mu)
+    attack = AttackVector(a=a, d=d, target_j=target_j, mu=None)  # checks target_j
+    return attack if target_j is None else replace(attack, mu=float(a[target_j - 1]))
 
 
 def scale_attack(attack: AttackVector, mu_new: float) -> AttackVector:

@@ -82,9 +82,10 @@ Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
 and a target takes the cut or program of its class's first row: every
 member of a class gets one support, the one `index_sweep` reports.
-Every support either path reports is refit with exact zeros off the
-support and checked for stealth before it is returned, and a MILP
-optimum must also be minimal (see `_check_minimal`).
+A cut's certificate is its step, scaled to move the target by the
+program's magnitude, and its support the rows that step moves: whole
+classes, as many as the cut's value.  A MILP support is refit with exact
+zeros off it, checked for stealth and must be minimal (`_check_minimal`).
 
 The big-M relaxation alone bounds alpha weakly (2 against 11 at the root
 for ieee14 measurement 9, 4 with the rows below), so each program also
@@ -114,19 +115,20 @@ a given scipy build and solver options, but follows no ordering of the
 rows.
 
 A row value counts as zero when it is within rounding of zero: at most
-_ROUNDING times the largest row norm times the certificate's norm.  The
-refit is an SVD least-squares solve, which is backward stable: the
-computed certificate c solves a problem whose matrix is off by a few
-machine epsilons of its norm, so a row the exact certificate zeroes
-computes to a few epsilons of max_i |h_i| |c|.  A row's own norm does
-not bound that residue, since a small row carries about the same one as
-a large row.  On ieee14 with its reactances scaled by up to 10^4 either
-way, such residues reached 8e-11 of |h_i| |c| on small rows but stayed
-below 5e-16 of max_i |h_i| |c|, while nonzero support rows stayed above
-3e-9 of it.  Over every refit of the tests, stealthy supports left
-residues below 3e-15 of it and refuted candidates above 1e-7.
-_ROUNDING, about 4500 epsilons, sits between, with room for the
-dimension factors of the rounding bound.
+_ROUNDING times the largest row norm times the certificate's norm.  A
+step's entries are exact, so a row it leaves at rest is within a few
+epsilons of that.  The MILP path's refit is an SVD least-squares solve,
+which is backward stable: the computed certificate c solves a problem
+whose matrix is off by a few machine epsilons of its norm, so a row the
+exact certificate zeroes computes to a few epsilons of max_i |h_i| |c|.
+A row's own norm does not bound that residue, since a small row carries
+about the same one as a large row.  On ieee14 with its reactances scaled
+by up to 10^4 either way, such residues reached 8e-11 of |h_i| |c| on
+small rows but stayed below 5e-16 of max_i |h_i| |c|, while nonzero
+support rows stayed above 3e-9 of it.  Over every refit of the tests,
+stealthy supports left residues below 3e-15 of it and refuted candidates
+above 1e-7.  _ROUNDING, about 4500 epsilons, sits between, with room for
+the dimension factors of the rounding bound.
 """
 
 from __future__ import annotations
@@ -284,9 +286,10 @@ class CutNetwork:
     floor by the count the floor keeps, kept; on a cut-exact plan the two
     agree and floor is capacity.  ends holds each line's (from, to) bus,
     row_line each flow row's line and row_bus each injection row's bus
-    (-1 where a row is of the other kind), and neighbours each bus's
-    adjacent buses in case order.  flows keeps every maximum flow
-    computed on the network, filled as targets ask for them."""
+    (-1 where a row is of the other kind), neighbours each bus's
+    adjacent buses in case order, and reference the reference bus.
+    flows keeps every maximum flow computed on the network, filled as
+    targets ask for them."""
 
     capacity: csr_matrix
     floor: csr_matrix
@@ -296,6 +299,7 @@ class CutNetwork:
     row_line: np.ndarray
     row_bus: np.ndarray
     neighbours: tuple
+    reference: int
     flows: dict = field(default_factory=dict, repr=False)
 
 
@@ -352,7 +356,8 @@ def _cut_network(model: GridModel) -> CutNetwork:
     capacity = _capacity(ends, flows, injections, neighbours, big)
     floor = (capacity if np.array_equal(kept, injections)
              else _capacity(ends, flows, kept, neighbours, big))
-    return CutNetwork(capacity, floor, buses, ends, kept, row_line, row_bus, neighbours)
+    return CutNetwork(capacity, floor, buses, ends, kept, row_line, row_bus, neighbours,
+                      model.reference)
 
 
 def _min_cut(network, capacity, pairs):
@@ -374,7 +379,7 @@ def _min_cut(network, capacity, pairs):
 def _cut_bounds(network: CutNetwork, j0: int):
     """(lower, upper, cut): bounds on alpha at row j0 of a GridModel's
     plan, and the upper bound's cut as the plan's maximum flow and its
-    source, from which `_cut_rows` finds the rows it touches.
+    source, from which `_cut_step` builds its certificate.
 
     upper is the minimum cut through j0 on the plan's capacity, lower
     the same cut on its floor, or 0 where the floor keeps none of j0's
@@ -396,21 +401,17 @@ def _cut_bounds(network: CutNetwork, j0: int):
     return lower, upper, cut
 
 
-def _cut_rows(network: CutNetwork, cut) -> np.ndarray:
-    """The rows (0-based) that a cut from `_cut_bounds` touches: those
-    of its smallest source side, the buses its maximum flow still
-    reaches from the source in the residual network."""
+def _cut_step(network: CutNetwork, cut) -> np.ndarray:
+    """A cut's step over the model's state: theta = 1 on its smallest
+    source side, the buses its maximum flow still reaches from the
+    source, and 0 elsewhere, taken off the reference less theta there."""
     flow, source = cut
     residual = network.capacity - flow.flow
     residual.eliminate_zeros()  # saturated edges
     reached = breadth_first_order(residual, source, return_predecessors=False)
-    side = np.zeros(network.buses, dtype=bool)
-    side[reached[reached < network.buses]] = True
-    crossing = side[network.ends[:, 0]] != side[network.ends[:, 1]]
-    touched = np.zeros(network.buses, dtype=bool)
-    touched[network.ends[crossing].ravel()] = True
-    return np.flatnonzero(np.where(network.row_line >= 0, crossing[network.row_line],
-                                   touched[network.row_bus]))
+    theta = np.zeros(network.buses)
+    theta[reached[reached < network.buses]] = 1.0
+    return np.delete(theta, network.reference) - theta[network.reference]
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,8 +534,8 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     into the support is added and the program solved again.  Cuts
     remove no stealthy support, so the first candidate that passes is
     optimal; where HiGHS finds none below the cutoff, the plan's cut is.
-    Either way the answer must pass the same refit and idle-class checks;
-    a cut must count its support and a MILP optimum must be minimal.
+    A cut's support is read off its step, which must move whole classes
+    and as many rows as the cut counts; a MILP optimum must be minimal.
     """
     h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
@@ -553,34 +554,32 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
 
 
 def _cut_support(h, structure, j0, cut):
-    """The classes a cut from `_cut_bounds` touches, whose rows its value
-    must count, and their refit certificate, which must be stealthy."""
+    """The classes a cut from `_cut_bounds` moves, read off its step
+    scaled to move j0 by the program's magnitude, and that certificate.
+    The moved rows must be whole classes, as many as the cut counts."""
+    step = _cut_step(structure.network, cut)
+    v = h @ step
+    moved = np.abs(v) > _ROUNDING * np.linalg.norm(h, axis=1).max() * np.linalg.norm(step)
+    if not moved[j0]:
+        raise SecurityIndexError("minimum cut step does not move the target")
     on = np.zeros(len(structure.classes), dtype=bool)
-    on[structure.row_class[_cut_rows(structure.network, cut)]] = True
-    rows = _rows_of(structure.classes, on)
-    if len(rows) != cut[0].flow_value:
+    on[structure.row_class[moved]] = True
+    if (np.count_nonzero(moved) != cut[0].flow_value
+            or not np.array_equal(on[structure.row_class], moved)):
         raise SecurityIndexError("minimum cut value inconsistent with the rows it touches")
-    cert, v, stealth = _refit(h, j0, rows)
-    if not stealth:
-        raise SecurityIndexError("minimum cut support failed the stealth check")
-    _check_no_idle_class(structure, on, v)
-    return on, cert
+    return on, step * (_PROGRAM_MU / v[j0])
 
 
-def _check_no_idle_class(structure, on, v):
-    # Every class costs at least one row, so dropping a class the verified
-    # certificate leaves at zero would undercut an optimal support
+def _check_minimal(h, structure, j0, on, v):
+    """Raise unless a MILP optimum, whose certificate gives the row values
+    v, is minimal: v leaves none of its classes at zero, and no class but
+    the target's leaves it with the rest still stealthy.  Every class
+    costs at least one row, so an optimum always is.  HiGHS can prove a
+    wrong optimum where its absolute tolerances swamp the program's row
+    values: with one row of a 7x3 matrix 10^5 times the others it proved
+    7 where 5 rows suffice, and this finds that support out."""
     if not np.all(v[structure.reps[on]]):
         raise SecurityIndexError("optimal support holds a class its certificate leaves at zero")
-
-
-def _check_minimal(h, structure, j0, on):
-    """Raise unless a MILP optimum is minimal: no class but the target's
-    leaves it with the rest still stealthy.  Every class costs at least
-    one row, so an optimum always is.  HiGHS can prove a wrong optimum
-    where its absolute tolerances swamp the program's row values: with
-    one row of a 7x3 matrix 10^5 times the others it proved 7 where 5
-    rows suffice, and this finds that support out."""
     for k in np.flatnonzero(on):
         if k != structure.row_class[j0]:
             rest = on.copy()
@@ -619,8 +618,7 @@ def _solve_milp_index(h, structure, j0, first, cut=None):
                 cuts.append((~on).astype(float))
                 continue
             if np.max(np.abs(v)) <= _M_GUARD * big:
-                _check_no_idle_class(structure, on, v)
-                _check_minimal(h, structure, j0, on)
+                _check_minimal(h, structure, j0, on, v)
                 return on, cert
         elif sol.status != "infeasible":
             raise SecurityIndexError(f"index program ended with status {sol.status}")

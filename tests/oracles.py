@@ -377,6 +377,30 @@ def random_cut_exact_case(rng: np.random.Generator, buses: int) -> dict:
     }
 
 
+def ring_chord_case(rng: np.random.Generator, buses: int) -> dict:
+    """A case document on a ring of `buses` buses plus buses // 2 chords
+    between random pairs of distinct buses, reactances drawn from
+    U(0.05, 0.3), bus 1 the reference and a full plan: both flows of
+    every line, then the injection of every bus.  Every line carries two
+    flow rows and every bus one injection row, so the plan is cut-exact,
+    and the ring keeps it observable."""
+    lines = [(b, (b + 1) % buses) for b in range(buses)]
+    lines += [tuple(int(x) for x in rng.choice(buses, 2, replace=False))
+              for _ in range(buses // 2)]
+    plan = [{"kind": kind, "element": k + 1, "sigma": 0.02}
+            for k in range(len(lines)) for kind in ("flow_from", "flow_to")]
+    plan += [{"kind": "injection", "element": b + 1, "sigma": 0.02} for b in range(buses)]
+    return {
+        "base_mva": 100.0,
+        "buses": [dict({"id": b + 1}, **({"reference": True} if b == 0 else {}))
+                  for b in range(buses)],
+        "lines": [{"id": k + 1, "from": f + 1, "to": t + 1,
+                   "reactance": float(rng.uniform(0.05, 0.3))}
+                  for k, (f, t) in enumerate(lines)],
+        "measurements": plan,
+    }
+
+
 def random_observable_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Dense random matrix with full column rank (resampled if degenerate)."""
     while True:

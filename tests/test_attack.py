@@ -135,6 +135,20 @@ def test_limited_knowledge_fdi_is_detectable(ieee14, perturbed9):
     assert lam > 1e-4
 
 
+@pytest.mark.parametrize("bad", [55, 2.5, True])
+def test_limited_knowledge_attack_checks_target_before_use(res9, perturbed9, bad):
+    # each once read a[target_j - 1] before any check: 55 and 2.5 raised a
+    # raw IndexError, and True gave an attack on row 1
+    with pytest.raises(ValueError, match="target_j"):
+        build_limited_knowledge_attack(perturbed9[0], res9.certificate_c, None, bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_attack_vector_rejects_a_target_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match="target_j"):
+        AttackVector(a=np.ones(3), d=np.zeros(3), target_j=bad, mu=None)
+
+
 def test_unobservable_mask_rejected(chain3):
     d = np.ones(chain3.m)
     d[0] = 0.0

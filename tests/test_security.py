@@ -44,6 +44,7 @@ from oracles import (
     parallel_classes_by_row,
     random_cut_exact_case,
     random_observable_matrix,
+    ring_chord_case,
     set_admits_target,
     three_circuits,
     withdrawal_index,
@@ -1004,3 +1005,41 @@ def test_index_ignores_extreme_reactances_on_a_cut_exact_plan(seed):
         return
     expected = format_index_csv(index_sweep(build_model(load_case(_bundled_doc("ieee14")))))
     assert format_index_csv(index_sweep(build_model(load_case(doc)))) == expected
+
+
+def test_cut_refuses_a_class_merged_at_a_wide_spread():
+    # with each reactance scaled by up to 10^4 either way, line weights on
+    # this plan span 2.3e-4 to 1.7e4 and parallel_classes puts rows 5 and
+    # 14 (0-based) in one class at PARALLEL_ATOL, though they are not
+    # parallel; a cut moves row 14 without row 5, so no support may be
+    # reported for it
+    rng = np.random.default_rng(7)
+    for _ in range(125):
+        doc = random_cut_exact_case(rng, int(rng.integers(3, 10)))
+        for ln in doc["lines"]:
+            ln["reactance"] *= 10 ** rng.uniform(-4, 4)
+    model = build_model(load_case(doc))
+    row_class = parallel_classes(model.H)[1]
+    assert row_class[5] == row_class[14]
+    with pytest.raises(SecurityIndexError, match="minimum cut value inconsistent"):
+        index_sweep(model)
+
+
+def test_ring_chord_118_bus_cut_certificates():
+    # a full plan is cut-exact, so every one of the 293 classes takes a
+    # cut: threads racing on CutNetwork.flows give the serial rows, and
+    # each class's step certificate is its support's least-squares one
+    model = build_model(load_case(ring_chord_case(np.random.default_rng(0), 118)))
+    serial = index_sweep(model)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert index_sweep(model, mapper=pool.map) == serial
+    structure = row_structure(model)
+    assert len(structure.classes) == 293
+    for cls in structure.classes:
+        j0 = int(cls[0])
+        res = fdi_index(IndexQuery(model, j0 + 1), structure)
+        rows = [i - 1 for i in res.support]
+        assert set_admits_target(model.H, rows, j0), j0
+        ref = certificate_for_set(model.H, rows, j0, 0.1)
+        np.testing.assert_allclose(res.certificate_c, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max(), err_msg=str(j0))
