@@ -80,8 +80,9 @@ flow is computed once per structure and kept on its network.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
-and a target takes the cut or program of its class's first row: every
-member of a class gets one support, the one `index_sweep` reports.
+and the whole answer is its first row's: every member gets the support
+`index_sweep` reports, and another member's certificate only rescales
+the first row's c by mu / (h_j c) to move its own row by mu.
 A cut's certificate is its step, scaled to move the target by the
 program's magnitude, and its support the rows that step moves: whole
 classes, as many as the cut's value.  A MILP support is refit with exact
@@ -417,16 +418,17 @@ def _cut_step(network: CutNetwork, cut) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RowStructure:
     """What every index program on one matrix shares: its parallel
-    classes (as `parallel_classes` returns them) and each class's
-    representative (its largest-norm row).  A GridModel carries its
-    plan's CutNetwork, whose floor is its capacity on a cut-exact plan,
-    where every program is a minimum cut.  Any other input carries the
-    3-circuits among the representatives, as class ids, for its
-    MILPs."""
+    classes (as `parallel_classes` returns them), each class's
+    representative (its largest-norm row) and the largest row norm, the
+    zero rule's scale.  A GridModel carries its plan's CutNetwork, whose
+    floor is its capacity on a cut-exact plan, where every program is a
+    minimum cut.  Any other input carries the 3-circuits among the
+    representatives, as class ids, for its MILPs."""
 
     classes: list
     row_class: np.ndarray
     reps: np.ndarray
+    max_norm: float
     circuits: np.ndarray | None
     network: CutNetwork | None = None
 
@@ -444,7 +446,7 @@ def row_structure(model_or_h) -> RowStructure:
     network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
     exact = network is not None and network.floor is network.capacity
     circuits = None if exact else three_circuits(h[reps])
-    return RowStructure(classes, row_class, reps, circuits, network)
+    return RowStructure(classes, row_class, reps, norms.max(), circuits, network)
 
 
 def _build_problem(h, structure, j0, big_m, cuts, cutoff=None):
@@ -498,7 +500,7 @@ def _gamma(alpha, ci, ca):
     return ci + (alpha - 1) * min(ci, ca)
 
 
-def _refit(h, j0, support_rows):
+def _refit(h, structure, j0, support_rows):
     """Least-squares certificate that zeroes every row off the support and
     moves the target by the program's magnitude; its row values, each
     within rounding of zero (see the module docstring) set to exactly
@@ -509,7 +511,7 @@ def _refit(h, j0, support_rows):
     b[-1] = _PROGRAM_MU
     c, *_ = np.linalg.lstsq(a, b, rcond=None)
     v = h @ c
-    rounding = _ROUNDING * np.linalg.norm(h, axis=1).max() * np.linalg.norm(c)
+    rounding = _ROUNDING * structure.max_norm * np.linalg.norm(c)
     stealth = (abs(v[j0] - _PROGRAM_MU) <= rounding
                and np.max(np.abs(v[comp]), initial=0.0) <= rounding)
     v[np.abs(v) <= rounding] = 0.0
@@ -540,15 +542,17 @@ def _solve_index(query: IndexQuery, structure=None) -> SecurityIndexResult:
     h, j0 = _matrix(query.model), query.target_j - 1
     if structure is None:
         structure = row_structure(query.model)
-    first = structure.classes[structure.row_class[j0]][0]  # one support per class
+    first = structure.classes[structure.row_class[j0]][0]  # one answer per class
     if structure.network is None:
-        on, cert = _solve_milp_index(h, structure, j0, first)
+        on, cert = _solve_milp_index(h, structure, first)
     else:
         lower, upper, cut = _cut_bounds(structure.network, first)
         if lower < upper:
-            on, cert = _solve_milp_index(h, structure, j0, first, cut)
+            on, cert = _solve_milp_index(h, structure, first, cut)
         else:
-            on, cert = _cut_support(h, structure, j0, cut)
+            on, cert = _cut_support(h, structure, first, cut)
+    if j0 != first:
+        cert = cert * (_PROGRAM_MU / (h[j0] @ cert))  # the class's c, moving j0 by mu
     support = tuple(int(i) + 1 for i in _rows_of(structure.classes, on))
     return SecurityIndexResult(float(len(support)), support, (), cert, True)
 
@@ -559,7 +563,7 @@ def _cut_support(h, structure, j0, cut):
     The moved rows must be whole classes, as many as the cut counts."""
     step = _cut_step(structure.network, cut)
     v = h @ step
-    moved = np.abs(v) > _ROUNDING * np.linalg.norm(h, axis=1).max() * np.linalg.norm(step)
+    moved = np.abs(v) > _ROUNDING * structure.max_norm * np.linalg.norm(step)
     if not moved[j0]:
         raise SecurityIndexError("minimum cut step does not move the target")
     on = np.zeros(len(structure.classes), dtype=bool)
@@ -584,14 +588,13 @@ def _check_minimal(h, structure, j0, on, v):
         if k != structure.row_class[j0]:
             rest = on.copy()
             rest[k] = False
-            if _refit(h, j0, _rows_of(structure.classes, rest))[2]:
+            if _refit(h, structure, j0, _rows_of(structure.classes, rest))[2]:
                 raise SecurityIndexError("index program's optimum is not minimal")
 
 
-def _solve_milp_index(h, structure, j0, first, cut=None):
+def _solve_milp_index(h, structure, j0, cut=None):
     """The classes of the MILP's first optimal support that passes the
-    stealth test, and that support's refit certificate.  The program
-    moves row `first`, of j0's class; the refit moves j0.  With the
+    stealth test, and that support's refit certificate.  With the
     plan's cut from `_cut_bounds`, the program seeks only supports with
     fewer rows than the cut's, and where it finds none the answer is
     the cut's support."""
@@ -601,16 +604,15 @@ def _solve_milp_index(h, structure, j0, first, cut=None):
     big = _BIG_M
     enlargements = 0
     cuts = []
-    found = None  # the cut's support, once HiGHS has found nothing below it
     while True:
-        sol = solve_milp(_build_problem(h, structure, first, big, cuts, cutoff))
+        sol = solve_milp(_build_problem(h, structure, j0, big, cuts, cutoff))
         if sol.status == "cutoff":
-            found = found or _cut_support(h, structure, j0, cut)
-            if np.max(np.abs(h @ found[1])) <= _M_GUARD * big:
-                return found
+            on, cert = _cut_support(h, structure, j0, cut)
+            if np.max(np.abs(h @ cert)) <= _M_GUARD * big:
+                return on, cert
         elif sol.status == "optimal":
             on = sol.x[n : n + len(classes)] > 0.5
-            cert, v, stealth = _refit(h, j0, _rows_of(classes, on))
+            cert, v, stealth = _refit(h, structure, j0, _rows_of(classes, on))
             if not stealth:
                 if len(cuts) == _MAX_CUTS:
                     raise SecurityIndexError(

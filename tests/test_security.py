@@ -837,6 +837,43 @@ def test_floor_cut_bounds_alpha_from_below():
     assert closed >= 20 and gaps >= 20
 
 
+def _assert_member_certificate(h, j, cert, first_cert):
+    # a member's certificate is its class's first row's, rescaled to move
+    # the member's own row by the program magnitude
+    np.testing.assert_allclose(cert, first_cert * (0.1 / (h[j - 1] @ first_cert)),
+                               rtol=1e-12, atol=0, err_msg=str(j))
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+def test_member_query_gives_its_class_answer(seed):
+    # row 9 is 1e-4 times row 1, so its class's first row is row 1, and a
+    # certificate that moves row 9 by 0.1 is 1e4 times the program's: a
+    # refit or big-M guard on row 9 picks another 7-row support (seed 3)
+    # or grows the box to 1e5 and raises (seed 9)
+    h = random_observable_matrix(np.random.default_rng(seed), 8, 3)
+    h = np.vstack([h, 1e-4 * h[0]])
+    row = index_sweep(h)[8]
+    res = fdi_index(IndexQuery(h, 9))
+    assert res.objective == row["alpha"] == 7
+    assert res.support == tuple(sorted(row["integrity_set"] + row["availability_set"]))
+    assert h[8] @ res.certificate_c == pytest.approx(0.1, rel=1e-12, abs=0)
+    assert set_admits_target(h, [i - 1 for i in res.support], 8)
+    _assert_member_certificate(h, 9, res.certificate_c,
+                               fdi_index(IndexQuery(h, 1)).certificate_c)
+
+
+def test_ieee14_member_certificates_rescale_the_first_rows(ieee14):
+    # rows 21-40 and 48 are the members of ieee14 that are not first in
+    # their classes
+    structure = row_structure(ieee14)
+    for j in [*range(21, 41), 48]:
+        first = int(structure.classes[structure.row_class[j - 1]][0])
+        assert first != j - 1
+        c = fdi_index(IndexQuery(ieee14, first + 1), structure).certificate_c
+        _assert_member_certificate(
+            ieee14.H, j, fdi_index(IndexQuery(ieee14, j), structure).certificate_c, c)
+
+
 def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
     model = build_model(load_case(plan35_doc()))
     structure = row_structure(model)
@@ -855,10 +892,15 @@ def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
     monkeypatch.setattr(security, "solve_milp", spy)
     rows = index_sweep(model)
     assert posed == gaps
+    firsts = {}
     for row in rows:
         res = fdi_index(IndexQuery(model, row["j"]))
         assert res.support == tuple(sorted(row["integrity_set"] + row["availability_set"]))
         assert res.objective == row["alpha"]
+        # rows come in order, so a class's first row is queried first
+        first = int(structure.classes[structure.row_class[row["j"] - 1]][0])
+        c = firsts.setdefault(first, res.certificate_c)
+        _assert_member_certificate(model.H, row["j"], res.certificate_c, c)
 
 
 @pytest.mark.parametrize("name, closed", [("plan35", 10), ("ieee14", 33)])
