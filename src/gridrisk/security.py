@@ -71,12 +71,21 @@ alpha = U and reports the cut's tuple.  The cutoff sits half a row
 under U, not just under it, because HiGHS's objective may carry its
 integrality slack (up to its 1e-6 tolerance on each binary, times the
 class's row count), while every support's true objective is a whole
-row count.  Only a class that reports the cut's tuple has the cut's
-residual network searched.  Every row of a bare matrix takes the MILP
-without a cutoff.  On a cut-exact plan the two capacities are one, and
-one cut per target serves.  A line's flow target and the injection
-target of its from bus pose the same source-sink pair, so each maximum
-flow is computed once per structure and kept on its network.
+row count.  Every row of a bare matrix takes the MILP without a
+cutoff.  On a cut-exact plan the two capacities are one, and one cut
+per target serves.  A line's flow target and the injection target of
+its from bus pose the same source-sink pair, so each pair is solved
+once per structure, and the network keeps its value and, on the plan's
+capacity, its source side.  A sweep solves every pair of one capacity
+by one maximum flow per batch: each pair on its own copy of the
+network, a super source feeding every copy's source at a capacity above
+every cut, and every copy's sink merged into one super sink.  Copies
+share no edge and meet only at the super source and sink, so a maximum
+flow of the whole carries a maximum flow of each pair on its copy, and
+the buses the super source reaches in a copy's residual network are
+the ones that pair's source reaches: its unique smallest minimum-cut
+source side, whichever maximum flow is found.  No value, tuple or byte
+depends on the batches.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
@@ -152,6 +161,7 @@ _MAX_CUTS = 64           # refuted candidate supports before giving up
 _ROUNDING = 1e-12        # zero row values, relative to max |h_i| |c|
 _CIRCUIT_SCREEN = 1e-12  # Gram determinant below which a triple gets an SVD
 _CIRCUIT_BLOCK = 1 << 15  # Gram determinants computed per block of the scan
+_FLOW_BLOCK = 1 << 14    # edges per batched maximum flow (see `_solve_pairs`)
 
 
 class SecurityIndexError(Exception):
@@ -178,6 +188,15 @@ class IndexQuery:
             raise SecurityIndexError(f"target_j must be an integer, not {self.target_j!r}")
         if not 1 <= self.target_j <= m:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{m}")
+
+
+def _checked_query(h, target_j) -> IndexQuery:
+    """The query of row target_j of a matrix already found finite, built
+    without checking its m x n entries again."""
+    query = object.__new__(IndexQuery)
+    object.__setattr__(query, "model", h)
+    object.__setattr__(query, "target_j", target_j)
+    return query
 
 
 def _check_costs(ci, ca):
@@ -288,13 +307,18 @@ class CutNetwork:
     agree and floor is capacity.  ends holds each line's (from, to) bus,
     row_line each flow row's line and row_bus each injection row's bus
     (-1 where a row is of the other kind), neighbours each bus's
-    adjacent buses in case order, and reference the reference bus.
-    flows keeps every maximum flow computed on the network, filled as
-    targets ask for them."""
+    adjacent buses in case order, reference the reference bus, and big
+    the capacity that stands for infinity, above every cut.  flows maps
+    (on the plan's capacity, source, sink) to the pair's maximum flow
+    value and, on the plan's capacity, its smallest minimum-cut source
+    side as a bus mask (None on the floor); no flow itself is kept.
+    `_solve_pairs` fills it: a sweep's pairs before any class is posed,
+    a single query's as it asks for them."""
 
     capacity: csr_matrix
     floor: csr_matrix
     buses: int
+    big: int
     ends: np.ndarray
     kept: np.ndarray
     row_line: np.ndarray
@@ -357,61 +381,120 @@ def _cut_network(model: GridModel) -> CutNetwork:
     capacity = _capacity(ends, flows, injections, neighbours, big)
     floor = (capacity if np.array_equal(kept, injections)
              else _capacity(ends, flows, kept, neighbours, big))
-    return CutNetwork(capacity, floor, buses, ends, kept, row_line, row_bus, neighbours,
-                      model.reference)
+    return CutNetwork(capacity, floor, buses, big, ends, kept, row_line, row_bus,
+                      neighbours, model.reference)
+
+
+def _solve_pairs(network, capacity, pairs):
+    """Solve every (source, sink) pair of `pairs` that network.flows
+    lacks on `capacity`, one of the network's two, and keep it there.
+
+    Up to _FLOW_BLOCK edges at a time, the pairs share one maximum flow:
+    pair k on its own copy of the capacity, node ids offset by k times
+    the node count, with a super source S feeding each copy's source at
+    big, and every edge into a copy's sink led into one super sink T
+    instead (the copy's own sink node is left with no edge in).  A
+    pair's value is the flow on S's edge into its copy, and on the
+    plan's capacity its source side is the buses of its copy that one
+    residual search from S reaches; the module docstring shows why
+    neither depends on the batch.  Threads that race on one pair may
+    each solve it, and keep the same answer."""
+    plan = capacity is network.capacity
+    pending = np.array([pair for pair in dict.fromkeys(pairs)
+                        if (plan, *pair) not in network.flows], dtype=np.int64)
+    nodes, nnz = capacity.shape[0], capacity.nnz
+    per = max(1, _FLOW_BLOCK // (nnz + 1))  # a copy's edges and its edge from S
+    for lo in range(0, len(pending), per):
+        batch = pending[lo : lo + per]
+        k = len(batch)
+        offsets = nodes * np.arange(k)[:, None]
+        sources, sinks = (batch + offsets).T
+        hub = nodes * k  # S, and T is hub + 1
+        heads = capacity.indices + offsets
+        heads[heads == sinks[:, None]] = hub + 1  # each copy's sink is T
+        graph = csr_matrix(
+            (np.concatenate([np.tile(capacity.data, k), np.full(k, network.big, np.int32)]),
+             np.concatenate([heads.ravel(), sources]),
+             np.concatenate([(capacity.indptr[:-1] + nnz * np.arange(k)[:, None]).ravel(),
+                             [k * nnz, k * nnz + k, k * nnz + k]])),
+            shape=(hub + 2, hub + 2))
+        flow = maximum_flow(graph, hub, hub + 1).flow
+        out = slice(flow.indptr[hub], flow.indptr[hub + 1])
+        sent = np.zeros(hub, dtype=np.int64)
+        sent[flow.indices[out]] = flow.data[out]
+        sides = [None] * k
+        if plan:
+            residual = graph - flow
+            residual.eliminate_zeros()  # saturated edges
+            reached = np.zeros(hub + 2, dtype=bool)
+            reached[breadth_first_order(residual, hub, return_predecessors=False)] = True
+            sides = reached[:hub].reshape(k, nodes)[:, : network.buses].copy()
+        for (s, t), value, side in zip(batch.tolist(), sent[sources].tolist(), sides):
+            network.flows[plan, s, t] = (value, side)
+
+
+def _pairs(network: CutNetwork, j0: int) -> list:
+    """The (source, sink) pairs of row j0's cut: a flow row's separates
+    its line's from bus from its to bus, and an injection row's its bus
+    from each neighbour."""
+    line, bus = network.row_line[j0], network.row_bus[j0]
+    if line >= 0:
+        return [tuple(network.ends[line].tolist())]
+    return [(int(bus), u) for u in network.neighbours[bus]]
+
+
+def _kept_by_floor(network: CutNetwork, j0: int) -> bool:
+    """Whether the floor keeps row j0: every flow row, and an injection
+    row where the floor keeps any of its bus's."""
+    bus = network.row_bus[j0]
+    return bus < 0 or network.kept[bus] > 0
 
 
 def _min_cut(network, capacity, pairs):
-    """The maximum flow on `capacity`, one of the network's two, of the
-    (source, sink) pair with the smallest value, the first in order on
-    a tie, and that pair's source.  Each pair's flow is computed once
-    and kept in network.flows; threads that race on one pair may each
-    compute it, and keep the same flow."""
-    cuts = []
-    for s, t in pairs:
-        key = (capacity is network.capacity, s, t)
-        flow = network.flows.get(key)
-        if flow is None:
-            flow = network.flows[key] = maximum_flow(capacity, s, t)
-        cuts.append((flow, s))
-    return min(cuts, key=lambda cut: cut[0].flow_value)
+    """(value, source side) of the pair of `pairs` with the smallest
+    maximum flow on `capacity`, one of the network's two, the first in
+    order on a tie; a pair network.flows lacks is solved first."""
+    _solve_pairs(network, capacity, pairs)
+    plan = capacity is network.capacity
+    return min((network.flows[plan, s, t] for s, t in pairs), key=lambda flow: flow[0])
 
 
 def _cut_bounds(network: CutNetwork, j0: int):
     """(lower, upper, cut): bounds on alpha at row j0 of a GridModel's
-    plan, and the upper bound's cut as the plan's maximum flow and its
-    source, from which `_cut_step` builds its certificate.
+    plan, and the upper bound's cut as (value, source side), from which
+    `_cut_step` builds its certificate.
 
     upper is the minimum cut through j0 on the plan's capacity, lower
-    the same cut on its floor, or 0 where the floor keeps none of j0's
-    injection rows.  A flow row's cut separates its line's from bus
-    from its to bus; an injection row's separates its bus from the
-    neighbour that is cheapest to cut it from, the first in case order
-    on a tie."""
-    line, bus = network.row_line[j0], network.row_bus[j0]
-    pairs = ([tuple(network.ends[line])] if line >= 0
-             else [(bus, u) for u in network.neighbours[bus]])
+    the same cut on its floor, or 0 where the floor does not keep j0.
+    An injection row's cut separates its bus from the neighbour that is
+    cheapest to cut it from, the first in case order on a tie."""
+    pairs = _pairs(network, j0)
     cut = _min_cut(network, network.capacity, pairs)
-    upper = cut[0].flow_value
+    upper = cut[0]
     if network.floor is network.capacity:
         lower = upper
-    elif bus >= 0 and network.kept[bus] == 0:
-        lower = 0
+    elif _kept_by_floor(network, j0):
+        lower = _min_cut(network, network.floor, pairs)[0]
     else:
-        lower = _min_cut(network, network.floor, pairs)[0].flow_value
+        lower = 0
     return lower, upper, cut
+
+
+def _solve_sweep_pairs(network: CutNetwork, targets):
+    """Solve every pair `_cut_bounds` reads for the rows `targets`, on
+    both capacities, so that the classes of a sweep only read flows."""
+    pairs = {j0: _pairs(network, j0) for j0 in targets}
+    _solve_pairs(network, network.capacity, [p for ps in pairs.values() for p in ps])
+    if network.floor is not network.capacity:
+        _solve_pairs(network, network.floor, [p for j0, ps in pairs.items()
+                                              if _kept_by_floor(network, j0) for p in ps])
 
 
 def _cut_step(network: CutNetwork, cut) -> np.ndarray:
     """A cut's step over the model's state: theta = 1 on its smallest
-    source side, the buses its maximum flow still reaches from the
-    source, and 0 elsewhere, taken off the reference less theta there."""
-    flow, source = cut
-    residual = network.capacity - flow.flow
-    residual.eliminate_zeros()  # saturated edges
-    reached = breadth_first_order(residual, source, return_predecessors=False)
-    theta = np.zeros(network.buses)
-    theta[reached[reached < network.buses]] = 1.0
+    source side and 0 elsewhere, taken off the reference less theta
+    there."""
+    theta = cut[1].astype(float)
     return np.delete(theta, network.reference) - theta[network.reference]
 
 
@@ -568,7 +651,7 @@ def _cut_support(h, structure, j0, cut):
         raise SecurityIndexError("minimum cut step does not move the target")
     on = np.zeros(len(structure.classes), dtype=bool)
     on[structure.row_class[moved]] = True
-    if (np.count_nonzero(moved) != cut[0].flow_value
+    if (np.count_nonzero(moved) != cut[0]
             or not np.array_equal(on[structure.row_class], moved)):
         raise SecurityIndexError("minimum cut value inconsistent with the rows it touches")
     return on, step * (_PROGRAM_MU / v[j0])
@@ -600,7 +683,7 @@ def _solve_milp_index(h, structure, j0, cut=None):
     the cut's support."""
     n = h.shape[1]
     classes = structure.classes
-    cutoff = None if cut is None else cut[0].flow_value - 0.5  # see the module docstring
+    cutoff = None if cut is None else cut[0] - 0.5  # see the module docstring
     big = _BIG_M
     enlargements = 0
     cuts = []
@@ -683,17 +766,23 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     and shared by every program: a GridModel's classes take minimum cuts
     wherever its floor proves them minimal and MILPs elsewhere, and a
     bare matrix's take MILPs.  beta, gamma and the split follow from
-    alpha's support, and only the split is member-specific.  Classes are
-    independent tasks, so a parallel mapper changes nothing but time.
+    alpha's support, and only the split is member-specific.  Every
+    class's maximum flows are solved before the classes are mapped, and
+    `parallel_classes` has refused a non-finite matrix, so classes are
+    independent tasks on checked queries, and a parallel mapper changes
+    nothing but time.
     """
     ci, ca = cost_integrity, cost_availability
     _check_costs(ci, ca)
     structure = row_structure(model_or_h)
+    h = _matrix(model_or_h)
+    classes = structure.classes
+    if structure.network is not None:
+        _solve_sweep_pairs(structure.network, [int(cls[0]) for cls in classes])
 
     def solve_class(cls):
-        return fdi_index(IndexQuery(model_or_h, int(cls.min()) + 1), structure)
+        return fdi_index(_checked_query(h, int(cls[0]) + 1), structure)
 
-    classes = structure.classes
     rows = [None] * len(structure.row_class)
     for cls, res in zip(classes, (mapper or map)(solve_class, classes)):
         for j0 in cls:

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse.csgraph import maximum_flow
 
 from gridrisk.attack import AttackVector
 
@@ -341,6 +342,27 @@ def bipartition_index(doc: dict, j0: int):
         if best is None or low < best[0]:
             best = (low, touched(smallest))
     return best
+
+
+def pair_min_cut(capacity, source: int, sink: int):
+    """One source-sink pair's maximum flow value on a capacity matrix,
+    and its smallest minimum-cut source side as a node mask: the nodes
+    the residual network reaches from the source, found by a search over
+    the residual's rows.  One scipy maximum flow per pair, on the matrix
+    as given."""
+    flow = maximum_flow(capacity, source, sink)
+    residual = (capacity - flow.flow).tocsr()
+    reached = np.zeros(capacity.shape[0], dtype=bool)
+    reached[source] = True
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        lo, hi = residual.indptr[u], residual.indptr[u + 1]
+        for v, left in zip(residual.indices[lo:hi], residual.data[lo:hi]):
+            if left > 0 and not reached[v]:
+                reached[v] = True
+                stack.append(v)
+    return int(flow.flow_value), reached
 
 
 def random_cut_exact_case(rng: np.random.Generator, buses: int) -> dict:

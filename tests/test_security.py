@@ -41,6 +41,7 @@ from oracles import (
     certificate_for_set,
     enumeration_alpha,
     enumeration_family,
+    pair_min_cut,
     parallel_classes_by_row,
     random_cut_exact_case,
     random_observable_matrix,
@@ -905,16 +906,20 @@ def test_milp_only_where_the_floor_leaves_a_gap(monkeypatch):
 
 @pytest.mark.parametrize("name, closed", [("plan35", 10), ("ieee14", 33)])
 def test_residual_search_only_where_a_class_closes(monkeypatch, name, closed):
-    # the tuple's breadth-first search runs once for each class that
-    # reports the cut's tuple, whether its bounds meet (and no program is
-    # posed) or its program finds nothing below the cut, and never for a
-    # class that reports a MILP support; it once ran for every
-    # source-sink pair of every class
+    # every source side comes from one residual search per batch of
+    # maximum flows, all run before the first class is posed: no class
+    # searches or solves a flow, a class whose bounds meet poses nothing,
+    # and one that reports the cut's tuple has found nothing below it
     model = build_model(load_case(plan35_doc() if name == "plan35" else _bundled_doc(name)))
-    calls = _count_calls(monkeypatch, ("fdi_index", "breadth_first_order", "solve_milp"))
+    calls = _count_calls(monkeypatch, ("fdi_index", "maximum_flow", "breadth_first_order",
+                                       "solve_milp"))
     rows = index_sweep(model)
+    first = calls.index("fdi_index")
+    batches = Counter(calls[:first])
+    assert set(batches) == {"maximum_flow", "breadth_first_order"}
+    assert batches["breadth_first_order"] <= batches["maximum_flow"]
     per_class = []
-    for call in calls:
+    for call in calls[first:]:
         if call == "fdi_index":
             per_class.append(Counter())
         else:
@@ -923,19 +928,21 @@ def test_residual_search_only_where_a_class_closes(monkeypatch, name, closed):
     assert len(per_class) == len(structure.classes)
     kinds = Counter()
     for k, (cls, count) in enumerate(zip(structure.classes, per_class)):
+        assert set(count) <= {"solve_milp"}, k
         lower, upper, _ = security._cut_bounds(structure.network, int(cls[0]))
         if lower == upper:
             kinds["closed"] += 1
-            assert count == {"breadth_first_order": 1}, k
+            assert not count, k
         elif rows[cls[0]]["alpha"] == upper:
             kinds["cut tuple"] += 1
-            assert count["solve_milp"] and count["breadth_first_order"] == 1, k
+            assert count["solve_milp"], k
         else:
             kinds["milp support"] += 1
-            assert count["solve_milp"] and not count["breadth_first_order"], k
+            assert count["solve_milp"], k
     assert kinds["closed"] == closed
-    assert sum(count["breadth_first_order"] for count in per_class) == (
-        kinds["closed"] + kinds["cut tuple"])
+    # every class PLAN35's floor leaves open finds nothing below its cut
+    assert kinds["cut tuple"] == len(structure.classes) - closed
+    assert not kinds["milp support"]
 
 
 def _thinned_plans_with_injections(seed, count):
@@ -1003,31 +1010,105 @@ def test_fallback_matches_enumeration_under_spread_reactances():
     assert checked >= 150
 
 
+def _solved_pairs(graph, hub):
+    """The (capacity, source, sink) pairs one batched maximum flow
+    solves.  Copy k's source is fed by the super source hub, and its sink
+    is the one node of the copy that nothing feeds, since every edge
+    into it is led into hub + 1.  Each copy's rows hold the capacity's
+    row pointers and capacities, which tell the plan's from its floor's."""
+    sources = np.sort(graph.indices[graph.indptr[hub] : graph.indptr[hub + 1]])
+    nodes = hub // len(sources)
+    fed = np.zeros(hub + 2, dtype=bool)
+    fed[graph.indices] = True
+    sinks = np.flatnonzero(~fed[:hub])
+    assert len(sinks) == len(sources)
+    key = (graph.indptr[: nodes + 1].tobytes(), graph.data[: graph.indptr[nodes]].tobytes())
+    return [(key, int(s) % nodes, int(t) % nodes) for s, t in zip(sources, sinks)]
+
+
 def test_each_maximum_flow_is_computed_once(monkeypatch):
     # a line's flow class and its from bus's injection class pose the same
-    # source-sink pair; each pair's flow is computed once per structure,
-    # and a single query computes only its own
+    # source-sink pair; each pair is solved once per structure and
+    # capacity, counted across the batched maximum flows of a sweep (one
+    # per capacity on PLAN35), and a single query solves only its own
     model = build_model(load_case(plan35_doc()))
-    pairs = []
+    pairs, batches = [], []
     maximum_flow = security.maximum_flow
 
-    def counted(capacity, source, sink):
-        pairs.append((id(capacity), source, sink))
-        return maximum_flow(capacity, source, sink)
+    def counted(graph, source, sink):
+        batches.append(source)
+        pairs.extend(_solved_pairs(graph, source))
+        return maximum_flow(graph, source, sink)
 
     monkeypatch.setattr(security, "maximum_flow", counted)
     serial = index_sweep(model)
     assert len(pairs) == len(set(pairs)) == 64
+    assert len(batches) == 2
     pairs.clear()
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert index_sweep(model, mapper=pool.map) == serial
-    assert len(set(pairs)) == 64
+    assert len(pairs) == len(set(pairs)) == 64
     pairs.clear()
     ieee14 = build_model(load_bundled_case("ieee14"))
     line = next(j for j, (kind, _) in enumerate(ieee14.measurement_labels)
                 if kind != "injection")
     combined_index(IndexQuery(ieee14, line + 1))
     assert len(pairs) == 1
+
+
+def _assert_flows_match_pair_oracle(model):
+    # every pair a sweep solves keeps its own maximum flow's value and, on
+    # the plan's capacity, the buses its residual reaches from the source
+    network = row_structure(model).network
+    security._solve_sweep_pairs(network, range(model.m))
+    for (plan, s, t), (value, side) in network.flows.items():
+        ref, reached = pair_min_cut(network.capacity if plan else network.floor, s, t)
+        assert value == ref, (plan, s, t)
+        if plan:
+            np.testing.assert_array_equal(side, reached[: network.buses], err_msg=str((s, t)))
+        else:
+            assert side is None
+    return network
+
+
+def test_batched_flows_match_per_pair_flows(ieee14, monkeypatch):
+    # ieee14 and the 118-bus ring-plus-chord grid are cut-exact, while
+    # PLAN35's floor takes flows of its own; the 118-bus grid's pairs
+    # take many batches
+    for model, floor in ((ieee14, False), (build_model(load_case(plan35_doc())), True)):
+        network = _assert_flows_match_pair_oracle(model)
+        assert any(not plan for plan, _, _ in network.flows) == floor
+    batches = _count_calls(monkeypatch, ("maximum_flow",))
+    _assert_flows_match_pair_oracle(
+        build_model(load_case(ring_chord_case(np.random.default_rng(0), 118))))
+    assert len(batches) > 10
+
+
+def test_batched_floor_flows_match_per_pair_flows():
+    # small plans whose floor is not the plan's capacity
+    floors = 0
+    for _, model in _thinned_plans_with_injections(3, 60):
+        network = _assert_flows_match_pair_oracle(model)
+        floors += any(not plan for plan, _, _ in network.flows)
+    assert floors >= 40
+
+
+def test_index_tables_do_not_depend_on_the_flow_batch(ieee14, monkeypatch):
+    models = [ieee14, build_model(load_case(plan35_doc())),
+              build_model(load_case(ring_chord_case(np.random.default_rng(0), 118))),
+              *(model for _, model in _thinned_plans_with_injections(4, 30))]
+    tables = [format_index_csv(index_sweep(model)) for model in models]
+    copies = []
+    maximum_flow = security.maximum_flow
+
+    def counted(graph, source, sink):
+        copies.append(graph.indptr[source + 1] - graph.indptr[source])
+        return maximum_flow(graph, source, sink)
+
+    monkeypatch.setattr(security, "maximum_flow", counted)
+    monkeypatch.setattr(security, "_FLOW_BLOCK", 1)
+    assert [format_index_csv(index_sweep(model)) for model in models] == tables
+    assert set(copies) == {1}
 
 
 @pytest.mark.parametrize("seed", range(10))
