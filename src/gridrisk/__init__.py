@@ -22,7 +22,7 @@ from .security import (
     index_sweep,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "CaseValidationError",

@@ -61,8 +61,9 @@ sub-plan, so its minimum cut through the target, L, is its alpha.  A
 stealth attack on the plan, restricted to the floor's rows, is a stealth
 attack on the floor and touches no more rows, so L <= alpha <= U when
 the target is a row of the floor; an injection target whose bus keeps
-no row gets L = 0.  The plan and its floor share one flow network and
-differ only in its hyperedge capacities.  Where L = U the plan's cut
+no row gets L = 0.  The plan and its floor share one flow network, one
+sparsity pattern with two capacity columns that differ only on the
+hyperedges, where the floor's may be 0.  Where L = U the plan's cut
 support is optimal and is the answer, and no program is posed.  Where
 L < U the cut's support of U rows is already in hand, so the MILP only
 has to rule out a cheaper one: it is posed with U - 1/2 as a cutoff
@@ -72,20 +73,20 @@ under U, not just under it, because HiGHS's objective may carry its
 integrality slack (up to its 1e-6 tolerance on each binary, times the
 class's row count), while every support's true objective is a whole
 row count.  Every row of a bare matrix takes the MILP without a
-cutoff.  On a cut-exact plan the two capacities are one, and one cut
-per target serves.  A line's flow target and the injection target of
-its from bus pose the same source-sink pair, so each pair is solved
-once per structure, and the network keeps its value and, on the plan's
-capacity, its source side.  A sweep solves every pair of one capacity
-by one maximum flow per batch: each pair on its own copy of the
-network, a super source feeding every copy's source at a capacity above
-every cut, and every copy's sink merged into one super sink.  Copies
-share no edge and meet only at the super source and sink, so a maximum
-flow of the whole carries a maximum flow of each pair on its copy, and
-the buses the super source reaches in a copy's residual network are
-the ones that pair's source reaches: its unique smallest minimum-cut
-source side, whichever maximum flow is found.  No value, tuple or byte
-depends on the batches.
+cutoff.  On a cut-exact plan the two columns are one, and one cut per
+target serves.  A line's flow target and the injection target of its
+from bus pose the same source-sink pair, so each pair is solved once
+per structure, and the network keeps its value on both columns and its
+source side on the plan's.  Pairs are solved by one maximum flow per
+batch: each pair on its own copy of the network for each column, a
+super source feeding every copy's source at a capacity above every
+cut, and every copy's sink merged into one super sink.  Copies share
+no edge and meet only at the super source and sink, so a maximum flow
+of the whole carries a maximum flow of each copy's pair on its column,
+and the buses the super source reaches in a copy's residual network
+are the ones that pair's source reaches: its unique smallest
+minimum-cut source side, whichever maximum flow is found.  No value,
+tuple or byte depends on the batches.
 
 Rows that are scalar multiples of one another vanish together for every
 certificate c, so each parallel row class gets a single indicator binary,
@@ -180,23 +181,11 @@ class IndexQuery:
     def __post_init__(self):
         if not isinstance(self.model, GridModel):
             object.__setattr__(self, "model", np.asarray(self.model, dtype=float))
-        h = _matrix(self.model)
-        if not np.all(np.isfinite(h)):
-            raise SecurityIndexError("model matrix has a NaN or infinite entry")
-        m = h.shape[0]
+        m = _matrix(self.model).shape[0]
         if isinstance(self.target_j, bool) or not isinstance(self.target_j, (int, np.integer)):
             raise SecurityIndexError(f"target_j must be an integer, not {self.target_j!r}")
         if not 1 <= self.target_j <= m:
             raise SecurityIndexError(f"target_j {self.target_j} outside 1..{m}")
-
-
-def _checked_query(h, target_j) -> IndexQuery:
-    """The query of row target_j of a matrix already found finite, built
-    without checking its m x n entries again."""
-    query = object.__new__(IndexQuery)
-    object.__setattr__(query, "model", h)
-    object.__setattr__(query, "target_j", target_j)
-    return query
 
 
 def _check_costs(ci, ca):
@@ -300,23 +289,25 @@ def three_circuits(rows) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CutNetwork:
     """A plan as a flow network with two capacities, the plan's own and
-    its floor's.  Nodes 0..buses-1 are the buses in case order; each bus
-    with injection rows adds two more, the Lawler pair of its hyperedge.
-    capacity weighs each hyperedge by the bus's injection-row count and
-    floor by the count the floor keeps, kept; on a cut-exact plan the two
-    agree and floor is capacity.  ends holds each line's (from, to) bus,
-    row_line each flow row's line and row_bus each injection row's bus
-    (-1 where a row is of the other kind), neighbours each bus's
-    adjacent buses in case order, reference the reference bus, and big
-    the capacity that stands for infinity, above every cut.  flows maps
-    (on the plan's capacity, source, sink) to the pair's maximum flow
-    value and, on the plan's capacity, its smallest minimum-cut source
-    side as a bus mask (None on the floor); no flow itself is kept.
-    `_solve_pairs` fills it: a sweep's pairs before any class is posed,
-    a single query's as it asks for them."""
+    its floor's, on one sparsity pattern.  Nodes 0..buses-1 are the buses
+    in case order; each bus with injection rows adds two more, the
+    Lawler pair of its hyperedge.  capacity weighs each hyperedge by the
+    bus's injection-row count, and floor, an array aligned with
+    capacity.data, by the count the floor keeps, kept, which may be 0;
+    exact tells whether the two agree, that is whether the plan is
+    cut-exact.  ends holds each line's (from, to) bus, row_line each flow
+    row's line and row_bus each injection row's bus (-1 where a row is of
+    the other kind), neighbours each bus's adjacent buses in case order,
+    reference the reference bus, and big the capacity that stands for
+    infinity, above every cut.  flows maps (source, sink) to the pair's
+    maximum flow value on the plan's capacity, on its floor's, and its
+    smallest minimum-cut source side on the plan's as a bus mask; no
+    flow itself is kept.  `_solve_pairs` fills it: a sweep's pairs
+    before any class is posed, a single query's as it asks for them."""
 
     capacity: csr_matrix
-    floor: csr_matrix
+    floor: np.ndarray
+    exact: bool
     buses: int
     big: int
     ends: np.ndarray
@@ -328,26 +319,32 @@ class CutNetwork:
     flows: dict = field(default_factory=dict, repr=False)
 
 
-def _capacity(ends, flows, weights, neighbours, big) -> csr_matrix:
-    """Each line an edge of capacity its flow-row count both ways, and
-    each bus of nonzero weight a Lawler pair: every member of its
-    hyperedge feeds the inner node and the outer node feeds every member
-    at capacity big, and inner feeds outer at the bus's weight."""
+def _capacity(ends, flows, injections, kept, neighbours, big):
+    """(capacity, floor) of a plan.  Each line with flow rows is an edge
+    of capacity its flow-row count both ways, and each bus with injection
+    rows a Lawler pair: every member of its hyperedge feeds the inner
+    node and the outer node feeds every member at capacity big, and
+    inner feeds outer at the bus's injection-row count.  The floor is
+    the same data with kept on each inner-outer edge instead."""
     buses = len(neighbours)
+    live = flows > 0  # lines without flow rows carry no edge
+    ends, flows = ends[live], flows[live]
     tails, heads, caps = [ends[:, 0], ends[:, 1]], [ends[:, 1], ends[:, 0]], [flows, flows]
-    for k, b in enumerate(np.flatnonzero(weights)):
+    hyper = np.flatnonzero(injections)
+    for k, b in enumerate(hyper):
         # the hyperedge {b} + neighbours costs its weight once it is split
         inner, outer = buses + 2 * k, buses + 2 * k + 1
         members = np.array([b, *neighbours[b]])
         tails += [members, [inner], np.full(len(members), outer)]
         heads += [np.full(len(members), inner), [outer], members]
-        caps += [np.full(len(members), big), [weights[b]], np.full(len(members), big)]
-    nodes = buses + 2 * np.count_nonzero(weights)
+        caps += [np.full(len(members), big), [injections[b]], np.full(len(members), big)]
+    nodes = buses + 2 * len(hyper)
     capacity = coo_matrix(
         (np.concatenate(caps).astype(np.int32),
          (np.concatenate(tails), np.concatenate(heads))), shape=(nodes, nodes)).tocsr()
-    capacity.eliminate_zeros()  # lines without flow rows
-    return capacity
+    floor = capacity.data.copy()
+    floor[capacity.indptr[buses:nodes:2]] = kept[hyper]  # each inner node's one edge
+    return capacity, floor
 
 
 def _cut_network(model: GridModel) -> CutNetwork:
@@ -378,42 +375,43 @@ def _cut_network(model: GridModel) -> CutNetwork:
         neighbours[t].add(f)
     neighbours = tuple(sorted(nb) for nb in neighbours)
     big = model.m + 1  # a capacity above every cut's row count stands for infinity
-    capacity = _capacity(ends, flows, injections, neighbours, big)
-    floor = (capacity if np.array_equal(kept, injections)
-             else _capacity(ends, flows, kept, neighbours, big))
-    return CutNetwork(capacity, floor, buses, big, ends, kept, row_line, row_bus,
-                      neighbours, model.reference)
+    capacity, floor = _capacity(ends, flows, injections, kept, neighbours, big)
+    return CutNetwork(capacity, floor, np.array_equal(kept, injections), buses, big,
+                      ends, kept, row_line, row_bus, neighbours, model.reference)
 
 
-def _solve_pairs(network, capacity, pairs):
+def _solve_pairs(network, pairs):
     """Solve every (source, sink) pair of `pairs` that network.flows
-    lacks on `capacity`, one of the network's two, and keep it there.
+    lacks, on both of the network's capacities, and keep it there.
 
     Up to _FLOW_BLOCK edges at a time, the pairs share one maximum flow:
-    pair k on its own copy of the capacity, node ids offset by k times
-    the node count, with a super source S feeding each copy's source at
-    big, and every edge into a copy's sink led into one super sink T
-    instead (the copy's own sink node is left with no edge in).  A
-    pair's value is the flow on S's edge into its copy, and on the
-    plan's capacity its source side is the buses of its copy that one
-    residual search from S reaches; the module docstring shows why
-    neither depends on the batch.  Threads that race on one pair may
-    each solve it, and keep the same answer."""
-    plan = capacity is network.capacity
-    pending = np.array([pair for pair in dict.fromkeys(pairs)
-                        if (plan, *pair) not in network.flows], dtype=np.int64)
-    nodes, nnz = capacity.shape[0], capacity.nnz
-    per = max(1, _FLOW_BLOCK // (nnz + 1))  # a copy's edges and its edge from S
-    for lo in range(0, len(pending), per):
-        batch = pending[lo : lo + per]
-        k = len(batch)
+    each pair on its own copy of the plan's capacity and, unless the
+    plan is exact, on one of its floor's, node ids offset by the copy's
+    number times the node count, with a super source S feeding each
+    copy's source at big, and every edge into a copy's sink led into one
+    super sink T instead (the copy's own sink node is left with no edge
+    in).  A copy's value is the flow on S's edge into it, and a pair's
+    source side is the buses of its plan copy that one residual search
+    from S reaches; the module docstring shows why neither depends on
+    the batch.  Threads that race on one pair may each solve it, and
+    keep the same answer."""
+    pending = np.array([pair for pair in dict.fromkeys(pairs) if pair not in network.flows],
+                       dtype=np.int64)
+    capacity = network.capacity
+    columns = [capacity.data] if network.exact else [capacity.data, network.floor]
+    nodes, nnz, per = capacity.shape[0], capacity.nnz, len(columns)  # per: copies per pair
+    block = max(1, _FLOW_BLOCK // (per * (nnz + 1)))  # a copy's edges and its edge from S
+    for lo in range(0, len(pending), block):
+        batch = pending[lo : lo + block]
+        k = per * len(batch)  # copies, each pair's plan copy first
         offsets = nodes * np.arange(k)[:, None]
-        sources, sinks = (batch + offsets).T
+        sources, sinks = (np.repeat(batch, per, axis=0) + offsets).T
         hub = nodes * k  # S, and T is hub + 1
         heads = capacity.indices + offsets
         heads[heads == sinks[:, None]] = hub + 1  # each copy's sink is T
         graph = csr_matrix(
-            (np.concatenate([np.tile(capacity.data, k), np.full(k, network.big, np.int32)]),
+            (np.concatenate([np.tile(np.concatenate(columns), len(batch)),
+                             np.full(k, network.big, np.int32)]),
              np.concatenate([heads.ravel(), sources]),
              np.concatenate([(capacity.indptr[:-1] + nnz * np.arange(k)[:, None]).ravel(),
                              [k * nnz, k * nnz + k, k * nnz + k]])),
@@ -422,15 +420,14 @@ def _solve_pairs(network, capacity, pairs):
         out = slice(flow.indptr[hub], flow.indptr[hub + 1])
         sent = np.zeros(hub, dtype=np.int64)
         sent[flow.indices[out]] = flow.data[out]
-        sides = [None] * k
-        if plan:
-            residual = graph - flow
-            residual.eliminate_zeros()  # saturated edges
-            reached = np.zeros(hub + 2, dtype=bool)
-            reached[breadth_first_order(residual, hub, return_predecessors=False)] = True
-            sides = reached[:hub].reshape(k, nodes)[:, : network.buses].copy()
-        for (s, t), value, side in zip(batch.tolist(), sent[sources].tolist(), sides):
-            network.flows[plan, s, t] = (value, side)
+        residual = graph - flow
+        residual.eliminate_zeros()  # saturated edges, and the floor's of capacity 0
+        reached = np.zeros(hub + 2, dtype=bool)
+        reached[breadth_first_order(residual, hub, return_predecessors=False)] = True
+        sides = reached[:hub].reshape(k, nodes)[::per, : network.buses].copy()
+        values = sent[sources].reshape(-1, per).tolist()
+        for (s, t), value, side in zip(batch.tolist(), values, sides):
+            network.flows[s, t] = (value[0], value[-1], side)  # the floor's is last
 
 
 def _pairs(network: CutNetwork, j0: int) -> list:
@@ -443,51 +440,24 @@ def _pairs(network: CutNetwork, j0: int) -> list:
     return [(int(bus), u) for u in network.neighbours[bus]]
 
 
-def _kept_by_floor(network: CutNetwork, j0: int) -> bool:
-    """Whether the floor keeps row j0: every flow row, and an injection
-    row where the floor keeps any of its bus's."""
-    bus = network.row_bus[j0]
-    return bus < 0 or network.kept[bus] > 0
-
-
-def _min_cut(network, capacity, pairs):
-    """(value, source side) of the pair of `pairs` with the smallest
-    maximum flow on `capacity`, one of the network's two, the first in
-    order on a tie; a pair network.flows lacks is solved first."""
-    _solve_pairs(network, capacity, pairs)
-    plan = capacity is network.capacity
-    return min((network.flows[plan, s, t] for s, t in pairs), key=lambda flow: flow[0])
-
-
 def _cut_bounds(network: CutNetwork, j0: int):
     """(lower, upper, cut): bounds on alpha at row j0 of a GridModel's
     plan, and the upper bound's cut as (value, source side), from which
     `_cut_step` builds its certificate.
 
     upper is the minimum cut through j0 on the plan's capacity, lower
-    the same cut on its floor, or 0 where the floor does not keep j0.
-    An injection row's cut separates its bus from the neighbour that is
-    cheapest to cut it from, the first in case order on a tie."""
+    the same cut on its floor, or 0 where the floor does not keep j0:
+    it keeps every flow row, and an injection row where it keeps any of
+    its bus's.  An injection row's cut separates its bus from the
+    neighbour that is cheapest to cut it from, the first in case order
+    on a tie."""
     pairs = _pairs(network, j0)
-    cut = _min_cut(network, network.capacity, pairs)
-    upper = cut[0]
-    if network.floor is network.capacity:
-        lower = upper
-    elif _kept_by_floor(network, j0):
-        lower = _min_cut(network, network.floor, pairs)[0]
-    else:
-        lower = 0
-    return lower, upper, cut
-
-
-def _solve_sweep_pairs(network: CutNetwork, targets):
-    """Solve every pair `_cut_bounds` reads for the rows `targets`, on
-    both capacities, so that the classes of a sweep only read flows."""
-    pairs = {j0: _pairs(network, j0) for j0 in targets}
-    _solve_pairs(network, network.capacity, [p for ps in pairs.values() for p in ps])
-    if network.floor is not network.capacity:
-        _solve_pairs(network, network.floor, [p for j0, ps in pairs.items()
-                                              if _kept_by_floor(network, j0) for p in ps])
+    _solve_pairs(network, pairs)
+    flows = [network.flows[pair] for pair in pairs]
+    upper, _, side = min(flows, key=lambda flow: flow[0])
+    bus = network.row_bus[j0]
+    lower = min(flow[1] for flow in flows) if bus < 0 or network.kept[bus] > 0 else 0
+    return lower, upper, (upper, side)
 
 
 def _cut_step(network: CutNetwork, cut) -> np.ndarray:
@@ -503,10 +473,10 @@ class RowStructure:
     """What every index program on one matrix shares: its parallel
     classes (as `parallel_classes` returns them), each class's
     representative (its largest-norm row) and the largest row norm, the
-    zero rule's scale.  A GridModel carries its plan's CutNetwork, whose
-    floor is its capacity on a cut-exact plan, where every program is a
-    minimum cut.  Any other input carries the 3-circuits among the
-    representatives, as class ids, for its MILPs."""
+    zero rule's scale.  A GridModel carries its plan's CutNetwork, exact
+    on a cut-exact plan, where every program is a minimum cut.  Any
+    other input carries the 3-circuits among the representatives, as
+    class ids, for its MILPs."""
 
     classes: list
     row_class: np.ndarray
@@ -527,7 +497,7 @@ def row_structure(model_or_h) -> RowStructure:
     norms = np.linalg.norm(h, axis=1)
     reps = np.array([cls[np.argmax(norms[cls])] for cls in classes])
     network = _cut_network(model_or_h) if isinstance(model_or_h, GridModel) else None
-    exact = network is not None and network.floor is network.capacity
+    exact = network is not None and network.exact
     circuits = None if exact else three_circuits(h[reps])
     return RowStructure(classes, row_class, reps, norms.max(), circuits, network)
 
@@ -767,9 +737,9 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     wherever its floor proves them minimal and MILPs elsewhere, and a
     bare matrix's take MILPs.  beta, gamma and the split follow from
     alpha's support, and only the split is member-specific.  Every
-    class's maximum flows are solved before the classes are mapped, and
-    `parallel_classes` has refused a non-finite matrix, so classes are
-    independent tasks on checked queries, and a parallel mapper changes
+    class's maximum flows are solved, in one batch per _FLOW_BLOCK
+    edges, before the classes are mapped, so classes are independent
+    tasks that only read the structure, and a parallel mapper changes
     nothing but time.
     """
     ci, ca = cost_integrity, cost_availability
@@ -777,11 +747,12 @@ def index_sweep(model_or_h, cost_integrity: float = 1.0,
     structure = row_structure(model_or_h)
     h = _matrix(model_or_h)
     classes = structure.classes
-    if structure.network is not None:
-        _solve_sweep_pairs(structure.network, [int(cls[0]) for cls in classes])
+    network = structure.network
+    if network is not None:
+        _solve_pairs(network, [pair for cls in classes for pair in _pairs(network, int(cls[0]))])
 
     def solve_class(cls):
-        return fdi_index(_checked_query(h, int(cls[0]) + 1), structure)
+        return fdi_index(IndexQuery(h, int(cls[0]) + 1), structure)
 
     rows = [None] * len(structure.row_class)
     for cls, res in zip(classes, (mapper or map)(solve_class, classes)):

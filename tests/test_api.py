@@ -251,7 +251,7 @@ def test_first_milp_solve_loads_optimize(tmp_path):
     plan = _milp_plan(tmp_path)
     structure = row_structure(build_model(load_case_file(plan)))
     # no cut-exact floor closes the first class, so index poses its MILP
-    assert structure.network.floor is not structure.network.capacity
+    assert not structure.network.exact
     lower, upper, _ = _cut_bounds(structure.network, 0)
     assert lower < upper
     argv = ["index", "--case", plan, "--out", str(tmp_path / "o.csv")]

@@ -71,7 +71,7 @@ def test_index_rows_match_the_model_query(tmp_path):
     # does, and finds the rows index reports
     model = build_model(load_case_file(str(plan)))
     structure = row_structure(model)
-    assert structure.network.floor is not structure.network.capacity
+    assert not structure.network.exact
     lower, upper, _ = _cut_bounds(structure.network, 5)
     assert lower < upper
     for j in (6, 17):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import gridrisk.security as security
 from gridrisk.attack import perturb_model
@@ -314,8 +315,11 @@ def test_non_finite_matrix_is_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         h_bad = h.copy()
         h_bad[2, 1] = bad
-        with pytest.raises(SecurityIndexError, match="NaN or infinite"):
-            IndexQuery(h_bad, 1)
+        # a query takes the matrix as given; its program refuses it
+        query = IndexQuery(h_bad, 1)
+        for call in (fdi_index, combined_index, cost_weighted_index):
+            with pytest.raises(SecurityIndexError, match="not finite"):
+                call(query)
         for call in (index_sweep, parallel_classes):
             with pytest.raises(SecurityIndexError, match="not finite"):
                 call(h_bad)
@@ -709,7 +713,7 @@ def test_cut_matches_bipartition_oracle():
              for name in ("chain3", "ring4")]
     for doc, model in grids + list(_cut_exact_grids(3, 30)):
         structure = row_structure(model)
-        assert structure.network.floor is structure.network.capacity
+        assert structure.network.exact
         classes, row_class = parallel_classes_by_row(model.H, security.PARALLEL_ATOL)
         for j0 in range(model.m):
             # a target takes the cut of its parallel class's first row
@@ -732,7 +736,7 @@ def test_cut_matches_enumeration_on_cut_exact_grids():
     short = 0
     for doc, model in _cut_exact_grids(7, 20, max_rows=12):
         structure = row_structure(model)
-        assert structure.network.floor is structure.network.capacity
+        assert structure.network.exact
         short += _short_of_both_ends(doc)
         for j0 in range(model.m):
             res = fdi_index(IndexQuery(model, j0 + 1), structure)
@@ -794,7 +798,7 @@ def test_cut_needs_flows_to_cover_injections(flows, alpha):
     assert enumeration_alpha(model.H, 0)[0] == alpha
     assert bipartition_index(doc, 0)[0] == alpha + 1
     structure = row_structure(model)
-    assert structure.network.floor is not structure.network.capacity
+    assert not structure.network.exact
     assert security._cut_bounds(structure.network, 0)[:2] == (alpha if flows else 0, alpha + 1)
     assert index_sweep(model)[0]["alpha"] == alpha
 
@@ -829,7 +833,7 @@ def test_floor_cut_bounds_alpha_from_below():
             res = fdi_index(IndexQuery(model, j0 + 1), structure)
             assert res.objective == alpha, j0
             if lower == upper:
-                closed += structure.network.floor is not structure.network.capacity
+                closed += not structure.network.exact
                 assert res.support == tuple(i + 1 for i in bipartition_index(doc, j0)[1]), j0
             else:
                 gaps += 1
@@ -1011,26 +1015,24 @@ def test_fallback_matches_enumeration_under_spread_reactances():
 
 
 def _solved_pairs(graph, hub):
-    """The (capacity, source, sink) pairs one batched maximum flow
-    solves.  Copy k's source is fed by the super source hub, and its sink
-    is the one node of the copy that nothing feeds, since every edge
-    into it is led into hub + 1.  Each copy's rows hold the capacity's
-    row pointers and capacities, which tell the plan's from its floor's."""
+    """The (source, sink) pairs one batched maximum flow solves, each
+    once whether it takes one copy or two.  Copy k's source is fed by
+    the super source hub, and its sink is the one node of the copy that
+    nothing feeds, since every edge into it is led into hub + 1."""
     sources = np.sort(graph.indices[graph.indptr[hub] : graph.indptr[hub + 1]])
     nodes = hub // len(sources)
     fed = np.zeros(hub + 2, dtype=bool)
     fed[graph.indices] = True
     sinks = np.flatnonzero(~fed[:hub])
     assert len(sinks) == len(sources)
-    key = (graph.indptr[: nodes + 1].tobytes(), graph.data[: graph.indptr[nodes]].tobytes())
-    return [(key, int(s) % nodes, int(t) % nodes) for s, t in zip(sources, sinks)]
+    return list(dict.fromkeys((int(s) % nodes, int(t) % nodes) for s, t in zip(sources, sinks)))
 
 
 def test_each_maximum_flow_is_computed_once(monkeypatch):
     # a line's flow class and its from bus's injection class pose the same
-    # source-sink pair; each pair is solved once per structure and
-    # capacity, counted across the batched maximum flows of a sweep (one
-    # per capacity on PLAN35), and a single query solves only its own
+    # source-sink pair; each pair is solved once per structure, on both
+    # capacities in the same batched maximum flow (one for the whole
+    # sweep on PLAN35), and a single query solves only its own
     model = build_model(load_case(plan35_doc()))
     pairs, batches = [], []
     maximum_flow = security.maximum_flow
@@ -1042,12 +1044,12 @@ def test_each_maximum_flow_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(security, "maximum_flow", counted)
     serial = index_sweep(model)
-    assert len(pairs) == len(set(pairs)) == 64
-    assert len(batches) == 2
+    assert len(pairs) == len(set(pairs)) == 34
+    assert len(batches) == 1
     pairs.clear()
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert index_sweep(model, mapper=pool.map) == serial
-    assert len(pairs) == len(set(pairs)) == 64
+    assert len(pairs) == len(set(pairs)) == 34
     pairs.clear()
     ieee14 = build_model(load_bundled_case("ieee14"))
     line = next(j for j, (kind, _) in enumerate(ieee14.measurement_labels)
@@ -1056,18 +1058,31 @@ def test_each_maximum_flow_is_computed_once(monkeypatch):
     assert len(pairs) == 1
 
 
+def test_single_query_off_a_cut_exact_plan_takes_one_flow_and_one_search(monkeypatch):
+    # PLAN35's row 10 has L < U: its pairs are solved on both capacities
+    # by one maximum flow, and their source sides by one residual search
+    model = build_model(load_case(plan35_doc()))
+    lower, upper, _ = security._cut_bounds(row_structure(model).network, 9)
+    assert lower < upper
+    calls = _count_calls(monkeypatch, ("maximum_flow", "breadth_first_order"))
+    combined_index(IndexQuery(model, 10))
+    assert Counter(calls) == {"maximum_flow": 1, "breadth_first_order": 1}
+
+
 def _assert_flows_match_pair_oracle(model):
-    # every pair a sweep solves keeps its own maximum flow's value and, on
-    # the plan's capacity, the buses its residual reaches from the source
+    # every pair a sweep solves keeps its own maximum flow's value on the
+    # plan's capacity and on its floor's, and the buses the plan's
+    # residual reaches from the source
     network = row_structure(model).network
-    security._solve_sweep_pairs(network, range(model.m))
-    for (plan, s, t), (value, side) in network.flows.items():
-        ref, reached = pair_min_cut(network.capacity if plan else network.floor, s, t)
-        assert value == ref, (plan, s, t)
-        if plan:
-            np.testing.assert_array_equal(side, reached[: network.buses], err_msg=str((s, t)))
-        else:
-            assert side is None
+    security._solve_pairs(network, [pair for j0 in range(model.m)
+                                    for pair in security._pairs(network, j0)])
+    capacity = network.capacity
+    floor = csr_matrix((network.floor, capacity.indices, capacity.indptr), shape=capacity.shape)
+    for (s, t), (upper, lower, side) in network.flows.items():
+        ref, reached = pair_min_cut(capacity, s, t)
+        assert upper == ref, (s, t)
+        np.testing.assert_array_equal(side, reached[: network.buses], err_msg=str((s, t)))
+        assert lower == pair_min_cut(floor, s, t)[0], (s, t)
     return network
 
 
@@ -1077,7 +1092,8 @@ def test_batched_flows_match_per_pair_flows(ieee14, monkeypatch):
     # take many batches
     for model, floor in ((ieee14, False), (build_model(load_case(plan35_doc())), True)):
         network = _assert_flows_match_pair_oracle(model)
-        assert any(not plan for plan, _, _ in network.flows) == floor
+        assert network.exact != floor
+        assert any(upper != lower for upper, lower, _ in network.flows.values()) == floor
     batches = _count_calls(monkeypatch, ("maximum_flow",))
     _assert_flows_match_pair_oracle(
         build_model(load_case(ring_chord_case(np.random.default_rng(0), 118))))
@@ -1088,9 +1104,41 @@ def test_batched_floor_flows_match_per_pair_flows():
     # small plans whose floor is not the plan's capacity
     floors = 0
     for _, model in _thinned_plans_with_injections(3, 60):
-        network = _assert_flows_match_pair_oracle(model)
-        floors += any(not plan for plan, _, _ in network.flows)
+        floors += not _assert_flows_match_pair_oracle(model).exact
     assert floors >= 40
+
+
+def _assert_floor_on_the_plan_pattern(network):
+    # the floor is the plan's capacity data but on each hyperedge's inner
+    # to outer edge, where it keeps each bus's injection rows up to the
+    # fewest flow rows on any of its lines
+    capacity, floor = network.capacity, network.floor
+    assert floor.shape == capacity.data.shape
+    assert np.all(floor <= capacity.data)
+    injections = np.bincount(network.row_bus[network.row_bus >= 0], minlength=network.buses)
+    flows = np.bincount(network.row_line[network.row_line >= 0], minlength=len(network.ends))
+    kept = injections.copy()
+    for (f, t), count in zip(network.ends.tolist(), flows.tolist()):
+        kept[f], kept[t] = min(kept[f], count), min(kept[t], count)
+    hyper = np.flatnonzero(injections)
+    inner = network.buses + 2 * np.arange(len(hyper))
+    rows = np.repeat(np.arange(capacity.shape[0]), np.diff(capacity.indptr))
+    on_hyper = np.isin(rows, inner) & (capacity.indices == rows + 1)
+    assert np.count_nonzero(on_hyper) == len(hyper)
+    np.testing.assert_array_equal(capacity.data[on_hyper], injections[hyper])
+    np.testing.assert_array_equal(floor[on_hyper], kept[hyper])
+    np.testing.assert_array_equal(floor[~on_hyper], capacity.data[~on_hyper])
+    assert network.exact == np.array_equal(kept, injections)
+    return network
+
+
+def test_floor_lies_on_the_plan_pattern(ieee14):
+    assert _assert_floor_on_the_plan_pattern(row_structure(ieee14).network).exact
+    plan35 = build_model(load_case(plan35_doc()))
+    assert not _assert_floor_on_the_plan_pattern(row_structure(plan35).network).exact
+    exact = Counter(_assert_floor_on_the_plan_pattern(row_structure(model).network).exact
+                    for _, model in _thinned_plans_with_injections(3, 60))
+    assert exact[True] and exact[False] >= 40
 
 
 def test_index_tables_do_not_depend_on_the_flow_batch(ieee14, monkeypatch):
@@ -1108,7 +1156,8 @@ def test_index_tables_do_not_depend_on_the_flow_batch(ieee14, monkeypatch):
     monkeypatch.setattr(security, "maximum_flow", counted)
     monkeypatch.setattr(security, "_FLOW_BLOCK", 1)
     assert [format_index_csv(index_sweep(model)) for model in models] == tables
-    assert set(copies) == {1}
+    # one pair per batch, on one copy or, off a cut-exact plan, two
+    assert set(copies) == {1, 2}
 
 
 @pytest.mark.parametrize("seed", range(10))
