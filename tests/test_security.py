@@ -1014,48 +1014,67 @@ def test_fallback_matches_enumeration_under_spread_reactances():
     assert checked >= 150
 
 
-def _solved_pairs(graph, hub):
-    """The (source, sink) pairs one batched maximum flow solves, each
-    once whether it takes one copy or two.  Copy k's source is fed by
-    the super source hub, and its sink is the one node of the copy that
-    nothing feeds, since every edge into it is led into hub + 1."""
+def _solved_copies(graph, hub, network):
+    """One (capacity, source, sink) entry per copy that one batched
+    maximum flow solves, capacity "plan" or "floor".  Copy k's source is
+    fed by the super source hub, and its sink is the one node of the copy
+    that nothing feeds, since every edge into it is led into hub + 1.
+    Each copy's edges hold the plan's capacities or its floor's."""
     sources = np.sort(graph.indices[graph.indptr[hub] : graph.indptr[hub + 1]])
     nodes = hub // len(sources)
     fed = np.zeros(hub + 2, dtype=bool)
     fed[graph.indices] = True
     sinks = np.flatnonzero(~fed[:hub])
     assert len(sinks) == len(sources)
-    return list(dict.fromkeys((int(s) % nodes, int(t) % nodes) for s, t in zip(sources, sinks)))
+    copies = []
+    for s, t in zip(sources.tolist(), sinks.tolist()):
+        first = s // nodes * nodes
+        data = graph.data[graph.indptr[first] : graph.indptr[first + nodes]]
+        plan = np.array_equal(data, network.capacity.data)
+        assert plan or np.array_equal(data, network.floor)
+        copies.append(("plan" if plan else "floor", s % nodes, t % nodes))
+    return copies
 
 
 def test_each_maximum_flow_is_computed_once(monkeypatch):
     # a line's flow class and its from bus's injection class pose the same
-    # source-sink pair; each pair is solved once per structure, on both
-    # capacities in the same batched maximum flow (one for the whole
-    # sweep on PLAN35), and a single query solves only its own
-    model = build_model(load_case(plan35_doc()))
-    pairs, batches = [], []
+    # source-sink pair; each pair is solved once per structure, on one
+    # plan copy and one floor copy of the same batched maximum flow (one
+    # for the whole sweep on PLAN35), and a single query solves only its own
+    copies, batches = [], []
     maximum_flow = security.maximum_flow
+    network = None
 
     def counted(graph, source, sink):
         batches.append(source)
-        pairs.extend(_solved_pairs(graph, source))
+        copies.extend(_solved_copies(graph, source, network))
         return maximum_flow(graph, source, sink)
 
     monkeypatch.setattr(security, "maximum_flow", counted)
+    model = build_model(load_case(plan35_doc()))
+    network = row_structure(model).network
+    assert not network.exact
+
+    def assert_one_plan_and_one_floor_copy_per_pair():
+        assert Counter(copies) == {copy: 1 for copy in copies}
+        per_pair = Counter((s, t) for _, s, t in copies)
+        assert len(per_pair) == 34 and set(per_pair.values()) == {2}
+        assert Counter(kind for kind, _, _ in copies) == {"plan": 34, "floor": 34}
+        copies.clear()
+
     serial = index_sweep(model)
-    assert len(pairs) == len(set(pairs)) == 34
     assert len(batches) == 1
-    pairs.clear()
+    assert_one_plan_and_one_floor_copy_per_pair()
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert index_sweep(model, mapper=pool.map) == serial
-    assert len(pairs) == len(set(pairs)) == 34
-    pairs.clear()
+    assert_one_plan_and_one_floor_copy_per_pair()
     ieee14 = build_model(load_bundled_case("ieee14"))
+    network = row_structure(ieee14).network
+    assert network.exact
     line = next(j for j, (kind, _) in enumerate(ieee14.measurement_labels)
                 if kind != "injection")
     combined_index(IndexQuery(ieee14, line + 1))
-    assert len(pairs) == 1
+    assert [kind for kind, _, _ in copies] == ["plan"]
 
 
 def test_single_query_off_a_cut_exact_plan_takes_one_flow_and_one_search(monkeypatch):
